@@ -21,9 +21,9 @@ from repro.bench.report import (
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the fair-share solver (micro) and full "
-        "simulations (macro), A/B-ing the max-min, incremental, and "
-        "vectorized allocators.",
+        description="Benchmark the fair-share solver (micro: whole-graph "
+        "vs dirty-component solves) and full simulations (macro: wall "
+        "time and per-task schedules).",
     )
     parser.add_argument(
         "--smoke",
@@ -39,8 +39,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check-against",
         metavar="BASELINE",
-        help="compare calibrated macro wall times against this committed "
-        "BENCH report; exit 1 on regression",
+        help="compare calibrated macro wall times and per-task schedules "
+        "against this committed BENCH report; exit 1 on regression",
     )
     parser.add_argument(
         "--tolerance",
@@ -63,9 +63,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"  {result.name:12s} {result.events:5d} events  "
             f"oracle {result.oracle_wall_s * 1e3:8.1f} ms  "
             f"incremental {result.incremental_wall_s * 1e3:8.1f} ms "
-            f"({result.speedup:5.1f}x)  "
-            f"vectorized {result.vectorized_wall_s * 1e3:8.1f} ms "
-            f"({result.vectorized_speedup:5.1f}x)"
+            f"({result.speedup:5.1f}x)"
         )
 
     print("-- macro: end-to-end simulations --")

@@ -1,24 +1,26 @@
 """Macro benchmarks: end-to-end simulation wall time on paper workloads.
 
-Two scenarios, each run with the default ``max-min`` allocator and again
-with ``incremental`` and ``vectorized``:
+Two scenarios, each run once with the default allocator:
 
 * ``fig13-point`` — one Figure 13 sweep point (1000Genomes on Cori,
   half the inputs staged into the burst buffer, reduced chromosome
   count) — the unit of work every sweep repeats dozens of times;
 * ``genomes-full`` — the full 22-chromosome 1000Genomes case study.
 
-The grouped runs must produce identical makespans (the incremental and
-vectorized paths are optimizations, not model changes); each reports wall time plus
-the observer's kernel/solver counters so regressions can be attributed
-(did we do more events, more solves, or just slower solves?).
+The allocator names ``incremental`` and ``vectorized`` are aliases of
+``max-min`` on the one flow-network event loop, so a run per name would
+measure the same thing three times.  Each entry reports wall time, the
+observer's kernel/solver counters (did we do more events, more solves,
+or just slower solves?) and the per-task schedule, which
+:func:`~repro.bench.report.check_against` compares with the baseline's.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.network import DEFAULT_ALLOCATOR
 from repro.obs import Observer
 from repro.scenarios import run_genomes
 
@@ -34,6 +36,8 @@ class MacroResult:
     events: int                      # DES kernel events processed
     solver_calls: int
     links_touched: int
+    #: Task name -> ``[start, end, host]``.
+    schedule: dict[str, list] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -45,6 +49,7 @@ class MacroResult:
             "events": self.events,
             "solver_calls": self.solver_calls,
             "links_touched": self.links_touched,
+            "schedule": self.schedule,
         }
 
 
@@ -82,32 +87,22 @@ def run_macro(name: str, allocator: str, **kwargs) -> MacroResult:
         events=int(registry.counter("des.events_processed").value),
         solver_calls=int(registry.counter("network.solver_calls").value),
         links_touched=int(registry.counter("network.links_touched").value),
+        schedule={
+            task: [rec.start, rec.end, rec.host]
+            for task, rec in sorted(result.trace.records.items())
+        },
     )
 
 
 #: The allocators every macro scenario is benchmarked under.
-MACRO_ALLOCATORS = ("max-min", "incremental", "vectorized")
+MACRO_ALLOCATORS = (DEFAULT_ALLOCATOR,)
 
 
 def macro_benchmarks(smoke: bool = False) -> list[MacroResult]:
-    """Run every macro scenario under all allocators (A/B/C groups).
-
-    Raises if any allocator disagrees with ``max-min`` on makespan —
-    wall time is only comparable between semantically identical runs.
-    """
+    """Run every macro scenario under each of :data:`MACRO_ALLOCATORS`."""
     scenarios = _SCENARIOS_SMOKE if smoke else _SCENARIOS_FULL
-    results: list[MacroResult] = []
-    for name, kwargs in scenarios.items():
-        group = [
-            run_macro(name, allocator, **kwargs)
-            for allocator in MACRO_ALLOCATORS
-        ]
-        for other in group[1:]:
-            if other.makespan != group[0].makespan:
-                raise AssertionError(
-                    f"{name}: {other.allocator} makespan "
-                    f"{other.makespan!r} != max-min makespan "
-                    f"{group[0].makespan!r}"
-                )
-        results.extend(group)
-    return results
+    return [
+        run_macro(name, allocator, **kwargs)
+        for name, kwargs in scenarios.items()
+        for allocator in MACRO_ALLOCATORS
+    ]

@@ -4,23 +4,22 @@ The workload mimics what a burst-buffer simulation actually generates: a
 platform of many node-local link clusters (disk read/write channels,
 PCIe uplinks) where most flows stay within one cluster and a minority
 cross a shared backbone.  That makes the flow/link graph component-rich
-— exactly the structure the incremental solver exploits — while the
+— exactly the structure dirty-component solving exploits — while the
 occasional backbone flow keeps components merging and splitting.
 
 One deterministic admit/drain sequence (a sliding window of active
-flows) is replayed three times:
+flows) is replayed twice:
 
 * **oracle** — on every event, rebuild the active flow list and call
   :func:`~repro.network.fairshare.max_min_fair_rates` on the whole
-  graph (what :class:`~repro.network.FlowNetwork`'s default path does);
+  graph (the cost model of a network that re-solves everything);
 * **incremental** — feed the same events to
-  :class:`repro.perf.IncrementalMaxMin` and solve only dirty components;
-* **vectorized** — the same events through
-  :class:`repro.perf.VectorizedMaxMin` (group-granular dirty components
-  plus the dense water-filling kernel).
+  :class:`~repro.network.components.ComponentSolver`, which re-solves
+  only dirty components over identical-constraint classes, as
+  :class:`~repro.network.FlowNetwork` does.
 
-All replays must agree on every flow's rate at the end, so the speedups
-are measured on proven-equivalent work.
+Both replays must agree on every flow's rate at the end, so the speedup
+is measured on proven-equivalent work.
 """
 
 from __future__ import annotations
@@ -29,14 +28,14 @@ import random
 import time
 from dataclasses import dataclass
 
-# lint: ignore-file[SIM060] - the micro bench *measures* the raw oracle
-# against the incremental engine; calling it directly is the benchmark.
+# lint: ignore-file[SIM060] - the micro bench *measures* the whole-graph
+# solve against the component solver; calling it directly is the benchmark.
+from repro.network.components import ComponentSolver, static_capacity
 from repro.network.fairshare import max_min_fair_rates
-from repro.perf import IncrementalMaxMin, VectorizedMaxMin, static_capacity
 
 #: Relative tolerance for oracle/incremental rate agreement.  Rates are
-#: bit-identical per component; summing order across components differs,
-#: so cross-checks allow float associativity slack.
+#: bit-identical per component; filling several components at once
+#: splits the increments differently, so cross-checks allow ulp slack.
 _REL_TOL = 1e-9
 
 
@@ -60,7 +59,6 @@ class MicroResult:
     events: int                      # admit/drain events replayed
     oracle_wall_s: float
     incremental_wall_s: float
-    vectorized_wall_s: float
     solver_calls: int                # incremental component solves
     links_touched: int               # total links across those solves
     full_solves: int                 # solves that spanned the whole graph
@@ -71,12 +69,6 @@ class MicroResult:
             return float("inf")
         return self.oracle_wall_s / self.incremental_wall_s
 
-    @property
-    def vectorized_speedup(self) -> float:
-        if self.vectorized_wall_s <= 0:  # pragma: no cover - clock quirk
-            return float("inf")
-        return self.oracle_wall_s / self.vectorized_wall_s
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -85,9 +77,7 @@ class MicroResult:
             "events": self.events,
             "wall_s": self.incremental_wall_s,
             "oracle_wall_s": self.oracle_wall_s,
-            "vectorized_wall_s": self.vectorized_wall_s,
             "speedup": self.speedup,
-            "vectorized_speedup": self.vectorized_speedup,
             "solver_calls": self.solver_calls,
             "links_touched": self.links_touched,
             "full_solves": self.full_solves,
@@ -143,7 +133,7 @@ def make_workload(
 
 
 def _replay_oracle(workload: MicroWorkload) -> dict[int, float]:
-    """Whole-graph oracle on every event (the default-path cost model)."""
+    """Whole-graph solve on every event (no component reuse)."""
     flow_links: dict[int, tuple] = {}
     flow_caps: dict[int, float] = {}
     rates: dict[int, float] = {}
@@ -171,10 +161,9 @@ def _replay_oracle(workload: MicroWorkload) -> dict[int, float]:
 
 
 def _replay_incremental(
-    workload: MicroWorkload, engine: "IncrementalMaxMin | VectorizedMaxMin"
+    workload: MicroWorkload, engine: ComponentSolver
 ) -> dict[int, float]:
-    """The same events through a stateful engine (incremental or
-    vectorized — the two share the admit/drain/solve surface)."""
+    """The same events through the component solver."""
     for event in workload.events:
         if event[0] == "admit":
             _, fid, links, cap = event
@@ -202,7 +191,7 @@ def run_micro(workload: MicroWorkload, repeats: int = 3) -> MicroResult:
     """Benchmark one workload; best-of-``repeats`` wall times.
 
     The first replay of each solver doubles as the correctness check
-    (oracle, incremental, and vectorized must agree on every rate), so
+    (oracle and incremental must agree on every rate), so
     ``repeats=1`` costs exactly one replay per solver — that keeps the
     1000-flow bench affordable, where a single oracle replay is tens of
     seconds.
@@ -213,21 +202,13 @@ def run_micro(workload: MicroWorkload, repeats: int = 3) -> MicroResult:
         holder["oracle"] = _replay_oracle(workload)
 
     def incremental_once() -> None:
-        engine = IncrementalMaxMin(static_capacity(workload.capacities))
+        engine = ComponentSolver(static_capacity(workload.capacities))
         holder["rates"] = _replay_incremental(workload, engine)
         holder["stats"] = engine.stats
 
-    def vectorized_once() -> None:
-        engine = VectorizedMaxMin(static_capacity(workload.capacities))
-        holder["vectorized"] = _replay_incremental(workload, engine)
-
     oracle_wall = min(_timed(oracle_once) for _ in range(repeats))
     incremental_wall = min(_timed(incremental_once) for _ in range(repeats))
-    vectorized_wall = min(_timed(vectorized_once) for _ in range(repeats))
     _check_agreement(holder["oracle"], holder["rates"], workload.name)
-    _check_agreement(
-        holder["oracle"], holder["vectorized"], f"{workload.name} (vectorized)"
-    )
     stats = holder["stats"]
     return MicroResult(
         name=workload.name,
@@ -235,7 +216,6 @@ def run_micro(workload: MicroWorkload, repeats: int = 3) -> MicroResult:
         events=len(workload.events),
         oracle_wall_s=oracle_wall,
         incremental_wall_s=incremental_wall,
-        vectorized_wall_s=vectorized_wall,
         solver_calls=stats.solver_calls,
         links_touched=stats.links_touched,
         full_solves=stats.full_solves,

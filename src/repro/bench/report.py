@@ -80,13 +80,19 @@ def load_report(path: "str | Path") -> dict:
     return report
 
 
+#: Relative tolerance (of the baseline makespan) for schedule agreement.
+SCHEDULE_REL_TOL = 1e-9
+
+
 def check_against(
     current: dict, baseline: dict, tolerance: float = 0.25
 ) -> list[dict]:
-    """Compare two reports' macro wall times; return regression records.
+    """Compare two reports' macro entries; return regression records.
 
     An entry regresses when its calibrated wall time exceeds the
-    baseline's by more than ``tolerance`` (relative).  Entries are
+    baseline's by more than ``tolerance`` (relative), or when both carry
+    a per-task schedule and a task's host differs or its start/end moved
+    by more than :data:`SCHEDULE_REL_TOL` of the makespan.  Entries are
     matched by ``(name, allocator)``; entries missing from the baseline
     are informational only (new benchmarks can't regress).
 
@@ -95,6 +101,8 @@ def check_against(
         {"name": ..., "allocator": ..., "metric": "wall_s",
          "measured_units": ..., "baseline_units": ...,
          "ratio": measured/baseline, "tolerance": ...}
+        {"name": ..., "allocator": ..., "metric": "schedule",
+         "tasks": <differing tasks>, "first": <one of them>}
 
     so callers can both render it (:func:`format_regression`) and emit
     it as JSON for harnesses.
@@ -115,6 +123,17 @@ def check_against(
         base = baseline_by_key.get((entry["name"], entry.get("allocator")))
         if base is None:
             continue
+        differing = _schedule_differences(entry, base)
+        if differing:
+            failures.append(
+                {
+                    "name": entry["name"],
+                    "allocator": entry.get("allocator"),
+                    "metric": "schedule",
+                    "tasks": len(differing),
+                    "first": differing[0],
+                }
+            )
         current_units = entry["wall_s"] / cur_cal
         base_units = base["wall_s"] / base_cal
         if current_units > base_units * (1.0 + tolerance):
@@ -132,8 +151,29 @@ def check_against(
     return failures
 
 
+def _schedule_differences(entry: dict, base: dict) -> list[str]:
+    """Tasks whose ``(start, end, host)`` disagree between two entries."""
+    got = entry.get("schedule")
+    want = base.get("schedule")
+    if not got or not want:
+        return []
+    scale = SCHEDULE_REL_TOL * max(abs(base["makespan"]), 1.0)
+    differing = sorted(set(got) ^ set(want))
+    for task in sorted(set(got) & set(want)):
+        (start, end, host), (b_start, b_end, b_host) = got[task], want[task]
+        if host != b_host or abs(start - b_start) > scale or abs(end - b_end) > scale:
+            differing.append(task)
+    return differing
+
+
 def format_regression(failure: dict) -> str:
     """One human-readable line for a :func:`check_against` record."""
+    if failure["metric"] == "schedule":
+        return (
+            f"{failure['name']} [{failure['allocator']}]: schedule of "
+            f"{failure['tasks']} task(s) differs from the baseline "
+            f"(first: {failure['first']})"
+        )
     return (
         f"{failure['name']} [{failure['allocator']}]: wall_s "
         f"{failure['measured_units']:.2f} machine units vs baseline "

@@ -54,20 +54,14 @@ class EventPriority(enum.IntEnum):
 
     Lower values run first.  URGENT is reserved for kernel bookkeeping
     (e.g. process resumption after an interrupt) that must precede user
-    events at the same timestamp.  DEFERRED runs after every other event
-    at its timestamp — it exists for end-of-instant batch work such as
-    :class:`~repro.network.FlowNetwork`'s coalesced rate solve, which
-    must observe *all* same-timestamp admits/drains before computing
-    (re-scheduling a DEFERRED event from within another DEFERRED event
-    at the same timestamp is safe: it simply runs later in the same
-    instant).
+    events at the same timestamp.  End-of-instant batch work needs no
+    priority of its own: see :meth:`~repro.des.Environment.at_instant_end`.
     """
 
     URGENT = 0
     HIGH = 1
     NORMAL = 2
     LOW = 3
-    DEFERRED = 4
 
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".

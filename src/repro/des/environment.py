@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.des.core import (
     Event,
@@ -46,6 +46,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue = EventQueue()
         self._active_process: Optional[Process] = None
+        #: Callbacks to run once the current instant has no events left.
+        self._instant_end: list[Callable[[], None]] = []
         #: Attached :class:`repro.obs.Observer`, or ``None`` (the
         #: default).  This is the single attachment point the whole
         #: instrumentation layer hangs off: every hook site in the
@@ -114,11 +116,36 @@ class Environment:
             raise ValueError(f"negative delay: {delay}")
         self._queue.push(self._now + delay, int(priority), event)
 
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once every event at the current time is done.
+
+        The call happens before the clock moves on (or the run ends), and
+        it is not an event: it schedules nothing unless the callback does.
+        Events the callback schedules at the current time run next, and
+        callbacks they register run when those are done.  This is where
+        batch work that must see *all* of an instant's changes goes, such
+        as :class:`~repro.network.FlowNetwork`'s rate solve.
+        """
+        self._instant_end.append(callback)
+
+    def _end_instant(self) -> None:
+        """Run the instant-end callbacks if the current instant is over."""
+        pending = self._instant_end
+        while pending and self._queue.peek_time() > self._now:
+            callbacks = pending[:]
+            pending.clear()
+            for callback in callbacks:
+                callback()
+
     def step(self) -> None:
         """Process the single next event; raise ``EmptySchedule`` if none."""
-        if not self._queue:
-            raise EmptySchedule()
-        when, event = self._queue.pop()
+        queue = self._queue
+        if not queue:
+            if self._instant_end:
+                self._end_instant()
+            if not queue:
+                raise EmptySchedule()
+        when, event = queue.pop()
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -128,6 +155,8 @@ class Environment:
         assert callbacks is not None
         for callback in callbacks:
             callback(event)
+        if self._instant_end and queue.peek_time() > when:
+            self._end_instant()
 
         obs = self.obs
         if obs is not None:
@@ -192,14 +221,18 @@ class Environment:
                 )
 
         try:
-            while self._queue:
+            # A stop raised by the last event of an instant skipped its
+            # instant-end callbacks; they run before the clock moves on.
+            self._end_instant()
+            while self._queue or self._instant_end:
                 self.step()
         except StopSimulation as stop:
             stop_value = stop.value
             if isinstance(until, Event):
                 return stop_value
             return None
-        except EmptySchedule:  # pragma: no cover - loop guard handles it
+        except EmptySchedule:
+            # The last instant-end callbacks scheduled nothing.
             pass
 
         if until is not None and not isinstance(until, Event):

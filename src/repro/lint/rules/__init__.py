@@ -20,7 +20,7 @@ Rule families (see ``docs/LINT.md`` for the full catalogue):
 * ``SIM04x`` — observability (bare ``print()`` in library code)
 * ``SIM05x`` — parallelism (worker processes outside ``repro.sweep``)
 * ``SIM06x`` — performance API (direct fair-share solver calls outside
-  ``repro.network``/``repro.perf``; per-event container allocation in
+  ``repro.network``; per-event container allocation in
   ``# lint: hot-path`` modules)
 * ``SIM07x`` — profiling hooks (wait causes must come from the closed
   ``WaitCause`` enum)

@@ -1,12 +1,11 @@
 """Performance-API rules (SIM06x).
 
-The fair-share solver has exactly two sanctioned call sites: the flow
-network (which owns rate recomputation) and the incremental engine in
-``repro.perf`` (which wraps the solver per component).  Anything else
-calling :func:`~repro.network.fairshare.max_min_fair_rates` directly is
-a layering leak — it hard-codes one sharing discipline, bypasses the
-allocator registry (so configs/CLIs can't A/B it), and silently skips
-the incremental fast path and its solver-call telemetry.
+The fair-share solver has one sanctioned home: ``repro.network``, where
+the flow network and its component solver own rate recomputation.
+Anything else calling :func:`~repro.network.fairshare.max_min_fair_rates`
+directly is a layering leak — it hard-codes one sharing discipline,
+bypasses the allocator registry (so configs/CLIs can't A/B it), and is
+invisible to the solver-call telemetry.
 
 SIM061 guards the modules those layers keep fast: a file carrying a
 ``# lint: hot-path`` marker declares that its loops run once per
@@ -39,15 +38,15 @@ _SOLVER_PATHS = frozenset(
 
 @register
 class NoDirectFairShareCalls(Rule):
-    """SIM060: direct ``max_min_fair_rates`` use outside the network/perf
-    layers."""
+    """SIM060: direct ``max_min_fair_rates`` use outside the network
+    layer."""
 
     id = "SIM060"
-    summary = "direct fair-share solver call outside repro.network/repro.perf"
+    summary = "direct fair-share solver call outside repro.network"
     rationale = (
         "Calling max_min_fair_rates directly hard-codes one bandwidth-"
         "sharing discipline: the run can no longer be switched to "
-        "equal-split or the incremental solver from a SimulatorConfig, "
+        "equal-split or another allocator from a SimulatorConfig, "
         "a sweep point, or --network-allocator, and the call is "
         "invisible to the network.solver_calls telemetry.  Rates belong "
         "to FlowNetwork; solver choice belongs to the allocator "
@@ -61,9 +60,8 @@ class NoDirectFairShareCalls(Rule):
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        # The flow network and the incremental engine are the two
-        # sanctioned owners of direct solver calls.
-        return ctx.outside_package_dir("network/", "perf/")
+        # The flow network and its component solver own direct calls.
+        return ctx.outside_package_dir("network/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
@@ -77,7 +75,7 @@ class NoDirectFairShareCalls(Rule):
                                 ctx,
                                 node,
                                 f"import of {_SOLVER} outside "
-                                "repro.network/repro.perf",
+                                "repro.network",
                             )
             elif isinstance(node, ast.Call):
                 name = ctx.imports.resolve(node.func)
@@ -88,7 +86,7 @@ class NoDirectFairShareCalls(Rule):
                         ctx,
                         node,
                         f"direct {_SOLVER}() call outside "
-                        "repro.network/repro.perf",
+                        "repro.network",
                     )
 
 
@@ -124,7 +122,7 @@ class NoHotPathAllocation(Rule):
         "per simulation event; a list/dict/set built inside such a loop "
         "turns every event into an allocation plus eventual GC work, "
         "which is exactly the per-event cost the array-backed event "
-        "queue and slot-based flow records were introduced to remove.  "
+        "queue and the change-proportional flow network avoid.  "
         "Hoist the container out of the loop, reuse a preallocated "
         "buffer, or store into parallel arrays."
     )

@@ -9,36 +9,30 @@ configs and CLIs can carry.
 
 Built-in allocators:
 
-``max-min``
-    :func:`~repro.network.fairshare.max_min_fair_rates` — progressive
-    filling, the paper's model and the default.
-``equal-split``
-    :func:`~repro.network.fairshare.equal_split_rates` — the ablation
-    baseline (feasible, not work-conserving).
-``incremental``
-    :func:`repro.perf.incremental_max_min_rates` — max-min solved per
-    connected component of the flow/link graph; selecting it by name
-    additionally switches :class:`~repro.network.FlowNetwork` onto its
-    stateful incremental hot path (dirty-component recomputation, batch
-    rescheduling, completion heap).  Registered lazily on first lookup
-    so ``repro.network`` does not import ``repro.perf`` at import time.
-``vectorized``
-    :func:`repro.perf.vectorized_max_min_rates` — the dense
-    water-filling kernel (numpy argmin over per-link saturation levels,
-    identical-constraint flow grouping).  Selecting it by name keeps the
-    incremental path's dirty-component bookkeeping but solves each
-    component with the kernel and moves per-flow progress onto
-    :class:`repro.perf.FlowSlots` arrays.  Registered lazily alongside
-    ``incremental``.
+================  =====================================================
+name              allocator
+================  =====================================================
+``max-min``       :func:`~repro.network.fairshare.max_min_fair_rates` —
+                  progressive filling, the paper's model and the default
+``incremental``   alias of ``max-min``
+``vectorized``    alias of ``max-min``
+``equal-split``   :func:`~repro.network.fairshare.equal_split_rates` —
+                  the ablation baseline (feasible, not work-conserving)
+================  =====================================================
 
-Direct calls to ``max_min_fair_rates`` outside ``repro.network`` /
-``repro.perf`` are rejected by lint rule SIM060 — resolve through this
+``incremental`` and ``vectorized`` once selected separate event loops
+in :class:`~repro.network.FlowNetwork`.  There is one loop now, used for
+every allocator, so both names resolve to the max-min solver and saved
+configs and CLI flags that carry them keep working.
+
+Direct calls to ``max_min_fair_rates`` outside ``repro.network`` are
+rejected by lint rule SIM060 — resolve through this
 registry instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Optional, Protocol, Sequence
+from typing import Hashable, Mapping, Protocol, Sequence
 
 from repro.network.fairshare import equal_split_rates, max_min_fair_rates
 
@@ -50,6 +44,12 @@ class RateAllocator(Protocol):
     per-flow rate caps, return one rate per flow (input order).  The
     returned allocation must be feasible (see
     :func:`~repro.network.fairshare.allocation_is_feasible`).
+
+    An allocator must be *separable by component*: a flow's rate may
+    depend only on the flows it is connected to through shared links.
+    :class:`~repro.network.FlowNetwork` calls it once per connected
+    component that changed, with that component's flows in admission
+    order, and keeps every other flow's rate as it was.
     """
 
     def __call__(
@@ -78,8 +78,7 @@ def register_allocator(name: str, allocator: RateAllocator) -> RateAllocator:
 
 
 def allocator_names() -> list[str]:
-    """All registered allocator names (triggers lazy registration)."""
-    _ensure_builtin()
+    """All registered allocator names."""
     return sorted(_ALLOCATORS)
 
 
@@ -96,7 +95,6 @@ def resolve_allocator(
         spec = DEFAULT_ALLOCATOR
     if callable(spec):
         return spec
-    _ensure_builtin()
     try:
         return _ALLOCATORS[spec]
     except KeyError:
@@ -106,13 +104,7 @@ def resolve_allocator(
         ) from None
 
 
-def _ensure_builtin() -> None:
-    """Register built-ins, importing ``repro.perf`` for the incremental
-    and vectorized solvers only when first needed (avoids an import
-    cycle: perf depends on the oracle in this package)."""
-    if "incremental" not in _ALLOCATORS or "vectorized" not in _ALLOCATORS:
-        import repro.perf  # noqa: F401 - registers "incremental"/"vectorized"
-
-
 register_allocator("max-min", max_min_fair_rates)
 register_allocator("equal-split", equal_split_rates)
+register_allocator("incremental", max_min_fair_rates)
+register_allocator("vectorized", max_min_fair_rates)

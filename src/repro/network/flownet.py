@@ -2,87 +2,82 @@
 
 A :class:`FlowNetwork` is attached to a DES environment.  Callers start
 transfers with :meth:`FlowNetwork.transfer`, which returns a DES event
-that fires when the last byte arrives.  Internally the network maintains
-the set of active flows; whenever a flow starts or completes, per-flow
-rates are recomputed with the configured allocator and the next
-completion is rescheduled.
+that fires when the last byte arrives.  Between changes every flow moves
+linearly at its assigned rate, so the model is exact for the
+piecewise-constant rate process it describes.
 
-The model is work-conserving and exact for piecewise-constant rate
-processes: between recomputation points every flow progresses linearly at
-its assigned rate.
+There is one event loop, used for every allocator.  Its work is
+proportional to what changes, not to how many flows are in flight:
 
-Two execution paths share the public API:
+* **Batched solves.**  Admits and drains only mark links dirty.  One
+  solve runs once every event of the current instant has been processed
+  (an :meth:`~repro.des.Environment.at_instant_end` hook, which costs no
+  DES event), so N same-instant admits cost one solve, not N.
+* **Dirty components only.**  :class:`~repro.network.components.ComponentSolver`
+  re-solves just the connected components the batch touched, at the
+  granularity of identical-constraint classes; every other flow keeps
+  its rate bit-for-bit.
+* **Lazy progress.**  A flow stores its remaining bytes as of ``anchor``,
+  the time its rate last changed.  An event touches only the flows whose
+  rate changed or that finish.
+* **Completion heaps.**  Each flow with a positive rate has an entry
+  keyed by its finish time (the next wake-up is the smallest) and one
+  keyed slightly before the time its residue first passes the finish
+  threshold (the candidates at any instant).  Candidates are then checked
+  exactly against :meth:`FlowNetwork._finish_threshold`, the same rule the
+  per-event sweep this loop replaced applied to every flow, and flows
+  that drain at the same instant finish in admission order.  Stale
+  entries are skipped by a per-flow version number, and both heaps are
+  compacted once they hold more than twice the live flows.
 
-* the **oracle path** (default, ``allocator="max-min"``): every event
-  re-solves all active flows with the global progressive-filling solver.
-  This path is kept byte-for-byte stable — it is the reference that the
-  paper's figures were validated against.
-* the **incremental path** (``allocator="incremental"``): rates are
-  maintained by :class:`repro.perf.IncrementalMaxMin`, which re-solves
-  only the connected component(s) touched by an admit/drain.  Same-
-  timestamp admits are batched into one end-of-instant solve (a
-  ``DEFERRED``-priority flush event), and the next-completion scan is a
-  lazy-deletion heap keyed by absolute finish time, so untouched flows
-  are never revisited.
-* the **vectorized path** (``allocator="vectorized"``): same deferred
-  batching and dirty-component structure, but components are solved by
-  :class:`repro.perf.VectorizedMaxMin`'s dense water-filling kernel and
-  per-flow progress lives in :class:`repro.perf.FlowSlots` arrays —
-  advancing time, sweeping drained flows, and finding the next
-  completion are whole-array numpy operations, allocating nothing per
-  event.  :class:`Flow` objects remain the public record; their
-  ``remaining`` is synced from the arrays on access and completion.
+With the default ``max-min`` allocator the per-component rates are the
+progressive-filling rates of that component exactly; against the former
+whole-network solve they differ only in float rounding (ulps), because
+filling several components at once splits the same increments into more
+steps.
 """
-# lint: hot-path - rate updates and progress sweeps run per network event
+# lint: hot-path - rate updates and completion checks run per network event
 
 from __future__ import annotations
 
 import itertools
-import sys
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from repro.des import Environment, Event, EventPriority
 from repro.network.allocators import resolve_allocator
+from repro.network.components import ComponentSolver
 from repro.network.link import Link
 
 _EPS = 1e-9
+_INF = float("inf")
+
+#: Completion-heap entries beyond ``2 * live flows + _HEAP_SLACK`` trigger
+#: a compaction, which bounds the heaps by the live flow count.
+_HEAP_SLACK = 64
 
 
-def _is_incremental(allocator) -> bool:
-    """Whether ``allocator`` is the registry's incremental solver.
-
-    Checked against the loaded module rather than by import so that
-    ``repro.network`` never pulls in ``repro.perf`` eagerly; if the perf
-    package was never imported, the caller cannot be holding its solver.
-    """
-    module = sys.modules.get("repro.perf.incremental")
-    return module is not None and allocator is module.incremental_max_min_rates
-
-
-def _is_vectorized(allocator) -> bool:
-    """Whether ``allocator`` is the registry's vectorized solver."""
-    module = sys.modules.get("repro.perf.vectorized")
-    return module is not None and allocator is module.vectorized_max_min_rates
-
-
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One in-flight transfer."""
 
     fid: int
     size: float                      # total bytes
     links: tuple[Link, ...]          # capacity-bearing resources traversed
-    remaining: float                 # bytes still to move
+    remaining: float                 # bytes still to move, as of ``anchor``
     rate: float = 0.0                # current allocated rate (bytes/s)
-    max_rate: float = float("inf")   # private cap (e.g. POSIX stream limit)
+    max_rate: float = _INF           # private cap (e.g. POSIX stream limit)
     started_at: float = 0.0
     completed_at: Optional[float] = None
     done_event: Optional[Event] = None
     label: str = ""
-    #: Bumped on every rate assignment; stale completion-heap entries
-    #: (incremental path) are recognized by a version mismatch.
+    #: Simulated time at which ``remaining`` was last brought up to date.
+    anchor: float = 0.0
+    #: Admission serial: same-instant completions finish in this order.
+    seq: int = 0
+    #: Bumped on every rate change; completion-heap entries carrying an
+    #: older version are stale.
     version: int = 0
 
     @property
@@ -105,12 +100,16 @@ class Flow:
             return None
         return self.size / elapsed
 
+    def remaining_at(self, now: float) -> float:
+        """Bytes still to move at time ``now`` (at the current rate)."""
+        return max(0.0, self.remaining - self.rate * (now - self.anchor))
+
 
 class FlowNetwork:
     """Manages concurrent flows over a shared set of links.
 
     ``allocator`` selects the bandwidth-sharing discipline: a registry
-    name (``"max-min"``, ``"equal-split"``, ``"incremental"`` — see
+    name (``"max-min"``, ``"equal-split"``, or an alias — see
     :mod:`repro.network.allocators`) or any callable satisfying the
     :class:`~repro.network.allocators.RateAllocator` protocol.  The
     default is max-min fairness (SimGrid's fluid model).
@@ -122,35 +121,25 @@ class FlowNetwork:
         allocator="max-min",
     ) -> None:
         self.env = env
-        self._allocator = resolve_allocator(allocator)
         self._flows: dict[int, Flow] = {}
         self._fid = itertools.count(1)
-        self._last_update = env.now
-        # Generation counter invalidates stale completion wake-ups.
+        self._seq = 0
+        self._links: dict[str, Link] = {}
+        self._solver = ComponentSolver(
+            self._link_capacity, resolve_allocator(allocator)
+        )
+        #: ``(finish_time, fid, version)``: the next wake-up is the top.
+        self._due: list[tuple[float, int, int]] = []
+        #: ``(earliest_threshold_crossing, fid, version)``: completion
+        #: candidates at any instant are the entries at or before it.
+        self._crossing: list[tuple[float, int, int]] = []
+        self._flush_pending = False
+        # The armed wake-up: its time and generation (older wakes that
+        # still fire are stale and ignored).
+        self._wake_at: Optional[float] = None
         self._generation = 0
         #: Completed-flow log (bounded use: bandwidth accounting in traces).
         self.completed: list[Flow] = []
-        #: Incremental engine, engaged only for the registry's
-        #: incremental/vectorized allocators; ``None`` selects the
-        #: oracle path.  ``_slots`` additionally holds the dense
-        #: per-flow arrays on the vectorized path.
-        self._inc = None
-        self._slots = None
-        if _is_incremental(self._allocator):
-            from repro.perf import IncrementalMaxMin
-
-            self._inc = IncrementalMaxMin(self._link_capacity)
-            self._links_by_name: dict[str, Link] = {}
-            #: Lazy-deletion completion heap: (finish_time, version, fid).
-            self._heap: list[tuple[float, int, int]] = []
-            self._flush_pending = False
-        elif _is_vectorized(self._allocator):
-            from repro.perf import FlowSlots, VectorizedMaxMin
-
-            self._inc = VectorizedMaxMin(self._link_capacity)
-            self._slots = FlowSlots()
-            self._links_by_name = {}
-            self._flush_pending = False
 
     # ------------------------------------------------------------------
     # Public API
@@ -160,7 +149,7 @@ class FlowNetwork:
         size: float,
         links: "list[Link] | tuple[Link, ...]",
         latency: float = 0.0,
-        max_rate: float = float("inf"),
+        max_rate: float = _INF,
         label: str = "",
     ) -> Event:
         """Start a transfer of ``size`` bytes across ``links``.
@@ -187,7 +176,7 @@ class FlowNetwork:
             done_event=done,
             label=label,
         )
-        if not flow.links and max_rate == float("inf"):
+        if not flow.links and max_rate == _INF:
             # Loopback with no cap: completes after latency alone.
             self.env.process(self._complete_after(flow, latency))
             return done
@@ -201,27 +190,23 @@ class FlowNetwork:
 
     @property
     def active_flows(self) -> list[Flow]:
-        self._sync_flow_progress()
-        return list(self._flows.values())
+        """The flows in flight, with rates settled and progress current."""
+        self._settle()
+        now = self.env.now
+        flows = list(self._flows.values())
+        for flow in flows:
+            flow.remaining = flow.remaining_at(now)
+            flow.anchor = now
+        return flows
 
     def utilization(self, link: Link) -> float:
         """Current aggregate rate over ``link`` divided by its capacity."""
+        self._settle()
         load = sum(f.rate for f in self._flows.values() if link in f.links)
         return load / link.bandwidth
 
-    def _sync_flow_progress(self) -> None:
-        """Copy slot-array progress back onto the public :class:`Flow`
-        records (vectorized path only; a no-op elsewhere, where the
-        records are the source of truth)."""
-        if self._slots is None:
-            return
-        flows = self._flows
-        remaining = self._slots.remaining
-        for fid, slot in self._slots.slot_of.items():
-            flows[fid].remaining = float(remaining[slot])
-
     # ------------------------------------------------------------------
-    # Internals
+    # Admission and completion
     # ------------------------------------------------------------------
     def _complete_after(self, flow: Flow, delay: float):
         yield self.env.timeout(delay)
@@ -232,99 +217,32 @@ class FlowNetwork:
         self._admit(flow)
 
     def _admit(self, flow: Flow) -> None:
-        self._advance_progress()
-        flow.started_at = min(flow.started_at, self.env.now)
+        now = self.env.now
+        flow.started_at = min(flow.started_at, now)
         if flow.remaining <= 0:
             # Zero-byte payload: finish immediately (the done event still
             # fires through the queue, at the current timestamp).
             self._finish(flow)
-            self._reschedule()
             return
-        # Flows drained since the last wake-up must leave before rates
-        # are recomputed — a lingering near-empty flow would claim a full
-        # max-min share and depress everyone else's rate until the next
-        # completion wake.
-        self._sweep_drained()
+        # Flows drained by now must leave before rates are recomputed —
+        # a lingering near-empty flow would claim a full max-min share
+        # and depress everyone else's rate until its completion wake.
+        crossing = self._crossing
+        if crossing and crossing[0][0] <= now:
+            self._finish_drained()
+        self._seq += 1
+        flow.seq = self._seq
+        flow.anchor = now
         self._flows[flow.fid] = flow
         obs = self.env.obs
         if obs is not None:
             obs.on_flow_admitted(len(self._flows))
-        if self._inc is None:
-            self._recompute_rates()
-            self._reschedule()
-            return
+        names = []
         for link in flow.links:
-            self._links_by_name.setdefault(link.name, link)
-        self._inc.admit(
-            flow.fid, [link.name for link in flow.links], flow.max_rate
-        )
-        if self._slots is not None:
-            self._slots.admit(flow.fid, flow.size, flow.remaining)
-        self._schedule_flush()
-
-    def _advance_progress(self) -> None:
-        """Move every active flow forward to the current instant."""
-        dt = self.env.now - self._last_update
-        if dt > 0:
-            if self._slots is not None:
-                self._slots.advance(dt)
-            else:
-                for flow in self._flows.values():
-                    flow.remaining = max(0.0, flow.remaining - flow.rate * dt)
-        self._last_update = self.env.now
-
-    def _recompute_rates(self) -> None:
-        if not self._flows:
-            return
-        flows = list(self._flows.values())
-        # Effective capacities account for concurrency penalties.
-        users_per_link: dict[str, int] = {}
-        link_by_name: dict[str, Link] = {}
-        for f in flows:
-            for link in f.links:
-                users_per_link[link.name] = users_per_link.get(link.name, 0) + 1
-                link_by_name[link.name] = link
-        capacities = {
-            name: link_by_name[name].effective_bandwidth(users_per_link[name])
-            for name in users_per_link
-        }
-        rates = self._allocator(
-            [[link.name for link in f.links] for f in flows],
-            capacities,
-            [f.max_rate for f in flows],
-        )
-        for f, rate in zip(flows, rates):
-            f.rate = rate
-        obs = self.env.obs
-        if obs is not None:
-            obs.on_rate_solve(len(flows), len(capacities))
-            obs.on_rates_assigned(flows)
-
-    def _next_completion_delay(self) -> Optional[float]:
-        best: Optional[float] = None
-        for flow in self._flows.values():
-            if flow.rate > 0:
-                eta = flow.remaining / flow.rate
-                if best is None or eta < best:
-                    best = eta
-        return best
-
-    def _reschedule(self) -> None:
-        """(Re)arm the wake-up for the next flow completion."""
-        self._generation += 1
-        if self._inc is None:
-            delay = self._next_completion_delay()
-        else:
-            finish = self._peek_next_finish()
-            delay = None if finish is None else finish - self.env.now
-        if delay is None:
-            return
-        generation = self._generation
-        wake = Event(self.env)
-        wake._ok = True
-        wake._value = None
-        wake.callbacks.append(lambda _e: self._on_wake(generation))
-        self.env.schedule(wake, priority=EventPriority.HIGH, delay=max(0.0, delay))
+            self._links.setdefault(link.name, link)
+            names.append(link.name)
+        self._solver.admit(flow.fid, names, flow.max_rate)
+        self._request_flush()
 
     def _finish_threshold(self, flow: Flow) -> float:
         """Bytes below which a flow counts as complete.
@@ -338,65 +256,33 @@ class FlowNetwork:
         time_quantum = max(1e-12, abs(self.env.now) * 1e-12)
         return max(_EPS * flow.size + _EPS, flow.rate * time_quantum)
 
-    def _remove_flow(self, flow: Flow) -> None:
-        """Drop ``flow`` from the active set (and the incremental engine)."""
-        del self._flows[flow.fid]
-        if self._inc is not None and flow.fid in self._inc:
-            self._inc.drain(flow.fid)
-        if self._slots is not None and flow.fid in self._slots.slot_of:
-            self._slots.drop(flow.fid)
+    def _finish_drained(self) -> None:
+        """Finish every flow whose residue is below its threshold now.
 
-    def _sweep_drained(self) -> bool:
-        """Finish every flow whose residue is below its threshold.
-
-        Progress must already be advanced to ``env.now``.  Returns
-        whether anything finished (callers then owe a recomputation).
+        Only the crossing-heap entries due by now are candidates; each is
+        checked exactly.
         """
-        if self._slots is not None:
-            time_quantum = max(1e-12, abs(self.env.now) * 1e-12)
-            finished = [
-                self._flows[fid]
-                for fid in self._slots.drained_fids(time_quantum, _EPS)
-            ]
-        else:
-            finished = [
-                f
-                for f in self._flows.values()
-                if f.remaining <= self._finish_threshold(f)
-            ]
-        for flow in finished:
-            self._remove_flow(flow)
+        heap = self._crossing
+        now = self.env.now
+        flows = self._flows
+        drained: list[Flow] = []
+        missed: list[tuple[float, int, int]] = []
+        while heap and heap[0][0] <= now:
+            entry = heappop(heap)
+            flow = flows.get(entry[1])
+            if flow is None or flow.version != entry[2]:
+                continue
+            if flow.remaining_at(now) <= self._finish_threshold(flow):
+                drained.append(flow)
+            else:
+                missed.append(entry)
+        for entry in missed:
+            heappush(heap, entry)
+        drained.sort(key=_admission_order)
+        for flow in drained:
+            del flows[flow.fid]
+            self._solver.drain(flow.fid)
             self._finish(flow)
-        return bool(finished)
-
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up; a newer recomputation superseded it
-        self._advance_progress()
-        if self._inc is None:
-            if self._sweep_drained():
-                self._recompute_rates()
-            self._reschedule()
-            return
-        if not self._sweep_drained():
-            # The wake's finish estimate can undershoot a flow's byte
-            # threshold by float residue (rate * (T - t0) vs remaining
-            # rounding).  Finishing the due flow(s) outright is exact to
-            # ulp-level and avoids re-arming a zero-delay wake forever.
-            while True:
-                finish = self._peek_next_finish()
-                if finish is None or finish > self.env.now:
-                    break
-                if self._slots is not None:
-                    fid = self._slots.next_finished_fid()
-                else:
-                    fid = self._heap[0][2]
-                flow = self._flows[fid]
-                self._remove_flow(flow)
-                self._finish(flow)
-        if self._inc.dirty:
-            self._solve_and_apply()
-        self._reschedule()
 
     def _finish(self, flow: Flow) -> None:
         flow.remaining = 0.0
@@ -417,71 +303,135 @@ class FlowNetwork:
         flow.done_event.succeed(flow)
 
     # ------------------------------------------------------------------
-    # Incremental path
+    # Rate solves and wake-ups
     # ------------------------------------------------------------------
     def _link_capacity(self, name: str, n_users: int) -> float:
-        return self._links_by_name[name].effective_bandwidth(n_users)
+        return self._links[name].effective_bandwidth(n_users)
 
-    def _schedule_flush(self) -> None:
-        """Arm one end-of-instant solve covering every same-timestamp
-        admit/drain (the batch that replaces N per-admit solves)."""
-        if self._flush_pending:
-            return
-        self._flush_pending = True
-        flush = Event(self.env)
-        flush._ok = True
-        flush._value = None
-        flush.callbacks.append(self._flush)
-        self.env.schedule(flush, priority=EventPriority.DEFERRED, delay=0.0)
+    def _request_flush(self) -> None:
+        """Arm one end-of-instant solve covering every admit/drain of the
+        current instant."""
+        if not self._flush_pending:
+            self._flush_pending = True
+            self.env.at_instant_end(self._flush)
 
-    def _flush(self, _event: Event) -> None:
+    def _flush(self) -> None:
         self._flush_pending = False
-        self._advance_progress()
-        if self._inc.dirty:
-            self._solve_and_apply()
+        self._settle()
         self._reschedule()
 
-    def _solve_and_apply(self) -> None:
-        stats = self._inc.stats
-        calls = stats.solver_calls
-        links = stats.links_touched
-        solved = stats.flows_solved
-        changed = self._inc.solve()
-        now = self.env.now
-        slots = self._slots
-        for fid, rate in changed.items():
-            flow = self._flows.get(fid)
-            if flow is None:  # pragma: no cover - defensive
-                continue
-            flow.rate = rate
-            flow.version += 1
-            if slots is not None:
-                slots.set_rate(fid, rate, now)
-            elif rate > 0:
-                heappush(
-                    self._heap,
-                    (now + flow.remaining / rate, flow.version, fid),
-                )
+    def _settle(self) -> None:
+        """Solve the dirty components and apply the changed rates."""
+        solver = self._solver
+        if not solver.dirty:
+            return
         obs = self.env.obs
         if obs is not None:
+            stats = solver.stats
+            before = (stats.solver_calls, stats.links_touched, stats.flows_solved)
+        changed = solver.solve()
+        now = self.env.now
+        flows = self._flows
+        for fid, rate in changed.items():
+            flow = flows[fid]
+            flow.remaining = flow.remaining_at(now)
+            flow.anchor = now
+            flow.rate = rate
+            if rate > 0.0:
+                self._push_completion(flow, now)
+            else:
+                flow.version += 1
+        if len(self._due) > 2 * len(flows) + _HEAP_SLACK:
+            self._compact()
+        if obs is not None:
+            calls, links, solved = before
             obs.on_rate_solve(
                 stats.flows_solved - solved,
                 stats.links_touched - links,
                 solver_calls=stats.solver_calls - calls,
             )
-            obs.on_rates_assigned(list(self._flows.values()))
+            obs.on_rates_assigned(list(flows.values()))
 
-    def _peek_next_finish(self) -> Optional[float]:
-        """Earliest valid completion time, lazily discarding stale heap
-        entries (finished flows, superseded rate versions)."""
-        if self._slots is not None:
-            return self._slots.peek_finish()
-        heap = self._heap
+    def _push_completion(self, flow: Flow, now: float) -> None:
+        """Version ``flow``'s fresh anchor and rate into both heaps."""
+        flow.version += 1
+        duration = flow.remaining / flow.rate
+        finish = now + duration
+        heappush(self._due, (finish, flow.fid, flow.version))
+        # The residue passes the threshold up to ``lead`` before
+        # ``finish``; the margin covers rounding in both estimates.
+        lead = max(
+            (_EPS * flow.size + _EPS) / flow.rate,
+            max(1e-12, abs(finish) * 1e-12),
+        )
+        margin = 1e-14 * (abs(finish) + duration)
+        heappush(
+            self._crossing, (finish - lead - margin, flow.fid, flow.version)
+        )
+
+    def _compact(self) -> None:
+        """Drop stale entries from both completion heaps."""
+        self._due = self._live_entries(self._due)
+        self._crossing = self._live_entries(self._crossing)
+
+    def _live_entries(self, heap: list) -> list:
+        flows = self._flows
+        live = [
+            entry for entry in heap
+            if (flow := flows.get(entry[1])) is not None
+            and flow.version == entry[2]
+        ]
+        heapify(live)
+        return live
+
+    def _next_finish(self) -> Optional[float]:
+        """Earliest finish time of a live flow, dropping stale entries."""
+        heap = self._due
+        flows = self._flows
         while heap:
-            finish, version, fid = heap[0]
-            flow = self._flows.get(fid)
-            if flow is None or flow.version != version or flow.rate <= 0:
+            finish, fid, version = heap[0]
+            flow = flows.get(fid)
+            if flow is None or flow.version != version:
                 heappop(heap)
                 continue
             return finish
         return None
+
+    def _reschedule(self) -> None:
+        """Arm the wake-up for the next completion, unless it is armed."""
+        finish = self._next_finish()
+        if finish is None or finish == self._wake_at:
+            return
+        self._wake_at = finish
+        self._generation += 1
+        generation = self._generation
+        wake = Event(self.env)
+        wake._ok = True
+        wake._value = None
+        wake.callbacks.append(lambda _e: self._on_wake(generation))
+        self.env.schedule(
+            wake,
+            priority=EventPriority.HIGH,
+            delay=max(0.0, finish - self.env.now),
+        )
+
+    def _on_wake(self, generation: int) -> None:
+        if generation != self._generation:
+            return  # stale wake-up; a later reschedule superseded it
+        self._wake_at = None
+        self._finish_drained()
+        # A flow whose finish time has come but whose residue still
+        # misses the threshold (float rounding of the finish estimate)
+        # restarts from its current residue, as a fresh wake would.
+        now = self.env.now
+        while (finish := self._next_finish()) is not None and finish <= now:
+            flow = self._flows[heappop(self._due)[1]]
+            flow.remaining = flow.remaining_at(now)
+            flow.anchor = now
+            self._push_completion(flow, now)
+        if self._flows:
+            self._request_flush()
+
+
+def _admission_order(flow: Flow) -> int:
+    return flow.seq

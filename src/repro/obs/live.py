@@ -85,7 +85,7 @@ class LiveBus:
         self._clock = clock
         self._ring: deque[dict[str, Any]] = deque(maxlen=ring_size)
         self._since_flush = 0
-        self.dropped = 0
+        self._dropped = 0
         self.seq = 0
         self.closed = False
         self._observer: Optional["Observer"] = None
@@ -107,12 +107,19 @@ class LiveBus:
         """Buffer one typed record; flushes when the interval is reached."""
         if self.closed:
             return
-        if len(self._ring) == self.ring_size:
-            self.dropped += 1
+        # A full ring drops its oldest record; :attr:`dropped` counts
+        # them from the push count, off this per-hook path.
         self._ring.append(record)
         self._since_flush += 1
         if self._since_flush >= self.flush_every:
             self.flush()
+
+    @property
+    def dropped(self) -> int:
+        """Records lost to ring overflow so far."""
+        # The ring was empty after the last flush, so every push since
+        # then that it no longer holds was dropped.
+        return self._dropped + self._since_flush - len(self._ring)
 
     # ------------------------------------------------------------------
     # Flush / close
@@ -123,6 +130,7 @@ class LiveBus:
             return
         ts = self._clock()
         self._ensure_files()
+        self._dropped = self.dropped
         self._since_flush = 0
         drained = list(self._ring)
         self._ring.clear()

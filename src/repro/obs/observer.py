@@ -276,8 +276,7 @@ class Observer:
     ) -> None:
         """The rate allocator ran: ``flows_solved`` flow rates were
         recomputed over ``links_touched`` links, in ``solver_calls``
-        oracle invocations (one per recomputed component on the
-        incremental path; always 1 for the global solver)."""
+        allocator invocations (one per re-solved connected component)."""
         if not self._network:
             return
         self.registry.counter("network.solver_calls").inc(solver_calls)

@@ -64,9 +64,8 @@ class SimulatorConfig:
     #: Honor per-task Amdahl alphas instead of Eq. (4)'s perfect speedup.
     use_amdahl_alpha: bool = False
     #: Named bandwidth-sharing discipline for the flow network (see
-    #: :func:`repro.network.allocator_names`).  ``"incremental"`` keeps
-    #: max-min semantics but solves per dirty component — the fast path
-    #: for large flow counts.
+    #: :func:`repro.network.allocator_names`); ``"incremental"`` and
+    #: ``"vectorized"`` are aliases of ``"max-min"``.
     network_allocator: str = DEFAULT_ALLOCATOR
     #: Named queueing discipline for the core allocators (and, in the
     #: contended scenarios, the BB provisioner) — see
@@ -262,7 +261,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=allocator_names(),
         default=DEFAULT_ALLOCATOR,
         help="bandwidth-sharing discipline for the flow network "
-        "(incremental = fast per-component max-min)",
+        "(incremental and vectorized are aliases of max-min)",
     )
     parser.add_argument(
         "--queue-policy",

@@ -77,6 +77,9 @@ class StorageService(abc.ABC):
         self.capacity = capacity
         self.latencies = latencies or ServiceLatencies()
         self._contents: dict[str, File] = {}
+        #: Running total behind :attr:`used`, or ``None`` after a delete
+        #: (re-summed on the next read).
+        self._used: "float | None" = 0
         #: Serialized metadata server: every read/write holds one slot
         #: for ``metadata_service_time`` seconds before its transfer
         #: starts.  Unlike per-flow latency (which concurrent operations
@@ -95,7 +98,19 @@ class StorageService(abc.ABC):
     # ------------------------------------------------------------------
     @property
     def used(self) -> float:
-        return sum(f.size for f in self._contents.values())
+        """Bytes held: the sizes of the stored files added left to right,
+        in storage order (on Python <= 3.11 exactly ``sum(...)``; newer
+        ``sum`` compensates rounding)."""
+        # Stores only append to ``_contents``, so adding each new size to
+        # the running total continues the same left-to-right sum.  A
+        # delete breaks that order; it drops the total and the next read
+        # re-sums once.
+        if self._used is None:
+            total = 0
+            for f in self._contents.values():
+                total += f.size
+            self._used = total
+        return self._used
 
     @property
     def free_space(self) -> float:
@@ -116,15 +131,22 @@ class StorageService(abc.ABC):
         if self.contains(file):
             return
         self._reserve(file)
-        self._contents[file.name] = file
+        self._store(file)
         self._notify_occupancy()
         self._log_content_event("file_added", file)
 
     def delete(self, file: File) -> None:
         """Remove ``file``, freeing its space (no-op if absent)."""
         if self._contents.pop(file.name, None) is not None:
+            self._used = None
             self._notify_occupancy()
             self._log_content_event("file_deleted", file)
+
+    def _store(self, file: File) -> None:
+        """Append a file the table does not hold yet."""
+        self._contents[file.name] = file
+        if self._used is not None:
+            self._used += file.size
 
     def _log_content_event(self, event: str, file: File) -> None:
         obs = self.env.obs
@@ -172,7 +194,7 @@ class StorageService(abc.ABC):
         """
         if not self.contains(file):
             self._reserve(file)
-            self._contents[file.name] = file
+            self._store(file)
             self._notify_occupancy()
         self._notify_op("write", file.size)
         return self._gated(lambda: self._write_flow(file, src_host))

@@ -48,17 +48,12 @@ def test_run_micro_agrees_and_measures():
     assert result.events == len(make_workload(12, n_events=40).events)
     assert result.oracle_wall_s > 0
     assert result.incremental_wall_s > 0
-    assert result.vectorized_wall_s > 0
     assert result.solver_calls > 0
     assert result.links_touched > 0
     assert result.speedup == result.oracle_wall_s / result.incremental_wall_s
-    assert (
-        result.vectorized_speedup
-        == result.oracle_wall_s / result.vectorized_wall_s
-    )
     doc = result.as_dict()
-    assert doc["vectorized_wall_s"] == result.vectorized_wall_s
-    assert doc["vectorized_speedup"] == result.vectorized_speedup
+    assert doc["wall_s"] == result.incremental_wall_s
+    assert doc["speedup"] == result.speedup
 
 
 def test_check_agreement_flags_divergence():
@@ -88,7 +83,7 @@ def _report(calibration_s, wall_s):
         "created": "2026-08-06T00:00:00+00:00",
         "mode": "smoke",
         "calibration_s": calibration_s,
-        "entries": [_macro_entry("fig13-point", "incremental", wall_s)],
+        "entries": [_macro_entry("fig13-point", "max-min", wall_s)],
     }
 
 
@@ -125,7 +120,7 @@ def test_check_against_fails_on_regression():
     assert len(failures) == 1
     failure = failures[0]
     assert failure["name"] == "fig13-point"
-    assert failure["allocator"] == "incremental"
+    assert failure["allocator"] == "max-min"
     assert failure["metric"] == "wall_s"
     assert failure["measured_units"] == pytest.approx(13.0)
     assert failure["baseline_units"] == pytest.approx(10.0)
@@ -173,7 +168,7 @@ def test_check_against_cli_emits_json_line_and_fails(tmp_path, capsys):
     payload = json_lines[0]
     regressions = payload["bench_regressions"]
     assert any(
-        r["name"] == "fig13-point" and r["allocator"] == "incremental"
+        r["name"] == "fig13-point" and r["allocator"] == "max-min"
         for r in regressions
     )
     for r in regressions:
@@ -195,13 +190,34 @@ def test_check_against_ignores_unknown_entries():
     assert check_against(current, baseline) == []
 
 
-def test_macro_smoke_trio_agrees():
-    """The smoke macro scenario must give identical makespans across
-    allocators (this is the assertion CI's bench step relies on)."""
+def test_check_against_flags_moved_schedule():
+    """Wall time within tolerance, but one task ended later: a regression."""
+    baseline = _report(calibration_s=1.0, wall_s=10.0)
+    current = _report(calibration_s=1.0, wall_s=10.0)
+    baseline["entries"][0]["schedule"] = {"a": [0.0, 1.0, "cn0"], "b": [1.0, 2.0, "cn0"]}
+    current["entries"][0]["schedule"] = {"a": [0.0, 1.0, "cn0"], "b": [1.0, 2.5, "cn0"]}
+    failures = check_against(current, baseline)
+    assert [(f["metric"], f["tasks"], f["first"]) for f in failures] == [
+        ("schedule", 1, "b")
+    ]
+    from repro.bench import format_regression
+
+    assert "1 task(s) differs" in format_regression(failures[0])
+    # Float noise far below 1e-9 of the makespan is not a change.
+    current["entries"][0]["schedule"]["b"] = [1.0, 2.0 + 1e-13, "cn0"]
+    assert check_against(current, baseline) == []
+
+
+def test_macro_smoke_records_schedule():
+    """One smoke macro entry per scenario, carrying its per-task
+    schedule for the baseline comparison CI's bench step relies on."""
     from repro.bench import MACRO_ALLOCATORS, macro_benchmarks
 
     results = macro_benchmarks(smoke=True)
-    assert len(results) == 3
-    assert {r.allocator for r in results} == set(MACRO_ALLOCATORS)
-    assert len({r.makespan for r in results}) == 1
-    assert all(r.solver_calls > 0 and r.events > 0 for r in results)
+    assert MACRO_ALLOCATORS == ("max-min",)
+    assert [(r.name, r.allocator) for r in results] == [("fig13-point", "max-min")]
+    result = results[0]
+    assert result.solver_calls > 0 and result.events > 0
+    assert result.schedule and max(end for _, end, _ in result.schedule.values()) == (
+        result.makespan
+    )

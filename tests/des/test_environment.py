@@ -211,3 +211,45 @@ def test_clock_is_monotonic_across_many_events():
         env.process(proc(env, d))
     env.run()
     assert times == sorted(times)
+
+
+def test_instant_end_callback_runs_after_the_instant_without_an_event():
+    env = des.Environment()
+    log = []
+
+    def proc(env, name, delay):
+        yield env.timeout(delay)
+        log.append((name, env.now))
+        if name == "a":
+            env.at_instant_end(lambda: log.append(("end", env.now)))
+
+    for name, delay in (("a", 1.0), ("b", 1.0), ("c", 2.0)):
+        env.process(proc(env, name, delay))
+    env.run()
+    # After every event at t=1, before the clock moves to t=2.
+    assert log == [("a", 1.0), ("b", 1.0), ("end", 1.0), ("c", 2.0)]
+
+
+def test_instant_end_callback_runs_when_nothing_is_queued_and_may_schedule():
+    env = des.Environment()
+    log = []
+
+    def at_end():
+        log.append(env.now)
+        env.timeout(0.5).callbacks.append(lambda _e: log.append(env.now))
+
+    env.at_instant_end(at_end)
+    env.run()
+    assert log == [0.0, 0.5]
+
+
+def test_instant_end_callback_survives_a_stop_mid_instant():
+    env = des.Environment()
+    log = []
+    stop = env.timeout(1.0)
+    stop.callbacks.append(lambda _e: env.at_instant_end(lambda: log.append(env.now)))
+    env.timeout(3.0)
+    env.run(until=stop)
+    assert log == []  # the run stopped inside the instant
+    env.run()
+    assert log == [1.0]

@@ -34,12 +34,13 @@ def test_unknown_name_lists_choices():
         resolve_allocator("nope")
 
 
-def test_incremental_registered_lazily():
+def test_engine_names_are_aliases_of_max_min():
     names = allocator_names()
-    assert {"max-min", "equal-split", "incremental"} <= set(names)
-    from repro.perf import incremental_max_min_rates
-
-    assert resolve_allocator("incremental") is incremental_max_min_rates
+    assert names == ["equal-split", "incremental", "max-min", "vectorized"]
+    # One event loop serves every allocator; the names that once picked
+    # another loop still resolve, to the same solver.
+    assert resolve_allocator("incremental") is max_min_fair_rates
+    assert resolve_allocator("vectorized") is max_min_fair_rates
 
 
 def test_reregistering_same_callable_is_idempotent():

@@ -1,10 +1,10 @@
-"""FlowNetwork-level differential tests: incremental path vs default.
+"""FlowNetwork-level tests of the change-proportional event loop.
 
-The incremental allocator is an optimization of the event loop, not a
-model change — a simulation run with ``allocator="incremental"`` must
-produce the same flow completion times as the default path (to float
-associativity: per-component solves accumulate progressive-filling
-increments in a different order than the global solve).
+Every allocator name runs on one loop; the per-event loop it replaced
+survives as ``tests/network/oracle_flownet.py``.  A simulation must
+produce the same flow completion times as that reference (to float
+rounding: per-component solves split the progressive-filling increments
+differently from one whole-network solve).
 """
 
 from __future__ import annotations
@@ -16,15 +16,17 @@ from repro import des
 from repro.network import FlowNetwork, Link
 from repro.obs import Observer
 
+from tests.network.oracle_flownet import OracleFlowNetwork
+
 _REL = 1e-9
 
 
-def _run_random_sim(allocator: str, seed: int, n_flows: int = 60):
+def _run_random_sim(make_net, seed: int, n_flows: int = 60):
     """Admit randomized flows over a clustered topology; return
     completion times by label."""
     rng = random.Random(seed)
     env = des.Environment()
-    net = FlowNetwork(env, allocator=allocator)
+    net = make_net(env)
     clusters = [
         (Link(f"c{i}:up", bandwidth=100.0 + i), Link(f"c{i}:down", bandwidth=70.0 + i))
         for i in range(4)
@@ -50,50 +52,38 @@ def _run_random_sim(allocator: str, seed: int, n_flows: int = 60):
 
 def test_incremental_matches_default_on_random_sims():
     for seed in (1, 7, 23):
-        default = _run_random_sim("max-min", seed)
-        incremental = _run_random_sim("incremental", seed)
-        assert default.keys() == incremental.keys()
-        for label, expected in default.items():
-            assert math.isclose(
-                incremental[label], expected, rel_tol=_REL, abs_tol=1e-9
-            ), (label, incremental[label], expected)
+        reference = _run_random_sim(OracleFlowNetwork, seed)
+        for allocator in ("max-min", "incremental", "vectorized"):
+            got = _run_random_sim(
+                lambda env: FlowNetwork(env, allocator=allocator), seed
+            )
+            assert got.keys() == reference.keys()
+            for label, expected in reference.items():
+                assert math.isclose(
+                    got[label], expected, rel_tol=_REL, abs_tol=1e-9
+                ), (allocator, label, got[label], expected)
 
 
 def test_same_timestamp_admits_are_batched_into_one_solve():
-    """N admits at one instant must cost one deferred solve, not N."""
-
-    def run(allocator: str) -> tuple[float, float]:
-        obs = Observer(metrics=["network"])
-        env = des.Environment()
-        obs.attach(env)
-        net = FlowNetwork(env, allocator=allocator)
-        link = Link("l", bandwidth=100.0)
-
-        def start():
-            for n in range(8):
-                net.transfer(1000.0, [link], label=f"f{n}")
-            yield env.timeout(0.0)
-
-        env.process(start())
-        env.run()
-        solves = obs.registry.counter("network.solver_calls").value
-        makespan = max(f.completed_at for f in net.completed)
-        return solves, makespan
-
-    default_solves, default_makespan = run("max-min")
-    incremental_solves, incremental_makespan = run("incremental")
-    assert math.isclose(incremental_makespan, default_makespan, rel_tol=_REL)
-    # Default path: one global solve per admit (8) + completions.
-    assert default_solves >= 8
-    # Incremental path: the 8 same-timestamp admits coalesce into one
-    # component solve; completions add a few more.
-    assert incremental_solves < default_solves
-    assert incremental_solves <= 8
+    """N admits at one instant cost one solve, not N, and no DES event."""
+    obs = Observer(metrics=["network", "des"])
+    env = des.Environment()
+    obs.attach(env)
+    net = FlowNetwork(env)
+    link = Link("l", bandwidth=100.0)
+    for n in range(8):
+        net.transfer(1000.0, [link], label=f"f{n}")
+    env.run()
+    assert obs.registry.counter("network.solver_calls").value == 1
+    assert [f.completed_at for f in net.completed] == [80.0] * 8
+    # One wake-up plus the eight done events; the solve itself is an
+    # end-of-instant call, not an event.
+    assert obs.registry.counter("des.events_processed").value == 9
 
 
 def test_incremental_zero_byte_and_loopback_flows():
     env = des.Environment()
-    net = FlowNetwork(env, allocator="incremental")
+    net = FlowNetwork(env)
     link = Link("l", bandwidth=100.0)
     seen = []
 
@@ -115,7 +105,7 @@ def test_incremental_observer_counters_present():
     obs = Observer(metrics=["network"])
     env = des.Environment()
     obs.attach(env)
-    net = FlowNetwork(env, allocator="incremental")
+    net = FlowNetwork(env)
     link = Link("l", bandwidth=10.0)
 
     def p():

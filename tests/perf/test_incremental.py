@@ -1,13 +1,15 @@
-"""Differential tests: the incremental solver against the global oracle.
+"""The component solver against the textbook oracle.
 
 The contract (see ``docs/PERF.md``):
 
-* per recomputed component, rates are **bit-identical** to running
-  :func:`max_min_fair_rates` on that component alone (the engine
-  literally calls it);
+* per re-solved component, rates are **bit-identical** to running the
+  textbook solver on that component alone;
 * against the *whole-graph* oracle, rates are bit-identical whenever
-  the graph is one connected component, and equal to within float
-  associativity (1e-9 relative) when several components exist.
+  the graph is one connected component, and equal to within 1e-9
+  relative when several components exist (filling them together splits
+  the increments into more, smaller steps);
+* the ``incremental`` allocator name, an alias kept for saved configs,
+  resolves to the production solver and drives the same engine.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairshare import max_min_fair_rates
-from repro.perf import IncrementalMaxMin, incremental_max_min_rates, static_capacity
+from repro.network import equal_split_rates, resolve_allocator
+from repro.network.components import ComponentSolver, static_capacity
+
+from tests.network.oracle import textbook_max_min_rates
 
 _REL = 1e-9
 
@@ -28,8 +32,10 @@ def close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL, abs_tol=1e-12)
 
 
-def make_engine(capacities):
-    return IncrementalMaxMin(static_capacity(capacities))
+def make_engine(capacities, allocator="incremental"):
+    return ComponentSolver(
+        static_capacity(capacities), resolve_allocator(allocator)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +87,26 @@ def test_solve_without_dirt_is_a_noop():
     assert engine.stats.solver_calls == 1
 
 
+def test_solve_reports_only_changed_rates():
+    # A capped flow joining a class whose rate is pinned at the cap: only
+    # the newcomer changes (from 0), the members keep theirs untouched.
+    engine = make_engine({"l": 100.0})
+    engine.admit(1, ["l"], cap=10.0)
+    engine.admit(2, ["l"], cap=10.0)
+    assert engine.solve() == {1: 10.0, 2: 10.0}
+    engine.admit(3, ["l"], cap=10.0)
+    assert engine.solve() == {3: 10.0}
+
+
+def test_custom_allocator_sees_one_class_per_flow():
+    engine = make_engine({"a": 90.0, "b": 30.0}, allocator=equal_split_rates)
+    engine.admit(1, ["a"])
+    engine.admit(2, ["a"])
+    engine.admit(3, ["a", "b"])
+    assert engine.solve() == {1: 30.0, 2: 30.0, 3: 30.0}
+    assert engine.stats.flows_solved == 3
+
+
 # ----------------------------------------------------------------------
 # Component isolation
 # ----------------------------------------------------------------------
@@ -110,11 +136,10 @@ def test_component_rates_bit_identical_to_oracle_on_component():
     engine.admit(3, ["c"])  # separate component
     engine.solve()
 
-    oracle = max_min_fair_rates(
+    oracle = textbook_max_min_rates(
         [["a", "b"], ["a"]], {"a": 97.0, "b": 31.0}, [40.0, float("inf")]
     )
-    # Bit-identical, not just close: the engine runs the same function
-    # on the same component subproblem.
+    # Bit-identical, not just close.
     assert [engine.rate(1), engine.rate(2)] == oracle
 
 
@@ -125,7 +150,7 @@ def test_connected_graph_bit_identical_to_global_oracle():
     for fid, links in enumerate(flow_links):
         engine.admit(fid, links)
     engine.solve()
-    oracle = max_min_fair_rates(flow_links, capacities)
+    oracle = textbook_max_min_rates(flow_links, capacities)
     assert [engine.rate(fid) for fid in range(len(flow_links))] == oracle
     assert engine.stats.full_solves == 1
 
@@ -139,24 +164,24 @@ def test_full_solve_counted_only_when_component_spans_graph():
 
 
 # ----------------------------------------------------------------------
-# Stateless wrapper (the registered "incremental" allocator)
+# The registered "incremental" allocator (an alias of max-min)
 # ----------------------------------------------------------------------
 def test_wrapper_matches_oracle_validation():
+    incremental = resolve_allocator("incremental")
     with pytest.raises(ValueError, match="non-positive capacity"):
-        incremental_max_min_rates([["l"]], {"l": 0.0})
+        incremental([["l"]], {"l": 0.0})
     with pytest.raises(ValueError, match="unknown link"):
-        incremental_max_min_rates([["nope"]], {"l": 1.0})
+        incremental([["nope"]], {"l": 1.0})
     with pytest.raises(ValueError, match="flow_caps length"):
-        incremental_max_min_rates([["l"]], {"l": 1.0}, flow_caps=[1.0, 2.0])
+        incremental([["l"]], {"l": 1.0}, flow_caps=[1.0, 2.0])
 
 
 def test_wrapper_matches_oracle_rates():
     flow_links = [["a"], ["a", "b"], ["c"], []]
     capacities = {"a": 100.0, "b": 20.0, "c": 70.0}
     caps = [float("inf"), float("inf"), 10.0, 5.0]
-    got = incremental_max_min_rates(flow_links, capacities, caps)
-    expected = max_min_fair_rates(flow_links, capacities, caps)
-    assert all(close(g, e) for g, e in zip(got, expected))
+    got = resolve_allocator("incremental")(flow_links, capacities, caps)
+    assert got == textbook_max_min_rates(flow_links, capacities, caps)
 
 
 # ----------------------------------------------------------------------
@@ -189,9 +214,8 @@ def flow_graphs(draw):
 @given(problem=flow_graphs())
 def test_wrapper_differential_random_graphs(problem):
     flow_links, capacities, caps = problem
-    got = incremental_max_min_rates(flow_links, capacities, caps)
-    expected = max_min_fair_rates(flow_links, capacities, caps)
-    assert all(close(g, e) for g, e in zip(got, expected))
+    got = resolve_allocator("incremental")(flow_links, capacities, caps)
+    assert got == textbook_max_min_rates(flow_links, capacities, caps)
 
 
 @st.composite
@@ -244,7 +268,7 @@ def test_engine_differential_admit_drain(problem):
             assert engine.rates == {}
             continue
         fids = list(reference)
-        expected = max_min_fair_rates(
+        expected = textbook_max_min_rates(
             [reference[f] for f in fids],
             capacities,
             [reference_caps[f] for f in fids],

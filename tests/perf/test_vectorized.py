@@ -1,14 +1,17 @@
-"""Three-way differential tests: oracle vs incremental vs vectorized.
+"""Grouped filling and the ``vectorized`` alias against the oracle.
 
-The vectorized kernel's contract (see ``docs/PERF.md``):
+The production solver fills identical-constraint classes as weighted
+entries (see ``docs/PERF.md``).  Its contract:
 
-* same validation errors as :func:`max_min_fair_rates`;
-* rates within 1e-9 relative of both the oracle and the incremental
-  engine across capacities spanning 1e-12..1e6, flow caps, single-flow
-  links, and arbitrary admit/drain interleavings;
-* identical makespans end-to-end — selecting ``"vectorized"`` changes
-  wall time, never the event stream (two identical runs and a
-  serial-vs-parallel sweep must agree exactly).
+* same validation errors as the textbook solver;
+* **bit-identical** rates to the textbook solver, whether the flows are
+  passed one by one or grouped into weighted classes, across capacities
+  spanning 1e-12..1e6, flow caps, single-flow links, and arbitrary
+  admit/drain interleavings;
+* the ``vectorized`` allocator name, an alias kept for saved configs,
+  resolves to the production solver, drives the same engine, and leaves
+  end-to-end runs bit-identical (two runs, and a serial-vs-parallel
+  sweep, must agree exactly).
 """
 
 from __future__ import annotations
@@ -19,15 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.fairshare import max_min_fair_rates
-from repro.perf import (
-    FlowSlots,
-    IncrementalMaxMin,
-    VectorizedMaxMin,
-    incremental_max_min_rates,
-    static_capacity,
-    vectorized_max_min_rates,
-)
+from repro.network import max_min_fair_rates, resolve_allocator
+from repro.network.components import ComponentSolver, static_capacity
+
+from tests.network.oracle import textbook_max_min_rates
 
 _REL = 1e-9
 
@@ -39,7 +37,12 @@ def close(a: float, b: float) -> bool:
 
 
 def make_engine(capacities):
-    return VectorizedMaxMin(static_capacity(capacities))
+    return ComponentSolver(
+        static_capacity(capacities), resolve_allocator("vectorized")
+    )
+
+
+vectorized = resolve_allocator("vectorized")
 
 
 # ----------------------------------------------------------------------
@@ -47,18 +50,20 @@ def make_engine(capacities):
 # ----------------------------------------------------------------------
 def test_validation_matches_oracle():
     with pytest.raises(ValueError, match="non-positive capacity"):
-        vectorized_max_min_rates([["l"]], {"l": 0.0})
+        vectorized([["l"]], {"l": 0.0})
     with pytest.raises(ValueError, match="unknown link"):
-        vectorized_max_min_rates([["nope"]], {"l": 1.0})
+        vectorized([["nope"]], {"l": 1.0})
     with pytest.raises(ValueError, match="flow_caps length"):
-        vectorized_max_min_rates([["l"]], {"l": 1.0}, flow_caps=[1.0, 2.0])
+        vectorized([["l"]], {"l": 1.0}, flow_caps=[1.0, 2.0])
     with pytest.raises(ValueError, match="no links and no cap"):
-        vectorized_max_min_rates([[]], {})
+        vectorized([[]], {})
+    with pytest.raises(ValueError, match="weights length"):
+        max_min_fair_rates([["l"]], {"l": 1.0}, weights=[1, 2])
 
 
 def test_empty_problem():
-    assert vectorized_max_min_rates([], {}) == []
-    assert vectorized_max_min_rates([], {"l": 5.0}) == []
+    assert vectorized([], {}) == []
+    assert vectorized([], {"l": 5.0}) == []
 
 
 def test_fixed_cases_match_oracle():
@@ -75,37 +80,34 @@ def test_fixed_cases_match_oracle():
          {"a": 1e-12, "b": 1.0, "c": 1e6}, None),            # mixed scales
     ]
     for flow_links, capacities, caps in cases:
-        expected = max_min_fair_rates(flow_links, capacities, caps)
-        got = vectorized_max_min_rates(flow_links, capacities, caps)
-        assert len(got) == len(expected)
-        assert all(close(g, e) for g, e in zip(got, expected)), (
-            flow_links, capacities, caps, got, expected,
-        )
+        expected = textbook_max_min_rates(flow_links, capacities, caps)
+        got = vectorized(flow_links, capacities, caps)
+        assert got == expected, (flow_links, capacities, caps, got, expected)
 
 
 def test_identical_constraint_flows_share_one_rate():
-    # Ten flows with the same link set and cap form one group: their
-    # rates are not merely close but the same float.
-    rates = vectorized_max_min_rates(
-        [["a", "b"]] * 10, {"a": 100.0, "b": 33.0}
-    )
+    # Ten flows with the same link set and cap form one class: their
+    # rates are not merely close but the same float, and one weighted
+    # entry gives that float too.
+    rates = vectorized([["a", "b"]] * 10, {"a": 100.0, "b": 33.0})
     assert len(set(rates)) == 1
+    assert max_min_fair_rates(
+        [["a", "b"]], {"a": 100.0, "b": 33.0}, weights=[10]
+    ) == rates[:1]
 
 
-def test_wide_problem_uses_dense_path():
-    # 40 links forces the numpy argmin branch (>= _NP_MIN_LINKS); the
-    # scalar branch is covered by the tiny cases above.  Both must
-    # match the oracle.
+def test_wide_problem_matches_oracle():
+    # 40 links and 80 flows: many filling rounds, every one of them must
+    # match the textbook solver's floats.
     links = [f"l{i}" for i in range(40)]
     capacities = {link: 10.0 + i for i, link in enumerate(links)}
     flow_links = [[links[i % 40], links[(i * 7 + 1) % 40]] for i in range(80)]
-    expected = max_min_fair_rates(flow_links, capacities)
-    got = vectorized_max_min_rates(flow_links, capacities)
-    assert all(close(g, e) for g, e in zip(got, expected))
+    expected = textbook_max_min_rates(flow_links, capacities)
+    assert vectorized(flow_links, capacities) == expected
 
 
 # ----------------------------------------------------------------------
-# Stateful engine: bookkeeping parity with IncrementalMaxMin
+# Stateful engine under the "vectorized" name
 # ----------------------------------------------------------------------
 def test_admit_drain_bookkeeping():
     engine = make_engine({"l": 100.0})
@@ -154,8 +156,8 @@ def test_solve_without_dirt_is_a_noop():
 
 
 def test_group_granularity_stats():
-    # 8 identical flows are one group: a solve touches 1 link but
-    # reports 8 flows solved (stats stay comparable with incremental).
+    # 8 identical flows are one class: a solve touches 1 link but
+    # reports 8 flows solved.
     engine = make_engine({"l": 100.0})
     for fid in range(8):
         engine.admit(fid, ["l"])
@@ -163,7 +165,7 @@ def test_group_granularity_stats():
     assert len(changed) == 8
     assert engine.stats.flows_solved == 8
     assert engine.stats.links_touched == 1
-    assert all(close(rate, 12.5) for rate in changed.values())
+    assert all(rate == 12.5 for rate in changed.values())
 
 
 def test_untouched_component_is_not_recomputed():
@@ -191,7 +193,7 @@ def test_full_solve_counted_only_when_component_spans_graph():
 
 
 # ----------------------------------------------------------------------
-# Randomized three-way differential suite
+# Randomized differential suite
 # ----------------------------------------------------------------------
 LINKS = ("l0", "l1", "l2", "l3", "l4", "l5")
 
@@ -220,13 +222,24 @@ def flow_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(problem=flow_graphs())
 def test_three_way_differential_random_graphs(problem):
+    """Oracle, ``incremental`` and ``vectorized`` names: the same floats."""
     flow_links, capacities, caps = problem
-    oracle = max_min_fair_rates(flow_links, capacities, caps)
-    incremental = incremental_max_min_rates(flow_links, capacities, caps)
-    vectorized = vectorized_max_min_rates(flow_links, capacities, caps)
-    for o, i, v in zip(oracle, incremental, vectorized):
-        assert close(v, o), (v, o)
-        assert close(v, i), (v, i)
+    oracle = textbook_max_min_rates(flow_links, capacities, caps)
+    assert resolve_allocator("incremental")(flow_links, capacities, caps) == oracle
+    assert vectorized(flow_links, capacities, caps) == oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=flow_graphs(), weights=st.lists(st.integers(1, 5), min_size=8, max_size=8))
+def test_weighted_classes_match_expanded_flows(problem, weights):
+    """A class of w flows as one weighted entry == w separate flows."""
+    flow_links, capacities, caps = problem
+    weights = weights[: len(flow_links)]
+    expanded_links = [links for links, w in zip(flow_links, weights) for _ in range(w)]
+    expanded_caps = [cap for cap, w in zip(caps, weights) for _ in range(w)]
+    oracle = textbook_max_min_rates(expanded_links, capacities, expanded_caps)
+    grouped = max_min_fair_rates(flow_links, capacities, caps, weights)
+    assert [rate for rate, w in zip(grouped, weights) for _ in range(w)] == oracle
 
 
 @st.composite
@@ -260,112 +273,37 @@ def admit_drain_sequences(draw):
 @settings(max_examples=100, deadline=None)
 @given(problem=admit_drain_sequences())
 def test_engine_differential_admit_drain(problem):
-    """After every op, both engines equal a from-scratch global solve."""
+    """After every op, the engine equals a from-scratch global solve."""
     capacities, ops = problem
-    vec = make_engine(capacities)
-    inc = IncrementalMaxMin(static_capacity(capacities))
+    engine = make_engine(capacities)
     reference: dict[int, tuple] = {}
     reference_caps: dict[int, float] = {}
     for op, fid, links, cap in ops:
         if op == "admit":
-            vec.admit(fid, links, cap)
-            inc.admit(fid, links, cap)
+            engine.admit(fid, links, cap)
             reference[fid] = tuple(links)
             reference_caps[fid] = cap
         else:
-            vec.drain(fid)
-            inc.drain(fid)
+            engine.drain(fid)
             del reference[fid]
             del reference_caps[fid]
-        vec.solve()
-        inc.solve()
+        engine.solve()
         if not reference:
-            assert vec.rates == {}
+            assert engine.rates == {}
             continue
         fids = list(reference)
-        expected = max_min_fair_rates(
+        expected = textbook_max_min_rates(
             [reference[f] for f in fids],
             capacities,
             [reference_caps[f] for f in fids],
         )
         for f, e in zip(fids, expected):
-            assert close(vec.rate(f), e), (f, vec.rate(f), e)
-            assert close(vec.rate(f), inc.rate(f)) or close(inc.rate(f), e)
-
-
-# ----------------------------------------------------------------------
-# FlowSlots: the dense flow-progress records
-# ----------------------------------------------------------------------
-def test_slots_admit_drop_recycle():
-    slots = FlowSlots(capacity=2)
-    a = slots.admit(10, size=100.0, remaining=100.0)
-    b = slots.admit(11, size=50.0, remaining=50.0)
-    assert len(slots) == 2 and a != b
-    slots.drop(10)
-    assert len(slots) == 1
-    # The freed slot is recycled before any growth.
-    c = slots.admit(12, size=10.0, remaining=10.0)
-    assert c == a
-    assert slots.remaining_of(12) == 10.0
-
-
-def test_slots_grow_preserves_state():
-    slots = FlowSlots(capacity=1)
-    for fid in range(5):
-        slots.admit(fid, size=float(fid + 1), remaining=float(fid + 1))
-    assert len(slots) == 5
-    assert [slots.remaining_of(fid) for fid in range(5)] == [
-        1.0, 2.0, 3.0, 4.0, 5.0,
-    ]
-
-
-def test_slots_advance_matches_scalar_arithmetic():
-    slots = FlowSlots()
-    slots.admit(1, size=100.0, remaining=100.0)
-    slots.admit(2, size=30.0, remaining=30.0)
-    slots.set_rate(1, 7.0, now=0.0)
-    slots.set_rate(2, 3.0, now=0.0)
-    dt = 2.5
-    slots.advance(dt)
-    # Bit-identical to the scalar bookkeeping, not merely close.
-    assert slots.remaining_of(1) == max(0.0, 100.0 - 7.0 * dt)
-    assert slots.remaining_of(2) == max(0.0, 30.0 - 3.0 * dt)
-    slots.advance(1e9)
-    assert slots.remaining_of(1) == 0.0  # clamped, never negative
-
-
-def test_slots_finish_ordering():
-    slots = FlowSlots()
-    slots.admit(1, size=100.0, remaining=100.0)
-    slots.admit(2, size=10.0, remaining=10.0)
-    assert slots.peek_finish() is None  # no rates yet
-    slots.set_rate(1, 10.0, now=5.0)
-    slots.set_rate(2, 10.0, now=5.0)
-    assert slots.peek_finish() == 6.0  # flow 2: 5.0 + 10/10
-    assert slots.next_finished_fid() == 2
-    slots.drop(2)
-    assert slots.peek_finish() == 15.0
-    assert slots.next_finished_fid() == 1
-
-
-def test_slots_drained_fids_filters_stale_slots():
-    slots = FlowSlots()
-    slots.admit(1, size=100.0, remaining=100.0)
-    slots.admit(2, size=10.0, remaining=10.0)
-    slots.set_rate(1, 1.0, now=0.0)
-    slots.set_rate(2, 10.0, now=0.0)
-    slots.advance(1.0)  # flow 2 hits zero
-    drained = slots.drained_fids(time_quantum=1e-12, eps=1e-9)
-    assert drained == [2]
-    # A freed slot's zero remaining must not resurface as drained.
-    slots.drop(2)
-    assert slots.drained_fids(time_quantum=1e-12, eps=1e-9) == []
+            assert close(engine.rate(f), e), (f, engine.rate(f), e)
 
 
 def test_zero_byte_transfer_completes_under_vectorized():
     from repro.des import Environment
-    from repro.network import FlowNetwork
-    from repro.network.flownet import Link
+    from repro.network import FlowNetwork, Link
 
     env = Environment()
     net = FlowNetwork(env, allocator="vectorized")
