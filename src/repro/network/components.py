@@ -17,6 +17,13 @@ the flows one by one (see that module's docstring).  Any other allocator
 sees one class per flow: it is called once per dirty component with the
 component's flows in admission order, so it must be separable by
 component (see :class:`~repro.network.allocators.RateAllocator`).
+
+Each class also carries a *service clock*, in the manner of fair
+queuing: ``served``, the bytes every member has received, advanced by
+:meth:`~ComponentSolver.solve` only when the class rate changes.  A
+member is done when the clock reaches its fixed target (the reading at
+its admission plus its size), so a rate change costs one clock update
+per class whatever the member count.
 """
 # lint: hot-path - solve() runs once per simulated instant with a change
 
@@ -61,9 +68,18 @@ class SolverStats:
 
 
 class _Class:
-    """One constraint class: a link set, a rate cap, and member flows."""
+    """One constraint class: a link set, a rate cap, member flows, and
+    the service clock the members share.
 
-    __slots__ = ("serial", "key", "links", "cap", "members", "fresh", "rate")
+    ``by_target``, ``by_crossing`` and ``version`` hold the completion
+    order kept by :class:`~repro.network.FlowNetwork`; the solver never
+    reads them.
+    """
+
+    __slots__ = (
+        "serial", "key", "links", "cap", "members", "rate", "served",
+        "anchor", "by_target", "by_crossing", "version",
+    )
 
     def __init__(self, serial: int, key, links: tuple, cap: float) -> None:
         self.serial = serial
@@ -72,9 +88,23 @@ class _Class:
         self.cap = cap
         #: Member flow ids in admission order (values unused).
         self.members: dict = {}
-        #: Members admitted since the last solve (their rate is still 0).
-        self.fresh: list = []
         self.rate = 0.0
+        #: Bytes each member has received, as of ``anchor``.
+        self.served = 0.0
+        self.anchor = 0.0
+        #: Member heaps in service space (clock readings, not times).
+        self.by_target: list = []
+        self.by_crossing: list = []
+        self.version = 0
+
+    def served_at(self, now: float) -> float:
+        """The service clock at time ``now`` (at the current rate)."""
+        return self.served + self.rate * (now - self.anchor)
+
+    def advance(self, now: float) -> None:
+        """Bring the clock up to ``now``, e.g. before the rate changes."""
+        self.served = self.served_at(now)
+        self.anchor = now
 
 
 class ComponentSolver:
@@ -122,8 +152,11 @@ class ComponentSolver:
 
     def admit(
         self, fid: Hashable, links: Iterable[Hashable], cap: float = _INF
-    ) -> None:
-        """Add a flow; its links (or its linkless class) become dirty."""
+    ) -> _Class:
+        """Add a flow; its links (or its linkless class) become dirty.
+
+        Returns the flow's class.
+        """
         if fid in self._class_of:
             raise ValueError(f"flow {fid!r} is already admitted")
         names = tuple(dict.fromkeys(links))
@@ -144,7 +177,6 @@ class ComponentSolver:
                 else:
                     peers[cls] = None
         cls.members[fid] = None
-        cls.fresh.append(fid)
         self._class_of[fid] = cls
         link_users = self._link_users
         for link in cls.links:
@@ -152,6 +184,7 @@ class ComponentSolver:
             self._dirty_links[link] = None
         if not cls.links:
             self._dirty_classes[cls] = None
+        return cls
 
     def drain(self, fid: Hashable) -> None:
         """Remove a flow; the links it leaves to other flows become dirty."""
@@ -178,6 +211,15 @@ class ComponentSolver:
                 if not peers:
                     del self._link_classes[link]
 
+    def class_of(self, fid: Hashable) -> _Class:
+        """The admitted flow's class."""
+        return self._class_of[fid]
+
+    @property
+    def n_classes(self) -> int:
+        """How many classes have members."""
+        return len(self._classes)
+
     def rate(self, fid: Hashable) -> float:
         """The flow's rate as of the last :meth:`solve`."""
         return self._class_of[fid].rate
@@ -194,14 +236,16 @@ class ComponentSolver:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(self) -> dict[Hashable, float]:
+    def solve(self, now: float = 0.0) -> list[_Class]:
         """Re-solve every component reachable from dirty state.
 
-        Returns ``{fid: rate}`` for exactly the flows whose rate changed
-        (new flows count as changed from 0).  Flows elsewhere keep their
-        rates bit-for-bit and are not visited.
+        Returns the classes whose rate changed, in solve order; each one's
+        service clock is advanced to ``now`` at its old rate first.  A
+        class whose rate did not change is not returned even if it gained
+        members.  Classes elsewhere keep their rates bit-for-bit and are
+        not visited.
         """
-        changed: dict[Hashable, float] = {}
+        changed: list[_Class] = []
         if not self.dirty:
             return changed
         seeds: list[_Class] = []
@@ -220,7 +264,7 @@ class ComponentSolver:
                 continue
             component = self._component_of(seed)
             visited.update(component)
-            self._solve_component(component, changed)
+            self._solve_component(component, now, changed)
         return changed
 
     def _component_of(self, seed: _Class) -> list[_Class]:
@@ -244,7 +288,7 @@ class ComponentSolver:
         return sorted(component, key=_serial)
 
     def _solve_component(
-        self, component: list[_Class], changed: dict[Hashable, float]
+        self, component: list[_Class], now: float, changed: list[_Class]
     ) -> None:
         """Run the allocator on one component; record changed rates."""
         capacity_fn = self._capacity_fn
@@ -267,14 +311,9 @@ class ComponentSolver:
             members = len(component)
         for cls, rate in zip(component, rates):
             if rate != cls.rate:
+                cls.advance(now)
                 cls.rate = rate
-                for fid in cls.members:
-                    changed[fid] = rate
-            elif rate != 0.0:
-                for fid in cls.fresh:
-                    if fid in cls.members:
-                        changed[fid] = rate
-            cls.fresh.clear()
+                changed.append(cls)
         stats = self.stats
         stats.solver_calls += 1
         stats.links_touched += len(capacities)

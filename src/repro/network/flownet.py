@@ -17,18 +17,24 @@ proportional to what changes, not to how many flows are in flight:
   re-solves just the connected components the batch touched, at the
   granularity of identical-constraint classes; every other flow keeps
   its rate bit-for-bit.
-* **Lazy progress.**  A flow stores its remaining bytes as of ``anchor``,
-  the time its rate last changed.  An event touches only the flows whose
-  rate changed or that finish.
-* **Completion heaps.**  Each flow with a positive rate has an entry
-  keyed by its finish time (the next wake-up is the smallest) and one
-  keyed slightly before the time its residue first passes the finish
-  threshold (the candidates at any instant).  Candidates are then checked
-  exactly against :meth:`FlowNetwork._finish_threshold`, the same rule the
+* **Per-class service clocks.**  Flows of one class always share a
+  rate, so the class keeps one clock: the bytes each member has received
+  (see :class:`~repro.network.components.ComponentSolver`), advanced only
+  when the class rate changes.  A flow stores the fixed clock reading at
+  which it is done, so a rate change costs O(1) per class, not per flow.
+* **Completion heaps.**  Each class orders its members twice in service
+  space: by target (whose head finishes first) and by target minus the
+  byte term of the finish threshold (whose head passes that term first).
+  A rate change invalidates neither.  Two global heaps hold one entry per
+  class with a positive rate: its head's finish time (the next wake-up
+  is the smallest) and, slightly before it, the earliest time any member
+  can pass the finish threshold (the candidate classes at any instant).
+  Within a candidate class the two heap prefixes that can pass are
+  checked exactly against :func:`_finish_threshold`, the rule the
   per-event sweep this loop replaced applied to every flow, and flows
   that drain at the same instant finish in admission order.  Stale
-  entries are skipped by a per-flow version number, and both heaps are
-  compacted once they hold more than twice the live flows.
+  global entries are skipped by a per-class version number, and both
+  heaps are compacted once they hold more than twice the live classes.
 
 With the default ``max-min`` allocator the per-component rates are the
 progressive-filling rates of that component exactly; against the former
@@ -43,19 +49,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.des import Environment, Event, EventPriority
 from repro.network.allocators import resolve_allocator
 from repro.network.components import ComponentSolver
 from repro.network.link import Link
 
+if TYPE_CHECKING:
+    from repro.network.components import _Class
+
 _EPS = 1e-9
 _INF = float("inf")
 
-#: Completion-heap entries beyond ``2 * live flows + _HEAP_SLACK`` trigger
-#: a compaction, which bounds the heaps by the live flow count.
+#: Completion-heap entries beyond ``2 * live classes + _HEAP_SLACK``
+#: trigger a compaction, which bounds the heaps by the live class count.
 _HEAP_SLACK = 64
+
+#: Relative slack on candidate bounds and byte-crossing keys: far above
+#: the rounding of the service-clock arithmetic, far below any byte count
+#: that matters.
+_SLACK = 1e-12
 
 
 @dataclass(slots=True)
@@ -65,20 +79,17 @@ class Flow:
     fid: int
     size: float                      # total bytes
     links: tuple[Link, ...]          # capacity-bearing resources traversed
-    remaining: float                 # bytes still to move, as of ``anchor``
-    rate: float = 0.0                # current allocated rate (bytes/s)
+    remaining: float                 # bytes still to move, as last read
+    rate: float = 0.0                # allocated rate (bytes/s), as last read
     max_rate: float = _INF           # private cap (e.g. POSIX stream limit)
     started_at: float = 0.0
     completed_at: Optional[float] = None
     done_event: Optional[Event] = None
     label: str = ""
-    #: Simulated time at which ``remaining`` was last brought up to date.
-    anchor: float = 0.0
     #: Admission serial: same-instant completions finish in this order.
     seq: int = 0
-    #: Bumped on every rate change; completion-heap entries carrying an
-    #: older version are stale.
-    version: int = 0
+    #: Reading of its class's service clock at which the flow is done.
+    target: float = 0.0
 
     @property
     def elapsed(self) -> Optional[float]:
@@ -99,10 +110,6 @@ class Flow:
         if elapsed is None or elapsed <= 0 or self.size <= 0:
             return None
         return self.size / elapsed
-
-    def remaining_at(self, now: float) -> float:
-        """Bytes still to move at time ``now`` (at the current rate)."""
-        return max(0.0, self.remaining - self.rate * (now - self.anchor))
 
 
 class FlowNetwork:
@@ -128,11 +135,13 @@ class FlowNetwork:
         self._solver = ComponentSolver(
             self._link_capacity, resolve_allocator(allocator)
         )
-        #: ``(finish_time, fid, version)``: the next wake-up is the top.
-        self._due: list[tuple[float, int, int]] = []
-        #: ``(earliest_threshold_crossing, fid, version)``: completion
-        #: candidates at any instant are the entries at or before it.
-        self._crossing: list[tuple[float, int, int]] = []
+        #: ``(finish_time, serial, version, class)``, one live entry per
+        #: class with a positive rate: the next wake-up is the top.
+        self._due: list[tuple] = []
+        #: ``(earliest_threshold_crossing, serial, version, class)``: the
+        #: classes with completion candidates at any instant are the
+        #: entries at or before it.
+        self._crossing: list[tuple] = []
         self._flush_pending = False
         # The armed wake-up: its time and generation (older wakes that
         # still fire are stale and ignored).
@@ -190,20 +199,29 @@ class FlowNetwork:
 
     @property
     def active_flows(self) -> list[Flow]:
-        """The flows in flight, with rates settled and progress current."""
+        """The flows in flight, with rates settled and each flow's
+        ``rate`` and ``remaining`` filled in as of now."""
         self._settle()
-        now = self.env.now
-        flows = list(self._flows.values())
-        for flow in flows:
-            flow.remaining = flow.remaining_at(now)
-            flow.anchor = now
-        return flows
+        return self._current_flows()
 
     def utilization(self, link: Link) -> float:
         """Current aggregate rate over ``link`` divided by its capacity."""
         self._settle()
-        load = sum(f.rate for f in self._flows.values() if link in f.links)
+        rate = self._solver.rate
+        load = sum(rate(f.fid) for f in self._flows.values() if link in f.links)
         return load / link.bandwidth
+
+    def _current_flows(self) -> list[Flow]:
+        """The flows in flight, their ``rate`` and ``remaining`` filled in
+        from their classes (the only place these fields are written)."""
+        now = self.env.now
+        class_of = self._solver.class_of
+        flows = list(self._flows.values())
+        for flow in flows:
+            cls = class_of(flow.fid)
+            flow.rate = cls.rate
+            flow.remaining = max(0.0, flow.target - cls.served_at(now))
+        return flows
 
     # ------------------------------------------------------------------
     # Admission and completion
@@ -231,8 +249,7 @@ class FlowNetwork:
         if crossing and crossing[0][0] <= now:
             self._finish_drained()
         self._seq += 1
-        flow.seq = self._seq
-        flow.anchor = now
+        seq = flow.seq = self._seq
         self._flows[flow.fid] = flow
         obs = self.env.obs
         if obs is not None:
@@ -241,48 +258,56 @@ class FlowNetwork:
         for link in flow.links:
             self._links.setdefault(link.name, link)
             names.append(link.name)
-        self._solver.admit(flow.fid, names, flow.max_rate)
+        cls = self._solver.admit(flow.fid, names, flow.max_rate)
+        target = flow.target = cls.served_at(now) + flow.size
+        heappush(cls.by_target, (target, seq, flow))
+        # Target minus the byte term of the threshold, widened a hair so
+        # that rounding cannot hide a member that passes it.
+        by_bytes = (_EPS * flow.size + _EPS) * (1.0 + _SLACK)
+        heappush(cls.by_crossing, (target - by_bytes, seq, flow))
+        if cls.rate > 0.0 and (
+            cls.by_target[0][2] is flow or cls.by_crossing[0][2] is flow
+        ):
+            # A new head moves the class's completion keys.
+            self._rekey(cls)
         self._request_flush()
-
-    def _finish_threshold(self, flow: Flow) -> float:
-        """Bytes below which a flow counts as complete.
-
-        Two components: an absolute/relative byte epsilon, and the bytes
-        a flow moves during one unit of *time resolution* at the current
-        clock value — float residue smaller than that can never be
-        drained because ``now + eta == now``, which would wake-loop
-        forever.
-        """
-        time_quantum = max(1e-12, abs(self.env.now) * 1e-12)
-        return max(_EPS * flow.size + _EPS, flow.rate * time_quantum)
 
     def _finish_drained(self) -> None:
         """Finish every flow whose residue is below its threshold now.
 
-        Only the crossing-heap entries due by now are candidates; each is
-        checked exactly.
+        Only the classes whose crossing entry is due by now hold
+        candidates; within each, only the member-heap prefixes that can
+        pass are visited, and each candidate is checked exactly.
         """
         heap = self._crossing
         now = self.env.now
-        flows = self._flows
+        quantum = max(1e-12, abs(now) * 1e-12)
         drained: list[Flow] = []
-        missed: list[tuple[float, int, int]] = []
+        touched: list[_Class] = []
+        missed: list[tuple] = []
         while heap and heap[0][0] <= now:
             entry = heappop(heap)
-            flow = flows.get(entry[1])
-            if flow is None or flow.version != entry[2]:
+            cls = entry[3]
+            if entry[2] != cls.version:
                 continue
-            if flow.remaining_at(now) <= self._finish_threshold(flow):
-                drained.append(flow)
+            found = _drained_members(cls, now, quantum)
+            if found:
+                drained += found
+                touched.append(cls)
             else:
                 missed.append(entry)
         for entry in missed:
             heappush(heap, entry)
+        if not drained:
+            return
         drained.sort(key=_admission_order)
+        flows = self._flows
         for flow in drained:
             del flows[flow.fid]
             self._solver.drain(flow.fid)
             self._finish(flow)
+        for cls in touched:
+            self._rekey(cls)
 
     def _finish(self, flow: Flow) -> None:
         flow.remaining = 0.0
@@ -321,7 +346,8 @@ class FlowNetwork:
         self._reschedule()
 
     def _settle(self) -> None:
-        """Solve the dirty components and apply the changed rates."""
+        """Solve the dirty components and re-key the classes whose rate
+        changed (the solver advances their clocks)."""
         solver = self._solver
         if not solver.dirty:
             return
@@ -329,20 +355,12 @@ class FlowNetwork:
         if obs is not None:
             stats = solver.stats
             before = (stats.solver_calls, stats.links_touched, stats.flows_solved)
-        changed = solver.solve()
-        now = self.env.now
-        flows = self._flows
-        for fid, rate in changed.items():
-            flow = flows[fid]
-            flow.remaining = flow.remaining_at(now)
-            flow.anchor = now
-            flow.rate = rate
-            if rate > 0.0:
-                self._push_completion(flow, now)
-            else:
-                flow.version += 1
-        if len(self._due) > 2 * len(flows) + _HEAP_SLACK:
-            self._compact()
+        for cls in solver.solve(self.env.now):
+            self._rekey(cls)
+        bound = 2 * solver.n_classes + _HEAP_SLACK
+        if len(self._due) > bound or len(self._crossing) > bound:
+            self._due = _live_entries(self._due)
+            self._crossing = _live_entries(self._crossing)
         if obs is not None:
             calls, links, solved = before
             obs.on_rate_solve(
@@ -350,51 +368,48 @@ class FlowNetwork:
                 stats.links_touched - links,
                 solver_calls=stats.solver_calls - calls,
             )
-            obs.on_rates_assigned(list(flows.values()))
+            if obs.monitors_rates:
+                obs.on_rates_assigned(self._current_flows())
 
-    def _push_completion(self, flow: Flow, now: float) -> None:
-        """Version ``flow``'s fresh anchor and rate into both heaps."""
-        flow.version += 1
-        duration = flow.remaining / flow.rate
-        finish = now + duration
-        heappush(self._due, (finish, flow.fid, flow.version))
-        # The residue passes the threshold up to ``lead`` before
-        # ``finish``; the margin covers rounding in both estimates.
-        lead = max(
-            (_EPS * flow.size + _EPS) / flow.rate,
-            max(1e-12, abs(finish) * 1e-12),
+    def _rekey(self, cls: _Class) -> None:
+        """Replace ``cls``'s completion-heap entries with ones derived
+        from its member heads, its clock and its rate."""
+        cls.version += 1
+        by_target = cls.by_target
+        while by_target and by_target[0][2].completed_at is not None:
+            heappop(by_target)
+        by_crossing = cls.by_crossing
+        while by_crossing and by_crossing[0][2].completed_at is not None:
+            heappop(by_crossing)
+        rate = cls.rate
+        if not by_target or rate <= 0.0:
+            return
+        served = cls.served
+        anchor = cls.anchor
+        first = by_target[0][0]
+        first_by_bytes = by_crossing[0][0]
+        finish = anchor + (first - served) / rate
+        # The earliest member to pass the threshold: by its time term the
+        # one finishing first, by its byte term the head of by_crossing.
+        # The margin covers rounding in both estimates.
+        crossing = min(
+            finish - max(1e-12, abs(finish) * 1e-12),
+            anchor + (first_by_bytes - served) / rate,
         )
-        margin = 1e-14 * (abs(finish) + duration)
-        heappush(
-            self._crossing, (finish - lead - margin, flow.fid, flow.version)
-        )
-
-    def _compact(self) -> None:
-        """Drop stale entries from both completion heaps."""
-        self._due = self._live_entries(self._due)
-        self._crossing = self._live_entries(self._crossing)
-
-    def _live_entries(self, heap: list) -> list:
-        flows = self._flows
-        live = [
-            entry for entry in heap
-            if (flow := flows.get(entry[1])) is not None
-            and flow.version == entry[2]
-        ]
-        heapify(live)
-        return live
+        scale = abs(served) + abs(first) + abs(first_by_bytes)
+        margin = 1e-14 * (abs(finish) + scale / rate)
+        heappush(self._due, (finish, cls.serial, cls.version, cls))
+        heappush(self._crossing, (crossing - margin, cls.serial, cls.version, cls))
 
     def _next_finish(self) -> Optional[float]:
-        """Earliest finish time of a live flow, dropping stale entries."""
+        """Earliest finish time of a live class, dropping stale entries."""
         heap = self._due
-        flows = self._flows
         while heap:
-            finish, fid, version = heap[0]
-            flow = flows.get(fid)
-            if flow is None or flow.version != version:
+            entry = heap[0]
+            if entry[2] != entry[3].version:
                 heappop(heap)
                 continue
-            return finish
+            return entry[0]
         return None
 
     def _reschedule(self) -> None:
@@ -420,17 +435,78 @@ class FlowNetwork:
             return  # stale wake-up; a later reschedule superseded it
         self._wake_at = None
         self._finish_drained()
-        # A flow whose finish time has come but whose residue still
-        # misses the threshold (float rounding of the finish estimate)
-        # restarts from its current residue, as a fresh wake would.
+        # A class whose head's finish time has come but whose residue
+        # still misses the threshold (float rounding of the finish
+        # estimate) restarts its clock from now, as a fresh wake would.
         now = self.env.now
         while (finish := self._next_finish()) is not None and finish <= now:
-            flow = self._flows[heappop(self._due)[1]]
-            flow.remaining = flow.remaining_at(now)
-            flow.anchor = now
-            self._push_completion(flow, now)
+            cls = heappop(self._due)[3]
+            cls.advance(now)
+            self._rekey(cls)
         if self._flows:
             self._request_flush()
+
+
+def _finish_threshold(size: float, rate: float, quantum: float) -> float:
+    """Bytes below which a flow counts as complete.
+
+    Two components: an absolute/relative byte epsilon, and the bytes a
+    flow moves during one unit of *time resolution* ``quantum`` at the
+    current clock value — float residue smaller than that can never be
+    drained because ``now + eta == now``, which would wake-loop forever.
+    """
+    return max(_EPS * size + _EPS, rate * quantum)
+
+
+def _drained_members(cls: _Class, now: float, quantum: float) -> list[Flow]:
+    """Members of ``cls`` within their finish threshold at ``now``.
+
+    A member passes by its time term only if its target is within
+    ``rate * quantum`` of the clock, and by its byte term only if its
+    ``by_crossing`` key is at most the clock: the two heap prefixes below
+    those bounds (plus slack) hold every member that can pass.
+    """
+    served = cls.served_at(now)
+    rate = cls.rate
+    by_time = rate * quantum
+    slack = abs(served) * _SLACK
+    found: dict[int, Flow] = {}
+    for heap, bound in (
+        (cls.by_target, served + by_time * (1.0 + _SLACK) + slack),
+        (cls.by_crossing, served + slack),
+    ):
+        for flow in _heap_prefix(heap, bound):
+            if flow.target - served <= _finish_threshold(flow.size, rate, quantum):
+                found[flow.seq] = flow
+    return list(found.values())
+
+
+def _heap_prefix(heap: list[tuple], bound: float) -> Iterator[Flow]:
+    """The in-flight flows of the ``(key, seq, flow)`` entries of ``heap``
+    whose key is at most ``bound``; heap order prunes the rest."""
+    if not heap:
+        return
+    n = len(heap)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        key, _, flow = heap[i]
+        if key > bound:
+            continue
+        if flow.completed_at is None:
+            yield flow
+        child = 2 * i + 1
+        if child < n:
+            stack.append(child)
+            if child + 1 < n:
+                stack.append(child + 1)
+
+
+def _live_entries(heap: list[tuple]) -> list[tuple]:
+    """``heap`` without stale entries (their class moved on)."""
+    live = [entry for entry in heap if entry[2] == entry[3].version]
+    heapify(live)
+    return live
 
 
 def _admission_order(flow: Flow) -> int:

@@ -283,6 +283,12 @@ class Observer:
         self.registry.counter("network.links_touched").inc(links_touched)
         self.registry.counter("network.flows_solved").inc(flows_solved)
 
+    @property
+    def monitors_rates(self) -> bool:
+        """Whether a monitor consumes :meth:`on_rates_assigned`; the flow
+        network builds the flow list for it only then."""
+        return bool(self._mon_rates)
+
     def on_rates_assigned(self, flows: "Iterable[Flow]") -> None:
         """The allocator settled rates for the active flow set.
 

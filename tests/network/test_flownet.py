@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro import des
 from repro.network import FlowNetwork, Link
+from repro.network.flownet import _HEAP_SLACK
+from repro.obs import Observer
 
 
 def run_transfers(transfers):
@@ -288,3 +290,32 @@ def test_drained_flow_swept_before_new_admission():
     # claim half the link until the next wake-up.
     assert seen["active"] == ["new"]
     assert seen["rates"]["new"] == pytest.approx(1.0)
+
+
+def test_completion_heaps_hold_one_entry_per_class_not_per_flow():
+    """1,000 flows admitted in ten waves onto one link form one class:
+    the completion heaps stay bounded by the live class count, and the run
+    takes exactly as many DES events as it did with per-flow heaps."""
+    obs = Observer(metrics=["des"])
+    env = des.Environment()
+    obs.attach(env)
+    net = FlowNetwork(env)
+    link = Link("l", bandwidth=1e6)
+    peak = []
+
+    def record(_event):
+        bound = 2 * net._solver.n_classes + _HEAP_SLACK
+        peak.append(max(len(net._due), len(net._crossing)) - bound)
+
+    def admit_waves():
+        for wave in range(10):
+            for i in range(100):
+                size = 1e4 + 37.0 * (wave * 100 + i)
+                net.transfer(size, [link]).callbacks.append(record)
+            yield env.timeout(0.5)
+
+    env.process(admit_waves())
+    env.run()
+    assert len(net.completed) == 1000 and len(peak) == 1000
+    assert max(peak) <= 0
+    assert obs.registry.counter("des.events_processed").value == 2021

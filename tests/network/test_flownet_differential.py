@@ -121,6 +121,63 @@ def test_completion_times_and_order_match_reference_loop(name, reference, proble
     _assert_same_completions(got, want)
 
 
+@st.composite
+def class_groups(draw):
+    """Large same-class groups that stress the per-class service clock.
+
+    Up to 60 transfers over at most two link sets, mostly uncapped so
+    that most of them share a class; sizes log-uniform over 1 B..1e12 B,
+    so both the byte and the time term of the finish threshold decide
+    completions; and admissions staggered over six decades of time, so a
+    long-lived class has served many bytes when a small flow joins it.
+    """
+    n_links = draw(st.integers(min_value=1, max_value=3))
+    links = [
+        Link(
+            f"l{i}",
+            bandwidth=10 ** draw(st.floats(min_value=0.0, max_value=6.0)),
+            concurrency_penalty=draw(st.sampled_from([0.0, 0.0, 0.05])),
+        )
+        for i in range(n_links)
+    ]
+    routes = draw(
+        st.lists(
+            st.lists(
+                st.integers(0, n_links - 1), min_size=1, max_size=2, unique=True
+            ).map(tuple),
+            min_size=1, max_size=2,
+        )
+    )
+    transfers = []
+    for _ in range(draw(st.integers(min_value=1, max_value=60))):
+        transfers.append(
+            (
+                draw(
+                    st.sampled_from([0.0, 0.0, 1.0])
+                    | st.floats(-3.0, 6.0).map(lambda e: 10 ** e)
+                ),
+                10 ** draw(st.floats(min_value=0.0, max_value=12.0)),
+                draw(st.sampled_from(routes)),
+                draw(st.sampled_from([float("inf")] * 4 + [5.0])),
+                0.0,
+            )
+        )
+    return links, transfers
+
+
+@pytest.mark.parametrize(
+    "name,reference",
+    [("max-min", textbook_max_min_rates), ("equal-split", equal_split_rates)],
+)
+@settings(max_examples=40, deadline=None)
+@given(problem=class_groups())
+def test_service_clock_matches_reference_loop(name, reference, problem):
+    links, transfers = problem
+    want = _run(lambda env: OracleFlowNetwork(env, reference), links, transfers)
+    got = _run(lambda env: FlowNetwork(env, allocator=name), links, transfers)
+    _assert_same_completions(got, want)
+
+
 def test_same_instant_completions_follow_admission_not_fid():
     """A flow admitted later (its latency ran out later) finishes after
     one admitted earlier when both drain at the same instant."""

@@ -66,6 +66,24 @@ def test_monitored_run_is_bit_identical():
     assert monitored.to_json() == plain.to_json()
 
 
+def test_rate_feed_reaches_only_an_armed_observer(monkeypatch):
+    """The flow network builds the flow list for ``on_rates_assigned``
+    only when a monitor consumes it (that the armed feed still checks
+    link capacity is pinned by test_swarp_scenarios_report_zero_violations)."""
+    received = []
+    monkeypatch.setattr(
+        Observer, "on_rates_assigned", lambda self, flows: received.append(flows)
+    )
+    plain = Observer()
+    assert not plain.monitors_rates
+    run_swarp(n_pipelines=2, observer=plain)
+    assert received == []
+    monitored = Observer(monitors=True)
+    assert monitored.monitors_rates
+    run_swarp(n_pipelines=2, observer=monitored)
+    assert received
+
+
 # ----------------------------------------------------------------------
 # Seeded fault: an oversubscribing rate allocator
 # ----------------------------------------------------------------------

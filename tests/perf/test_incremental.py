@@ -32,6 +32,11 @@ def close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=_REL, abs_tol=1e-12)
 
 
+def changed_rates(classes) -> dict:
+    """``{fid: rate}`` for every member of the classes a solve returned."""
+    return {fid: cls.rate for cls in classes for fid in cls.members}
+
+
 def make_engine(capacities, allocator="incremental"):
     return ComponentSolver(
         static_capacity(capacities), resolve_allocator(allocator)
@@ -51,7 +56,7 @@ def test_admit_drain_bookkeeping():
     assert not engine.dirty
     engine.drain(1)
     assert 1 not in engine and engine.dirty
-    assert engine.solve() == {2: 100.0}
+    assert changed_rates(engine.solve()) == {2: 100.0}
 
 
 def test_admit_duplicate_fid_rejected():
@@ -76,26 +81,28 @@ def test_linkless_uncapped_flow_rejected():
 def test_linkless_capped_flow_gets_its_cap():
     engine = make_engine({})
     engine.admit(1, [], cap=42.0)
-    assert engine.solve() == {1: 42.0}
+    assert changed_rates(engine.solve()) == {1: 42.0}
 
 
 def test_solve_without_dirt_is_a_noop():
     engine = make_engine({"l": 100.0})
     engine.admit(1, ["l"])
     engine.solve()
-    assert engine.solve() == {}
+    assert engine.solve() == []
     assert engine.stats.solver_calls == 1
 
 
 def test_solve_reports_only_changed_rates():
-    # A capped flow joining a class whose rate is pinned at the cap: only
-    # the newcomer changes (from 0), the members keep theirs untouched.
+    # A capped flow joining a class whose rate is pinned at the cap: the
+    # class's rate does not change, so no class is reported, and the
+    # newcomer moves at the class's rate.
     engine = make_engine({"l": 100.0})
     engine.admit(1, ["l"], cap=10.0)
     engine.admit(2, ["l"], cap=10.0)
-    assert engine.solve() == {1: 10.0, 2: 10.0}
+    assert changed_rates(engine.solve()) == {1: 10.0, 2: 10.0}
     engine.admit(3, ["l"], cap=10.0)
-    assert engine.solve() == {3: 10.0}
+    assert engine.solve() == []
+    assert engine.rate(3) == 10.0
 
 
 def test_custom_allocator_sees_one_class_per_flow():
@@ -103,7 +110,7 @@ def test_custom_allocator_sees_one_class_per_flow():
     engine.admit(1, ["a"])
     engine.admit(2, ["a"])
     engine.admit(3, ["a", "b"])
-    assert engine.solve() == {1: 30.0, 2: 30.0, 3: 30.0}
+    assert changed_rates(engine.solve()) == {1: 30.0, 2: 30.0, 3: 30.0}
     assert engine.stats.flows_solved == 3
 
 
@@ -120,7 +127,7 @@ def test_untouched_component_is_not_recomputed():
     calls = engine.stats.solver_calls
 
     engine.admit(4, ["b"])
-    changed = engine.solve()
+    changed = changed_rates(engine.solve())
     # Only component {3, 4} was touched; flows 1/2 keep cached rates.
     assert set(changed) == {3, 4}
     assert engine.stats.solver_calls == calls + 1
