@@ -135,9 +135,7 @@ def write_chrome_trace(
 ) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(chrome_trace(observer, profile=profile), indent=1) + "\n"
-    )
+    path.write_text(json.dumps(chrome_trace(observer, profile=profile)) + "\n")
     return path
 
 

@@ -71,8 +71,9 @@ def write_events(
     """Write a complete event stream (header + records) as NDJSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(header(), sort_keys=True)]
-    lines.extend(json.dumps(e, sort_keys=True) for e in events)
+    encode = json.JSONEncoder(sort_keys=True).encode
+    lines = [encode(header())]
+    lines.extend(map(encode, events))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -288,7 +288,7 @@ def write_profile(profile: Profile, path: "str | Path") -> Path:
     """Write ``profile`` as a ``profile.json`` document."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(profile.to_doc(), indent=2) + "\n")
+    path.write_text(json.dumps(profile.to_doc()) + "\n")
     return path
 
 

@@ -319,3 +319,32 @@ def test_validator_flags_corrupted_profile(tmp_path):
     assert any("profile" in e for e in validate_obs_dir(out))
     (out / "profile.json").write_text("{not json")
     assert any("invalid JSON" in e for e in validate_obs_dir(out))
+
+
+def test_exported_files_parse_back_to_their_documents(tmp_path):
+    """The compact exports carry exactly the in-memory documents."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.obs.log import header
+
+    obs, profile = _profiled_run()
+    out = export_run(obs, tmp_path / "telemetry", profile=profile)
+    trace_doc = json.loads((out / "trace.json").read_text())
+    assert trace_doc == chrome_trace(obs, profile=profile)
+    assert json.loads((out / "profile.json").read_text()) == profile.to_doc()
+
+    lines = (out / "events.ndjson").read_text().splitlines()
+    assert obs.events
+    assert lines == [json.dumps(e, sort_keys=True) for e in [header(), *obs.events]]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.obs", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ok" in done.stdout

@@ -118,12 +118,16 @@ def test_live_enabled_overhead_within_two_percent(tmp_path):
     assert n_pushes > 0
 
     # Per-push steady-state cost, measured on a real bus with the flush
-    # disabled (its amortized share is covered by the 2x below).
+    # disabled (its amortized share is covered by the 2x below).  The
+    # min over repeats is the noise-robust estimate: scheduler and cache
+    # noise only ever add time to a sample.
     probe = LiveBus(tmp_path / "probe", ring_size=512, flush_every=10**9)
     loops = 50_000
     push_cost = (
-        timeit.timeit("probe.push({'kind': 'event', 'i': 0})",
-                      globals={"probe": probe}, number=loops)
+        min(
+            timeit.repeat("probe.push({'kind': 'event', 'i': 0})",
+                          globals={"probe": probe}, number=loops, repeat=5)
+        )
         / loops
     )
     probe.close()
