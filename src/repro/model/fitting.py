@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
+
+try:
+    from scipy.optimize import least_squares
+except ImportError as exc:
+    raise ImportError(
+        "repro.model.fitting needs scipy; install the fit extra: "
+        "pip install 'repro[fit]'"
+    ) from exc
 
 from repro.model.equations import observed_time
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from repro.workflow.model import TaskCategory, Workflow
 
 
@@ -25,6 +23,26 @@ class LintFinding:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.severity}] {self.code}: {self.message}"
+
+
+def _count_components(workflow: Workflow) -> int:
+    """Number of weakly connected components (union-find over the edges)."""
+    root = {name: name for name in workflow.tasks}
+
+    def find(name: str) -> str:
+        while root[name] != name:
+            root[name] = root[root[name]]
+            name = root[name]
+        return name
+
+    components = len(root)
+    for name in workflow.tasks:
+        for child in workflow.children(name):
+            a, b = find(name), find(child.name)
+            if a != b:
+                root[a] = b
+                components -= 1
+    return components
 
 
 def lint_workflow(
@@ -60,7 +78,7 @@ def lint_workflow(
 
     # Disconnected components (beyond one) often mean a typo'd file name.
     if len(workflow) > 1:
-        components = nx.number_weakly_connected_components(workflow.graph)
+        components = _count_components(workflow)
         if components > 1:
             findings.append(
                 LintFinding(

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -152,17 +151,59 @@ class Workflow:
             for f in task.inputs:
                 self._consumers.setdefault(f.name, []).append(task.name)
 
-        # Dependency graph.
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self.tasks)
+        # Dependency graph: ordered adjacency maps (dicts used as ordered
+        # sets), each edge recorded once, in first-insertion order.
+        self._parents: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
+        self._children: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
         for task in self.tasks.values():
             for f in task.inputs:
                 producer = self._producer.get(f.name)
                 if producer is not None and producer != task.name:
-                    self.graph.add_edge(producer, task.name)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            raise ValueError(f"workflow contains a cycle: {cycle}")
+                    self._children[producer][task.name] = None
+                    self._parents[task.name][producer] = None
+        self._generations = self._topological_generations()
+
+    def _topological_generations(self) -> list[list[str]]:
+        """Kahn's algorithm, one generation (DAG depth) at a time.
+
+        Generation ``k`` holds the tasks whose longest chain of ancestors
+        has ``k`` edges, in the order Kahn's pass reaches them.  Raises
+        ``ValueError`` naming a cycle if the graph is not acyclic.
+        """
+        indegree = {n: len(p) for n, p in self._parents.items() if p}
+        generation = [n for n, p in self._parents.items() if not p]
+        generations: list[list[str]] = []
+        while generation:
+            generations.append(generation)
+            ready: list[str] = []
+            for name in generation:
+                for child in self._children[name]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        ready.append(child)
+                        del indegree[child]
+            generation = ready
+        if indegree:
+            raise ValueError(
+                f"workflow contains a cycle: {self._find_cycle(indegree)}"
+            )
+        return generations
+
+    def _find_cycle(self, remaining: dict[str, int]) -> list[tuple[str, str]]:
+        """Edges of one cycle through the tasks Kahn's pass left behind.
+
+        Every task left behind has a parent that was left behind too, so
+        walking parents from any of them must revisit a task.
+        """
+        path: list[str] = []
+        index: dict[str, int] = {}
+        name = next(iter(remaining))
+        while name not in index:
+            index[name] = len(path)
+            path.append(name)
+            name = next(p for p in self._parents[name] if p in remaining)
+        cycle = path[index[name]:][::-1]  # each task is a parent of the next
+        return [(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)]
 
     # ------------------------------------------------------------------
     # Queries
@@ -188,34 +229,39 @@ class Workflow:
         return [self.tasks[n] for n in self._consumers.get(file_name, [])]
 
     def parents(self, task_name: str) -> list[Task]:
-        return [self.tasks[n] for n in self.graph.predecessors(task_name)]
+        return [self.tasks[n] for n in self._parents[task_name]]
 
     def children(self, task_name: str) -> list[Task]:
-        return [self.tasks[n] for n in self.graph.successors(task_name)]
+        return [self.tasks[n] for n in self._children[task_name]]
 
     def topological_order(self) -> list[Task]:
-        """Tasks in a valid execution order (deterministic)."""
-        return [
-            self.tasks[n]
-            for n in nx.lexicographical_topological_sort(self.graph)
-        ]
+        """Tasks in a valid execution order (deterministic).
+
+        Among the ready tasks, the smallest name always goes first: the
+        unique lexicographical topological order.
+        """
+        indegree = {n: len(p) for n, p in self._parents.items()}
+        ready = [n for n, d in indegree.items() if not d]
+        heapq.heapify(ready)
+        order: list[Task] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(self.tasks[name])
+            for child in self._children[name]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    heapq.heappush(ready, child)
+        return order
 
     def entry_tasks(self) -> list[Task]:
-        return [t for t in self.tasks.values() if self.graph.in_degree(t.name) == 0]
+        return [t for t in self.tasks.values() if not self._parents[t.name]]
 
     def exit_tasks(self) -> list[Task]:
-        return [t for t in self.tasks.values() if self.graph.out_degree(t.name) == 0]
+        return [t for t in self.tasks.values() if not self._children[t.name]]
 
     def levels(self) -> list[list[Task]]:
         """Tasks grouped by DAG depth (entry tasks = level 0)."""
-        depth: dict[str, int] = {}
-        for name in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(name))
-            depth[name] = 1 + max((depth[p] for p in preds), default=-1)
-        out: list[list[Task]] = [[] for _ in range(max(depth.values(), default=-1) + 1)]
-        for name, d in depth.items():
-            out[d].append(self.tasks[name])
-        return out
+        return [[self.tasks[n] for n in gen] for gen in self._generations]
 
     # ------------------------------------------------------------------
     # File classification
@@ -280,11 +326,11 @@ class Workflow:
     def critical_path_flops(self) -> float:
         """Largest cumulative flops along any dependency chain."""
         best: dict[str, float] = {}
-        for name in nx.topological_sort(self.graph):
-            preds = list(self.graph.predecessors(name))
-            best[name] = self.tasks[name].flops + max(
-                (best[p] for p in preds), default=0.0
-            )
+        for gen in self._generations:
+            for name in gen:
+                best[name] = self.tasks[name].flops + max(
+                    (best[p] for p in self._parents[name]), default=0.0
+                )
         return max(best.values(), default=0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

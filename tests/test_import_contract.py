@@ -1,0 +1,91 @@
+"""A simulation imports only the stdlib and numpy.
+
+Each check runs in a fresh interpreter whose import system refuses
+scipy and networkx, so it fails if any code path touches them, not just
+if they end up in ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+BLOCK = """
+import sys
+
+
+class _Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "networkx"):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+
+sys.meta_path.insert(0, _Refuse())
+"""
+
+
+def run_blocked(body: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", BLOCK + textwrap.dedent(body)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_simulation_paths_need_neither_scipy_nor_networkx():
+    proc = run_blocked(
+        """
+        import repro.scenarios
+        from repro import simulate
+        from repro.platform.presets import cori_spec
+        from repro.workflow.checks import lint_workflow
+        from repro.workflow.synthetic import make_fork_join
+        from repro.workflow.wfformat import workflow_from_wfformat, workflow_to_wfformat
+
+        assert repro.scenarios.run_genomes(n_chromosomes=2).makespan > 0
+        wf = make_fork_join(3)
+        assert simulate(cori_spec(n_compute=1, n_bb_nodes=1), wf).makespan > 0
+        lint_workflow(wf)
+        loaded = workflow_from_wfformat(workflow_to_wfformat(wf))
+        assert [t.name for t in loaded.topological_order()] == [
+            t.name for t in wf.topological_order()
+        ]
+        leaked = [m for m in ("scipy", "networkx") if m in sys.modules]
+        assert not leaked, leaked
+        print("ok")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_fit_helpers_name_the_fit_extra_without_scipy():
+    proc = run_blocked(
+        """
+        import repro.model
+        assert repro.model.amdahl_time(10.0, 2, 0.0) == 5.0
+        try:
+            from repro.model import fit_lambda_io
+        except ImportError as exc:
+            print(exc)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "repro[fit]" in proc.stdout
+
+
+def test_fit_helpers_resolve_lazily():
+    import repro.model
+    from repro.model import fitting
+
+    assert repro.model.fit_lambda_io is fitting.fit_lambda_io
+    assert repro.model.FitResult is fitting.FitResult

@@ -9,6 +9,7 @@ from repro.platform.spec import DiskSpec, HostSpec, LinkSpec, PlatformSpec, Rout
 from repro.traces import ExecutionTrace, IOOperation, TaskRecord
 from repro.workflow.synthetic import make_random_dag
 from repro.workflow.wfformat import workflow_from_wfformat, workflow_to_wfformat
+from tests.workflow.nx_view import digraph
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +100,7 @@ def test_wfformat_roundtrip_random_dags(n, seed):
     original = make_random_dag(n, seed=seed)
     loaded = workflow_from_wfformat(workflow_to_wfformat(original))
     assert set(loaded.tasks) == set(original.tasks)
-    assert sorted(loaded.graph.edges) == sorted(original.graph.edges)
+    assert sorted(digraph(loaded).edges) == sorted(digraph(original).edges)
     for name, task in original.tasks.items():
         other = loaded.task(name)
         # Flops go through seconds with float rounding; sizes are

@@ -6,6 +6,7 @@ from repro.platform.units import MiB
 from repro.workflow import TaskCategory, calibration as cal
 from repro.workflow.genomes import make_1000genomes
 from repro.workflow.swarp import make_swarp
+from tests.workflow.nx_view import digraph
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_genomes_chromosomes_are_independent():
     # No path between chr1 merge and chr2 overlap tasks.
     import networkx as nx
 
-    assert not nx.has_path(wf.graph, "individuals_merge_c1", "mutation_overlap_c2_ALL")
+    assert not nx.has_path(digraph(wf), "individuals_merge_c1", "mutation_overlap_c2_ALL")
 
 
 def test_genomes_validation():

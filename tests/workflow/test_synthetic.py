@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workflow.synthetic import make_chain, make_fork_join, make_random_dag
+from tests.workflow.nx_view import digraph
 
 
 # ----------------------------------------------------------------------
@@ -68,14 +69,14 @@ def test_random_dag_deterministic_in_seed():
     a = make_random_dag(20, seed=7)
     b = make_random_dag(20, seed=7)
     assert set(a.tasks) == set(b.tasks)
-    assert list(a.graph.edges) == list(b.graph.edges)
+    assert list(digraph(a).edges) == list(digraph(b).edges)
     assert a.data_footprint == b.data_footprint
 
 
 def test_random_dag_seeds_differ():
     a = make_random_dag(20, seed=1)
     b = make_random_dag(20, seed=2)
-    assert list(a.graph.edges) != list(b.graph.edges)
+    assert list(digraph(a).edges) != list(digraph(b).edges)
 
 
 def test_random_dag_validation():
@@ -92,7 +93,7 @@ def test_random_dag_always_valid(n, seed):
     constructor enforces the invariants; this checks none ever trip)."""
     wf = make_random_dag(n, seed=seed)
     assert len(wf) == n
-    assert nx.is_directed_acyclic_graph(wf.graph)
+    assert nx.is_directed_acyclic_graph(digraph(wf))
     # Every task beyond the first has at least one parent.
     for i in range(1, n):
         assert wf.parents(f"task_{i}")

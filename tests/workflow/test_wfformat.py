@@ -9,6 +9,7 @@ from repro.workflow import File, Task, Workflow
 from repro.workflow.genomes import make_1000genomes
 from repro.workflow.swarp import make_swarp
 from repro.workflow.wfformat import workflow_from_wfformat, workflow_to_wfformat
+from tests.workflow.nx_view import digraph
 
 
 def small_workflow():
@@ -50,7 +51,7 @@ def test_roundtrip_preserves_structure():
         assert l.cores == o.cores
         assert {f.name for f in l.inputs} == {f.name for f in o.inputs}
         assert {f.name for f in l.outputs} == {f.name for f in o.outputs}
-    assert list(loaded.graph.edges) == list(original.graph.edges)
+    assert list(digraph(loaded).edges) == list(digraph(original).edges)
 
 
 def test_roundtrip_via_file(tmp_path):
