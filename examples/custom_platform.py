@@ -16,7 +16,14 @@ from pathlib import Path
 from repro import des
 from repro.compute import ComputeService
 from repro.platform import Platform, platform_from_json, platform_to_json
-from repro.platform.spec import DiskSpec, HostSpec, LinkSpec, PlatformSpec, RouteSpec
+from repro.platform.spec import (
+    DiskSpec,
+    HostRole,
+    HostSpec,
+    LinkSpec,
+    PlatformSpec,
+    RouteSpec,
+)
 from repro.platform.units import GB, GFLOPS, MB, TB
 from repro.storage import BBMode, ParallelFileSystem, SharedBurstBuffer
 from repro.wms import (
@@ -30,9 +37,14 @@ from repro.workflow.swarp import make_swarp
 
 
 def custom_platform_spec() -> PlatformSpec:
-    """A hypothetical mid-size cluster: 4 nodes, 2 BB nodes, slow PFS."""
+    """A hypothetical mid-size cluster: 4 nodes, 2 BB nodes, slow PFS.
+
+    Every host declares its storage role; the simulator reads roles,
+    never host names.
+    """
     hosts = [
-        HostSpec(name=f"cn{i}", cores=16, core_speed=40 * GFLOPS)
+        HostSpec(name=f"cn{i}", cores=16, core_speed=40 * GFLOPS,
+                 role=HostRole.COMPUTE)
         for i in range(4)
     ]
     hosts += [
@@ -40,6 +52,7 @@ def custom_platform_spec() -> PlatformSpec:
             name=f"bb{i}",
             cores=1,
             core_speed=40 * GFLOPS,
+            role=HostRole.SHARED_BB,
             disks=(
                 DiskSpec("ssd", read_bandwidth=2 * GB, write_bandwidth=1.5 * GB,
                          capacity=3 * TB),
@@ -52,6 +65,7 @@ def custom_platform_spec() -> PlatformSpec:
             name="pfs",
             cores=1,
             core_speed=40 * GFLOPS,
+            role=HostRole.PFS,
             disks=(
                 DiskSpec("lustre", read_bandwidth=150 * MB,
                          write_bandwidth=150 * MB, capacity=1e15),
@@ -72,14 +86,15 @@ def custom_platform_spec() -> PlatformSpec:
 def run_with_placement(spec, placement, label: str) -> float:
     env = des.Environment()
     platform = Platform(env, spec)
-    hosts = [h.name for h in spec.hosts_matching("cn")]
+    hosts = [h.name for h in spec.hosts_with_role(HostRole.COMPUTE)]
+    bb_hosts = [h.name for h in spec.hosts_with_role(HostRole.SHARED_BB)]
     engine = WorkflowEngine(
         platform,
         make_swarp(n_pipelines=4, cores_per_task=4, include_stage_in=False),
         ComputeService(platform, hosts),
         ParallelFileSystem(platform),
         bb_for_host=lambda host: SharedBurstBuffer(
-            platform, ["bb0", "bb1"], BBMode.STRIPED
+            platform, bb_hosts, BBMode.STRIPED
         ),
         placement=placement,
         host_assignment=lambda task: hosts[hash(task.name) % len(hosts)],

@@ -3,7 +3,8 @@
 
 Runs SWarp on the Cori model through the facade three ways — default
 config, a config mapping (no imports of enums or dataclasses needed),
-and an A/B of the two max-min solvers — then exports telemetry.
+and an A/B of two bandwidth-sharing disciplines — then exports
+telemetry.
 
 Run:  python examples/simulate_api.py
 """
@@ -24,17 +25,19 @@ def main() -> None:
     print(f"striped (defaults):        makespan {result.makespan:7.2f}s  "
           f"{len(result.trace.events)} events")
 
-    # Any SimulatorConfig field can be given as a plain mapping; string
+    # Any repro.Config field can be given as a plain mapping; string
     # forms are accepted ("private" instead of BBMode.PRIVATE).
     result = repro.simulate(platform, workflow,
                             config={"bb_mode": "private",
                                     "input_fraction": 0.5})
     print(f"private, 50% staged:       makespan {result.makespan:7.2f}s")
 
-    # Solver A/B: the incremental engine re-solves only the dirty
-    # component per flow event — same model, same makespan, fewer solves
-    # (docs/PERF.md).  observer=True collects telemetry for the proof.
-    for allocator in ("max-min", "incremental"):
+    # Sharing A/B: the paper's max-min fair sharing against the
+    # equal-split ablation, which does not pass the capacity a flow
+    # limited elsewhere leaves on a link to that link's other flows.
+    # For this SWarp run the two agree.  observer=True collects the
+    # telemetry that counts the rate solves.
+    for allocator in ("max-min", "equal-split"):
         result = repro.simulate(platform, workflow, observer=True,
                                 config={"bb_mode": "private",
                                         "input_fraction": 0.5,

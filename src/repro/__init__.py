@@ -42,7 +42,6 @@ _API = {
     "Result": ("repro.api", "Result"),
     "Config": ("repro.config", "Config"),
     "Simulator": ("repro.simulator", "Simulator"),
-    "SimulatorConfig": ("repro.simulator", "SimulatorConfig"),
     "BBMode": ("repro.storage", "BBMode"),
     "build_profile": ("repro.profile", "build_profile"),
     "diff_profiles": ("repro.profile", "diff_profiles"),

@@ -18,14 +18,13 @@ like :class:`~repro.simulator.Simulator` — which does the actual work.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping
 
 from repro.config import Config
 from repro.obs import Observer
 from repro.platform import PlatformSpec
-from repro.simulator import Simulator, SimulatorConfig
+from repro.simulator import Simulator
 from repro.traces.events import ExecutionTrace
 from repro.workflow.model import Workflow
 
@@ -41,8 +40,8 @@ class Result:
     def __init__(
         self,
         trace: ExecutionTrace,
-        config: SimulatorConfig,
-        observer: Optional[Observer],
+        config: Config,
+        observer: "Observer | None",
         _simulator: Simulator,
     ) -> None:
         self.trace = trace
@@ -117,12 +116,10 @@ def simulate(
     platform: "PlatformSpec | str | Path",
     workflow: "Workflow | str | Path",
     *,
-    config: "Config | SimulatorConfig | Mapping[str, object] | str | Path | None" = None,
+    config: "Config | Mapping[str, object] | str | Path | None" = None,
     observer: "Observer | bool | None" = None,
     monitors: bool = False,
     live_dir: "str | Path | None" = None,
-    allocator: Optional[str] = None,
-    policy: Optional[str] = None,
 ) -> Result:
     """Simulate ``workflow`` on ``platform`` and return a :class:`Result`.
 
@@ -136,10 +133,9 @@ def simulate(
         JSON trace.
     config:
         Anything :meth:`repro.Config.from_any` accepts: a
-        :class:`~repro.config.Config`, a
-        :class:`~repro.simulator.SimulatorConfig`, a mapping of field
-        names (``bb_mode``, ``network_allocator``, ``monitors``, ...)
-        for quick literal configs, or a path to a JSON file of one.
+        :class:`~repro.config.Config`, a mapping of field names
+        (``bb_mode``, ``network_allocator``, ``monitors``, ...) for
+        quick literal configs, or a path to a JSON file of one.
     observer:
         An :class:`~repro.obs.Observer` to collect telemetry into;
         ``True`` creates one collecting the config's metric groups.
@@ -158,31 +154,8 @@ def simulate(
         directory while the run executes; tail it with
         ``repro-obs watch``.  The stream is closed when the run ends.
         Equivalent to ``Config.live_dir``.
-    allocator:
-        Deprecated — set ``Config.network_allocator`` instead.
-    policy:
-        Deprecated — set ``Config.queue_policy`` instead.
     """
     cfg = Config.from_any(config)
-    overridden = False
-    if allocator is not None:
-        warnings.warn(
-            "simulate(allocator=...) is deprecated; set "
-            "Config.network_allocator instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        cfg = cfg.replace(network_allocator=allocator)
-        overridden = True
-    if policy is not None:
-        warnings.warn(
-            "simulate(policy=...) is deprecated; set Config.queue_policy "
-            "instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        cfg = cfg.replace(queue_policy=policy)
-        overridden = True
     if monitors:
         cfg = cfg.replace(monitors=True)
     if live_dir is not None:
@@ -201,16 +174,7 @@ def simulate(
         from repro.obs import LiveBus
 
         observer.attach_bus(LiveBus(cfg.live_dir))
-    # Preserve object identity for callers that pass a SimulatorConfig
-    # (Result.config is their exact instance unless a deprecated
-    # keyword rewrote a model knob).
-    if isinstance(config, SimulatorConfig) and not overridden:
-        sim_config = config
-    else:
-        sim_config = cfg.to_simulator_config()
-    simulator = Simulator(
-        platform, workflow, config=sim_config, observer=observer
-    )
+    simulator = Simulator(platform, workflow, config=cfg, observer=observer)
     trace = simulator.run()
     if observer is not None and observer.bus is not None:
         observer.bus.close()

@@ -24,14 +24,12 @@ class ComputeService:
     def __init__(
         self,
         platform: Platform,
-        hosts: Optional[list[str]] = None,
+        hosts: list[str],
         use_amdahl_alpha: bool = False,
         queue_policy: "str | object | None" = None,
     ) -> None:
         self.platform = platform
         self.env: Environment = platform.env
-        if hosts is None:
-            hosts = [h for h in platform.hosts if h.startswith("cn")]
         if not hosts:
             raise ValueError("compute service needs at least one host")
         self.queue_policy = queue_policy

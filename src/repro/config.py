@@ -1,29 +1,21 @@
-"""The v2 configuration surface: one typed object for a whole run.
+"""The configuration of a run: one typed object for every knob.
 
-Historically the knobs of a run were scattered: model knobs lived in
-:class:`~repro.simulator.SimulatorConfig`, observability switches were
-keyword arguments of :func:`repro.simulate` (``monitors=``,
-``live_dir=``), CLI flags of ``repro-simulate`` (``--obs-dir``,
-``--profile``), and ad-hoc mappings.  :class:`Config` subsumes them:
+:class:`Config` holds
 
-* the *model* knobs — exactly :class:`SimulatorConfig`'s fields
-  (``bb_mode``, the placement fractions, ``use_amdahl_alpha``,
-  ``network_allocator``, ``queue_policy``);
+* the *model* knobs — ``bb_mode``, the placement fractions,
+  ``use_amdahl_alpha``, ``network_allocator``, ``queue_policy``;
 * the *observability* knobs — whether to observe, which metric groups,
   whether to run the invariant monitors, where to stream live
   telemetry, where to export the bundle, whether to build the
   critical-path profile.
 
 :meth:`Config.from_any` is the single coercion path: it accepts a
-``Config``, a ``SimulatorConfig``, a plain mapping (the historical
-``simulate(config={...})`` shape), a path to a JSON file, or ``None``,
-and always returns a :class:`Config`.  ``repro.simulate()``,
-``repro-simulate``, and the experiment modules all funnel through it,
-so a configuration written once works everywhere.
-
-String ``bb_mode`` values are coerced silently here — this is the
-blessed front door — whereas passing them straight to
-``SimulatorConfig`` now earns a :class:`DeprecationWarning`.
+``Config``, a plain mapping (``simulate(config={...})``), a path to a
+JSON file, or ``None``, and always returns a :class:`Config`.
+:class:`~repro.simulator.Simulator`, ``repro.simulate()``,
+``repro-simulate`` and the experiment modules all take one, so a
+configuration written once works everywhere.  String ``bb_mode`` values
+are coerced to :class:`~repro.storage.BBMode`.
 """
 
 from __future__ import annotations
@@ -40,44 +32,31 @@ from repro.wms.policies import DEFAULT_POLICY, policy_names, resolve_policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observer
-    from repro.simulator import SimulatorConfig
 
 #: Schema tag serialized by :meth:`Config.to_doc`.
 CONFIG_SCHEMA = "repro.api.config/2"
-
-#: Model-knob field names (the ``SimulatorConfig`` subset), in order.
-_MODEL_FIELDS = (
-    "bb_mode",
-    "input_fraction",
-    "intermediate_fraction",
-    "output_fraction",
-    "use_amdahl_alpha",
-    "network_allocator",
-    "queue_policy",
-)
-
-#: Observability-switch field names.
-_OBS_FIELDS = (
-    "observe",
-    "metrics",
-    "monitors",
-    "live_dir",
-    "obs_dir",
-    "profile",
-)
 
 
 @dataclass
 class Config:
     """Every knob of one simulation run, model and observability alike."""
 
-    # --- model knobs (mirror SimulatorConfig field for field) ---------
+    # --- model knobs -------------------------------------------------
     bb_mode: BBMode = BBMode.STRIPED
     input_fraction: float = 1.0
     intermediate_fraction: float = 1.0
     output_fraction: float = 0.0
+    #: Honor per-task Amdahl alphas instead of Eq. (4)'s perfect speedup.
     use_amdahl_alpha: bool = False
+    #: Named bandwidth-sharing discipline for the flow network (see
+    #: :func:`repro.network.allocator_names`); ``"incremental"`` and
+    #: ``"vectorized"`` are aliases of ``"max-min"``.
     network_allocator: str = DEFAULT_ALLOCATOR
+    #: Named queueing discipline for the core allocators (and, in the
+    #: contended scenarios, the BB provisioner) — see
+    #: :func:`repro.wms.policy_names`.  ``"fifo"`` is the paper's
+    #: model; the backfill/plan policies consume the walltime estimates
+    #: the engine threads through.
     queue_policy: str = DEFAULT_POLICY
 
     # --- observability switches ---------------------------------------
@@ -95,7 +74,6 @@ class Config:
     profile: bool = False
 
     def __post_init__(self) -> None:
-        # The blessed coercion point: strings become enums quietly.
         self.bb_mode = BBMode(self.bb_mode)
         if self.queue_policy not in policy_names():
             resolve_policy(self.queue_policy)  # raises with the choices
@@ -112,23 +90,19 @@ class Config:
     @classmethod
     def from_any(
         cls,
-        value: "Config | SimulatorConfig | Mapping[str, Any] | str | Path | None",
+        value: "Config | Mapping[str, Any] | str | Path | None",
     ) -> "Config":
         """Coerce any accepted configuration shape to a :class:`Config`.
 
-        ``None`` → defaults; ``Config`` passes through unchanged;
-        ``SimulatorConfig`` lifts the model knobs (observability stays
-        off); a mapping may mix model and observability keys; a path
-        names a JSON file holding such a mapping.
+        ``None`` → defaults; ``Config`` passes through unchanged; a
+        mapping may mix model and observability keys (a :meth:`to_doc`
+        document, or a v1 manifest's model-only config); a path names a
+        JSON file holding such a mapping.
         """
-        from repro.simulator import SimulatorConfig
-
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, SimulatorConfig):
-            return cls(**{f: getattr(value, f) for f in _MODEL_FIELDS})
         if isinstance(value, (str, Path)):
             doc = json.loads(Path(value).read_text())
             if not isinstance(doc, dict):
@@ -138,7 +112,7 @@ class Config:
                 )
             return cls.from_any(doc)
         if isinstance(value, Mapping):
-            known = set(_MODEL_FIELDS) | set(_OBS_FIELDS)
+            known = {f.name for f in fields(cls)}
             extra = set(value) - known - {"schema"}
             if extra:
                 raise TypeError(
@@ -151,14 +125,8 @@ class Config:
         )
 
     # ------------------------------------------------------------------
-    # Projections
+    # Observation
     # ------------------------------------------------------------------
-    def to_simulator_config(self) -> "SimulatorConfig":
-        """The model-knob subset as a :class:`SimulatorConfig`."""
-        from repro.simulator import SimulatorConfig
-
-        return SimulatorConfig(**{f: getattr(self, f) for f in _MODEL_FIELDS})
-
     def wants_observer(self) -> bool:
         """Whether any switch requires the run to be observed."""
         return bool(
@@ -198,7 +166,7 @@ class Config:
     # Serialization (the manifest v2 form)
     # ------------------------------------------------------------------
     def to_doc(self) -> dict[str, Any]:
-        """JSON-ready document; ``from_doc`` round-trips it exactly."""
+        """JSON-ready document; :meth:`from_any` round-trips it exactly."""
         doc: dict[str, Any] = {"schema": CONFIG_SCHEMA}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -208,12 +176,3 @@ class Config:
                 value = list(value)
             doc[f.name] = value
         return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Config":
-        """Rebuild a :class:`Config` from :meth:`to_doc` output.
-
-        Also reads the *v1* manifest config shape (model knobs only, no
-        ``schema`` tag) — old manifests stay loadable forever.
-        """
-        return cls.from_any(doc)

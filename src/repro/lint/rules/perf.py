@@ -46,7 +46,7 @@ class NoDirectFairShareCalls(Rule):
     rationale = (
         "Calling max_min_fair_rates directly hard-codes one bandwidth-"
         "sharing discipline: the run can no longer be switched to "
-        "equal-split or another allocator from a SimulatorConfig, "
+        "equal-split or another allocator from a Config, "
         "a sweep point, or --network-allocator, and the call is "
         "invisible to the network.solver_calls telemetry.  Rates belong "
         "to FlowNetwork; solver choice belongs to the allocator "

@@ -2,7 +2,7 @@
 
 :class:`~repro.network.FlowNetwork` used to take a bare function for its
 ``allocator`` knob, which made the choice impossible to express in a
-``SimulatorConfig``, a sweep point, or a CLI flag.  This module gives the
+:class:`~repro.config.Config`, a sweep point, or a CLI flag.  This module gives the
 knob a name: an allocator is any callable satisfying the
 :class:`RateAllocator` protocol, registered under a short string id that
 configs and CLIs can carry.

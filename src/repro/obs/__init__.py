@@ -59,7 +59,6 @@ from repro.obs.manifest import (
     MANIFEST_SCHEMA_V2,
     build_manifest,
     config_from_manifest,
-    config_v2_from_manifest,
     platform_digest,
     write_manifest,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "build_manifest",
     "chrome_trace",
     "config_from_manifest",
-    "config_v2_from_manifest",
     "export_run",
     "iter_ndjson",
     "make_event",

@@ -1,7 +1,7 @@
 """Run manifests: the provenance record exported next to telemetry.
 
 A manifest captures *what produced* a telemetry directory — the exact
-:class:`~repro.simulator.SimulatorConfig`, a digest of the platform
+:class:`~repro.config.Config` of the run, a digest of the platform
 description, workflow identity, simulator version, and headline results
 — so any figure or trace can be traced back to its inputs and
 regenerated.  Manifests are deliberately wall-clock-free: two runs of
@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro import __version__
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import Config
     from repro.obs.observer import Observer
     from repro.platform.spec import PlatformSpec
-    from repro.simulator import SimulatorConfig
     from repro.traces.events import ExecutionTrace
     from repro.workflow.model import Workflow
 
@@ -49,7 +49,7 @@ def platform_digest(spec: "PlatformSpec") -> str:
 
 def build_manifest(
     *,
-    config: "Optional[SimulatorConfig]" = None,
+    config: "Optional[Config]" = None,
     platform: "Optional[PlatformSpec]" = None,
     workflow: "Optional[Workflow]" = None,
     trace: "Optional[ExecutionTrace]" = None,
@@ -62,10 +62,8 @@ def build_manifest(
         "simulator_version": __version__,
     }
     if config is not None:
-        from repro.config import Config
-
         doc["schema"] = MANIFEST_SCHEMA_V2
-        doc["config"] = Config.from_any(config).to_doc()
+        doc["config"] = config.to_doc()
     if platform is not None:
         doc["platform"] = {
             "digest": platform_digest(platform),
@@ -93,24 +91,12 @@ def build_manifest(
     return doc
 
 
-def config_from_manifest(doc: dict[str, Any]) -> "SimulatorConfig":
-    """Reconstruct the exact :class:`SimulatorConfig` a manifest records.
+def config_from_manifest(doc: dict[str, Any]) -> "Config":
+    """The exact :class:`~repro.config.Config` a manifest records.
 
-    Reads both the v1 layout (flat ``SimulatorConfig`` fields) and the
-    v2 layout (:meth:`repro.config.Config.to_doc`, which adds the
-    observability switches); only the model knobs are returned.  Use
-    :func:`config_v2_from_manifest` to keep the full v2 object.
-    """
-    from repro.config import Config
-
-    return Config.from_any(dict(doc["config"])).to_simulator_config()
-
-
-def config_v2_from_manifest(doc: dict[str, Any]) -> "Any":
-    """The full :class:`repro.config.Config` a manifest records.
-
-    v1 manifests yield a :class:`~repro.config.Config` with the model
-    knobs set and every observability switch at its default.
+    Reads both the v2 layout (:meth:`repro.config.Config.to_doc`) and
+    the v1 layout (model knobs only), whose observability switches come
+    back at their defaults.
     """
     from repro.config import Config
 

@@ -18,8 +18,6 @@ from repro.platform.spec import (
     LinkSpec,
     PlatformSpec,
     RouteSpec,
-    infer_host_roles,
-    infer_role,
 )
 from repro.platform.runtime import Platform
 from repro.platform.serialization import platform_from_json, platform_to_json
@@ -34,8 +32,6 @@ __all__ = [
     "Platform",
     "PlatformSpec",
     "RouteSpec",
-    "infer_host_roles",
-    "infer_role",
     "platform_from_json",
     "platform_to_json",
     "presets",

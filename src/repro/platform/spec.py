@@ -3,38 +3,21 @@
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
 class HostRole(str, enum.Enum):
     """What a host *is* in the storage/compute topology.
 
-    Historically the simulator inferred roles from name prefixes
-    (``cn*`` compute, ``bb*`` shared burst buffer, ``*-bb`` node-local
-    burst buffer, ``pfs`` the parallel file system).  Roles make that
-    contract explicit so platforms are free to name hosts anything;
-    :func:`infer_host_roles` upgrades legacy, name-convention specs.
+    Every host a simulation runs on declares one, so platforms are free
+    to name hosts anything.
     """
 
     COMPUTE = "compute"
     SHARED_BB = "shared_bb"
     LOCAL_BB = "local_bb"
     PFS = "pfs"
-
-
-def infer_role(name: str) -> Optional[HostRole]:
-    """Role implied by the legacy name conventions, or ``None``."""
-    if name == "pfs":
-        return HostRole.PFS
-    if name.endswith("-bb"):
-        return HostRole.LOCAL_BB
-    if name.startswith("bb"):
-        return HostRole.SHARED_BB
-    if name.startswith("cn"):
-        return HostRole.COMPUTE
-    return None
 
 
 @dataclass(frozen=True)
@@ -67,9 +50,8 @@ class HostSpec:
     """A machine: cores, per-core speed, RAM, and locally attached disks.
 
     ``role`` declares the host's function in the storage topology (see
-    :class:`HostRole`); ``None`` means "unspecified" and the simulator
-    falls back to the legacy name-prefix inference with a
-    ``DeprecationWarning``.  ``attached_to`` names the compute host a
+    :class:`HostRole`); ``None`` means "unspecified", which the
+    simulator rejects.  ``attached_to`` names the compute host a
     ``local_bb`` host serves (its NVMe sits on that node's PCIe bus).
     """
 
@@ -211,10 +193,6 @@ class PlatformSpec:
                 return l
         raise KeyError(f"no link named {name!r}")
 
-    def hosts_matching(self, prefix: str) -> list[HostSpec]:
-        """All hosts whose name starts with ``prefix`` (e.g. ``"cn"``)."""
-        return [h for h in self.hosts if h.name.startswith(prefix)]
-
     def hosts_with_role(self, role: "HostRole | str") -> list[HostSpec]:
         """All hosts declaring ``role`` (explicit roles only)."""
         role = HostRole(role)
@@ -229,47 +207,3 @@ class PlatformSpec:
     def total_cores(self) -> int:
         return sum(h.cores for h in self.hosts)
 
-
-def infer_host_roles(spec: PlatformSpec, warn: bool = True) -> PlatformSpec:
-    """Fill missing host roles from the legacy name conventions.
-
-    Returns a new spec in which every host carries an explicit
-    :class:`HostRole` (hosts that already declare one are untouched;
-    a ``local_bb`` host additionally gets ``attached_to`` derived from
-    its ``<cn>-bb`` name).  Emits a ``DeprecationWarning`` when any
-    role had to be inferred — platform descriptions should declare
-    roles explicitly.
-
-    Raises
-    ------
-    ValueError
-        If a host's role can be neither read nor inferred.
-    """
-    if spec.has_roles:
-        return spec
-    inferred: list[str] = []
-    hosts = []
-    for h in spec.hosts:
-        if h.role is not None:
-            hosts.append(h)
-            continue
-        role = infer_role(h.name)
-        if role is None:
-            raise ValueError(
-                f"host {h.name!r} has no role and none can be inferred from "
-                "its name; declare role=compute|shared_bb|local_bb|pfs"
-            )
-        attached = h.attached_to
-        if role is HostRole.LOCAL_BB and attached is None:
-            attached = h.name[: -len("-bb")]
-        hosts.append(replace(h, role=role, attached_to=attached))
-        inferred.append(h.name)
-    if warn and inferred:
-        warnings.warn(
-            "platform relies on host-name conventions to assign storage "
-            f"roles (inferred for: {', '.join(inferred)}); declare an "
-            "explicit 'role' on each host instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return replace(spec, hosts=tuple(hosts))

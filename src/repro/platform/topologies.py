@@ -18,7 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.platform.spec import DiskSpec, HostSpec, LinkSpec, PlatformSpec, RouteSpec
+from repro.platform.spec import (
+    DiskSpec,
+    HostRole,
+    HostSpec,
+    LinkSpec,
+    PlatformSpec,
+    RouteSpec,
+)
 from repro.platform.units import GB, GFLOPS, MB, US
 
 
@@ -81,6 +88,7 @@ def build_fat_tree(
                     cores=node.cores,
                     core_speed=node.core_speed,
                     ram=node.ram,
+                    role=HostRole.COMPUTE,
                 )
             )
             link = LinkSpec(
@@ -103,6 +111,7 @@ def build_fat_tree(
             name="pfs",
             cores=1,
             core_speed=node.core_speed,
+            role=HostRole.PFS,
             disks=(
                 DiskSpec(
                     "lustre",
@@ -189,6 +198,7 @@ def build_dragonfly(
                     cores=node.cores,
                     core_speed=node.core_speed,
                     ram=node.ram,
+                    role=HostRole.COMPUTE,
                 )
             )
 
@@ -208,6 +218,7 @@ def build_dragonfly(
             name="pfs",
             cores=1,
             core_speed=node.core_speed,
+            role=HostRole.PFS,
             disks=(
                 DiskSpec(
                     "lustre",

@@ -14,31 +14,22 @@ trace), pick a burst-buffer configuration, and run.  The CLI wrapper is
 
 Storage roles come from each host's explicit
 :class:`~repro.platform.HostRole` (``compute``, ``shared_bb``,
-``local_bb``, ``pfs``).  Legacy descriptions that rely on the historical
-name conventions (``cn*``, ``bb*``, ``*-bb``, ``pfs``) still work:
-roles are inferred with a ``DeprecationWarning`` via
-:func:`~repro.platform.infer_host_roles`.
+``local_bb``, ``pfs``); a platform with a role-less host is rejected.
+The run is configured by one :class:`~repro.config.Config`.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro import des
 from repro.compute import ComputeService
+from repro.config import Config
 from repro.network import DEFAULT_ALLOCATOR, allocator_names
 from repro.obs import Observer
-from repro.platform import (
-    HostRole,
-    Platform,
-    PlatformSpec,
-    infer_host_roles,
-    platform_from_json,
-)
+from repro.platform import HostRole, Platform, PlatformSpec, platform_from_json
 from repro.storage import (
     BBMode,
     OnNodeBurstBuffer,
@@ -48,48 +39,9 @@ from repro.storage import (
 )
 from repro.traces.events import ExecutionTrace
 from repro.wms import EngineConfig, FractionPlacement, WorkflowEngine
-from repro.wms.policies import DEFAULT_POLICY, policy_names, resolve_policy
+from repro.wms.policies import DEFAULT_POLICY, policy_names
 from repro.workflow.model import Workflow
 from repro.workflow.wfformat import workflow_from_wfformat
-
-
-@dataclass
-class SimulatorConfig:
-    """Knobs of one simulation run."""
-
-    bb_mode: BBMode = BBMode.STRIPED
-    input_fraction: float = 1.0
-    intermediate_fraction: float = 1.0
-    output_fraction: float = 0.0
-    #: Honor per-task Amdahl alphas instead of Eq. (4)'s perfect speedup.
-    use_amdahl_alpha: bool = False
-    #: Named bandwidth-sharing discipline for the flow network (see
-    #: :func:`repro.network.allocator_names`); ``"incremental"`` and
-    #: ``"vectorized"`` are aliases of ``"max-min"``.
-    network_allocator: str = DEFAULT_ALLOCATOR
-    #: Named queueing discipline for the core allocators (and, in the
-    #: contended scenarios, the BB provisioner) — see
-    #: :func:`repro.wms.policy_names`.  ``"fifo"`` is the historical,
-    #: byte-identical default; the backfill/plan policies consume the
-    #: walltime estimates the engine threads through.
-    queue_policy: str = DEFAULT_POLICY
-
-    def __post_init__(self) -> None:
-        # The string forms ("private"/"striped") still coerce, but the
-        # blessed string-accepting surface is now repro.Config — warn so
-        # mapping-built SimulatorConfigs migrate there.
-        if not isinstance(self.bb_mode, BBMode):
-            warnings.warn(
-                "passing bb_mode as a string to SimulatorConfig is "
-                "deprecated; pass a BBMode enum, or build the run "
-                "through repro.Config (which accepts the string forms)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        self.bb_mode = BBMode(self.bb_mode)
-        # Fail fast on unknown policy names (same contract as BBMode).
-        if self.queue_policy not in policy_names():
-            resolve_policy(self.queue_policy)  # raises with the choices
 
 
 class Simulator:
@@ -99,26 +51,24 @@ class Simulator:
         self,
         platform: "PlatformSpec | str | Path",
         workflow: "Workflow | str | Path",
-        config: "SimulatorConfig | None" = None,
+        config: "Config | Mapping[str, Any] | str | Path | None" = None,
         observer: Optional[Observer] = None,
     ) -> None:
-        if config is not None and not isinstance(config, SimulatorConfig):
-            # Accept a repro.Config (or anything Config.from_any does)
-            # and keep only the model knobs — observability switches are
-            # the caller's concern at this layer.
-            from repro.config import Config
-
-            config = Config.from_any(config).to_simulator_config()
         if not isinstance(platform, PlatformSpec):
             platform = platform_from_json(platform)
         if not isinstance(workflow, Workflow):
             workflow = workflow_from_wfformat(workflow)
-        # Legacy descriptions carry no roles; infer them from the name
-        # conventions (DeprecationWarning) so discovery below is uniform.
-        platform = infer_host_roles(platform)
+        if not platform.has_roles:
+            roleless = [h.name for h in platform.hosts if h.role is None]
+            raise ValueError(
+                f"hosts without a role: {', '.join(roleless)}; declare "
+                "role=compute|shared_bb|local_bb|pfs on every host"
+            )
         self.spec = platform
         self.workflow = workflow
-        self.config = config or SimulatorConfig()
+        #: The run's configuration; the model knobs are read off it and
+        #: the manifest records it whole.
+        self.config = Config.from_any(config)
         #: Optional telemetry sink; attached to the run's environment
         #: before any service is built, so every sample is captured.
         self.observer = observer
@@ -305,8 +255,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.config import Config
-
     groups = (
         tuple(g.strip() for g in args.obs_metrics.split(",") if g.strip())
         if args.obs_metrics
@@ -330,7 +278,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     simulator = Simulator(
         Path(args.platform),
         Path(args.workflow),
-        config.to_simulator_config(),
+        config,
         observer=observer,
     )
     trace = simulator.run()

@@ -9,15 +9,12 @@ from a requested capacity to the set of BB nodes backing it, which is
 exactly the striping width a :class:`SharedBurstBuffer` then uses.
 
 BB nodes are discovered through each host's declared
-:class:`~repro.platform.HostRole` (``shared_bb``); legacy platforms
-that only follow the ``bb*`` name convention still work, with a
-``DeprecationWarning``.
+:class:`~repro.platform.HostRole` (``shared_bb``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -36,28 +33,10 @@ DEFAULT_GRANULARITY = 20 * GiB
 
 
 def discover_bb_hosts(platform: Platform) -> list[str]:
-    """The platform's shared-BB nodes, by declared role.
-
-    Hosts declaring ``role=shared_bb`` are authoritative.  When none
-    do, the legacy ``bb*`` name convention is used as a fallback with a
-    ``DeprecationWarning`` — platform descriptions should declare roles
-    explicitly (PR 4's :func:`~repro.platform.infer_host_roles`).
-    """
-    declared = sorted(
+    """The platform's shared-BB nodes (``role=shared_bb``), by name."""
+    return sorted(
         h.name for h in platform.spec.hosts if h.role is HostRole.SHARED_BB
     )
-    if declared:
-        return declared
-    legacy = sorted(h for h in platform.hosts if h.startswith("bb"))
-    if legacy:
-        warnings.warn(  # lint: ignore[SIM080] — deprecation must reach callers with no observer attached
-            "no host declares role=shared_bb; falling back to the legacy "
-            f"'bb*' name convention (matched: {', '.join(legacy)}) — "
-            "declare explicit host roles instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return legacy
 
 
 @dataclass(frozen=True)

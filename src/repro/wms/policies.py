@@ -5,7 +5,7 @@ PR 5's :class:`~repro.storage.provisioning.BBProvisioner` and the
 FIFO over their request queues, so every contended scenario inherited
 one queueing discipline.  This module gives the discipline a name —
 mirroring the :mod:`repro.network.allocators` registry — so configs,
-sweeps, and CLIs can carry it (``SimulatorConfig.queue_policy``,
+sweeps, and CLIs can carry it (``Config.queue_policy``,
 ``repro-simulate --queue-policy``).
 
 Built-in policies:

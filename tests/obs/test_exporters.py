@@ -149,10 +149,10 @@ def test_export_run_counter_only_registry(tmp_path):
 # Manifests
 # ----------------------------------------------------------------------
 def test_manifest_roundtrips_config():
-    from repro.simulator import SimulatorConfig
+    from repro.config import Config
     from repro.storage import BBMode
 
-    config = SimulatorConfig(
+    config = Config(
         bb_mode=BBMode.PRIVATE,
         input_fraction=0.5,
         intermediate_fraction=0.25,
@@ -253,12 +253,12 @@ def _profiled_run():
 
 
 def test_export_run_with_profile_round_trips(tmp_path):
+    from repro.config import Config
     from repro.obs import validate_profile_doc
     from repro.profile import read_profile
-    from repro.simulator import SimulatorConfig
 
     obs, profile = _profiled_run()
-    config = SimulatorConfig(input_fraction=1.0)
+    config = Config(input_fraction=1.0)
     out = export_run(
         obs, tmp_path / "telemetry",
         manifest=build_manifest(config=config, observer=obs),

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.config import Config
 from repro.obs import (
     Observer,
     chrome_trace,
@@ -20,7 +21,7 @@ from repro.obs import (
 )
 from repro.platform.presets import cori_spec
 from repro.scenarios import run_swarp
-from repro.simulator import Simulator, SimulatorConfig
+from repro.simulator import Simulator
 from repro.storage import BBMode
 from repro.workflow.swarp import make_swarp
 
@@ -74,7 +75,7 @@ def test_scenario_trace_exports_valid(observed_run, tmp_path_factory):
 
 
 def test_simulator_export_telemetry_roundtrips_config(tmp_path):
-    config = SimulatorConfig(bb_mode=BBMode.PRIVATE, output_fraction=1.0)
+    config = Config(bb_mode=BBMode.PRIVATE, output_fraction=1.0)
     simulator = Simulator(
         cori_spec(n_compute=1, n_bb_nodes=2),
         make_swarp(n_pipelines=1),

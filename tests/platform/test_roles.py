@@ -1,6 +1,4 @@
-"""Tests for explicit host roles and legacy name-convention inference."""
-
-import warnings
+"""Tests for explicit host roles."""
 
 import pytest
 
@@ -9,8 +7,6 @@ from repro.platform import (
     HostRole,
     HostSpec,
     PlatformSpec,
-    infer_host_roles,
-    infer_role,
     platform_from_json,
     platform_to_json,
 )
@@ -19,24 +15,6 @@ from repro.platform.presets import cori_spec, summit_spec
 
 def host(name, **kwargs):
     return HostSpec(name=name, cores=4, core_speed=1e9, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# infer_role: the legacy naming contract, now in one place
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "name,expected",
-    [
-        ("pfs", HostRole.PFS),
-        ("cn0", HostRole.COMPUTE),
-        ("cn12", HostRole.COMPUTE),
-        ("bb0", HostRole.SHARED_BB),
-        ("cn0-bb", HostRole.LOCAL_BB),
-        ("login1", None),
-    ],
-)
-def test_infer_role(name, expected):
-    assert infer_role(name) is expected
 
 
 # ----------------------------------------------------------------------
@@ -73,30 +51,19 @@ def test_hosts_with_role_and_has_roles():
 
 
 # ----------------------------------------------------------------------
-# infer_host_roles: the legacy upgrade path
+# The simulator reads roles, never host names
 # ----------------------------------------------------------------------
-def test_infer_host_roles_fills_and_warns():
-    spec = PlatformSpec("p", hosts=[host("cn0"), host("cn0-bb"), host("pfs")])
-    with pytest.warns(DeprecationWarning, match="host-name conventions"):
-        upgraded = infer_host_roles(spec)
-    assert upgraded.has_roles
-    assert upgraded.host("cn0").role is HostRole.COMPUTE
-    local = upgraded.host("cn0-bb")
-    assert local.role is HostRole.LOCAL_BB
-    assert local.attached_to == "cn0"
-
-
-def test_infer_host_roles_noop_when_explicit():
-    spec = PlatformSpec("p", hosts=[host("anything", role="compute")])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert infer_host_roles(spec) is spec
-
-
 def test_infer_host_roles_rejects_uninferrable_names():
-    spec = PlatformSpec("p", hosts=[host("login1")])
-    with pytest.raises(ValueError, match="no role and none can be inferred"):
-        infer_host_roles(spec)
+    """Every role-less host is named in the error, including one whose
+    name looks like a compute node's."""
+    from repro.simulator import Simulator
+    from repro.workflow.swarp import make_swarp
+
+    spec = PlatformSpec(
+        "p", hosts=[host("login1"), host("cn0"), host("pfs", role="pfs")]
+    )
+    with pytest.raises(ValueError, match="without a role: login1, cn0;"):
+        Simulator(spec, make_swarp())
 
 
 # ----------------------------------------------------------------------

@@ -128,10 +128,3 @@ def test_platform_lookup_errors():
         spec.host("zz")
     with pytest.raises(KeyError):
         spec.link("zz")
-
-
-def test_hosts_matching_prefix():
-    spec = PlatformSpec(
-        name="p", hosts=(make_host("cn0"), make_host("cn1"), make_host("pfs"))
-    )
-    assert [h.name for h in spec.hosts_matching("cn")] == ["cn0", "cn1"]

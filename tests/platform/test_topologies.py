@@ -13,9 +13,10 @@ from repro.platform.units import GB
 # ----------------------------------------------------------------------
 def test_fat_tree_structure():
     spec = build_fat_tree(pods=2, nodes_per_pod=3)
-    compute = spec.hosts_matching("cn")
+    compute = spec.hosts_with_role("compute")
     assert len(compute) == 6
-    assert spec.host("pfs")
+    assert spec.has_roles
+    assert spec.hosts_with_role("pfs") == [spec.host("pfs")]
     link_names = {l.name for l in spec.links}
     assert {"pod0-up", "pod1-up", "core-trunk"} <= link_names
 
@@ -98,7 +99,8 @@ def test_fat_tree_validation():
 # ----------------------------------------------------------------------
 def test_dragonfly_structure():
     spec = build_dragonfly(groups=3, nodes_per_group=2)
-    assert len(spec.hosts_matching("cn")) == 6
+    assert len(spec.hosts_with_role("compute")) == 6
+    assert spec.has_roles
     link_names = {l.name for l in spec.links}
     assert {"g0-rail", "g1-rail", "g2-rail"} <= link_names
     assert {"global-0-1", "global-0-2", "global-1-2"} <= link_names
@@ -160,7 +162,7 @@ def test_topologies_run_workflows():
     for spec in (build_fat_tree(2, 2), build_dragonfly(2, 2)):
         env = des.Environment()
         plat = Platform(env, spec)
-        hosts = [h.name for h in spec.hosts_matching("cn")]
+        hosts = [h.name for h in spec.hosts_with_role("compute")]
         engine = WorkflowEngine(
             plat,
             make_fork_join(6),

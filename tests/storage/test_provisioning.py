@@ -153,17 +153,6 @@ def test_discovery_honours_declared_role_over_name():
     assert alloc.bb_hosts == ("warp-a",)
 
 
-def test_discovery_legacy_name_fallback_warns():
-    import warnings
-
-    from repro.storage.provisioning import discover_bb_hosts
-
-    env = des.Environment()
-    platform = Platform(env, _spec_with_named_bb("bb0", None))
-    with pytest.warns(DeprecationWarning, match="role=shared_bb"):
-        assert discover_bb_hosts(platform) == ["bb0"]
-
-
 def test_discovery_role_declared_but_differently_named_is_excluded():
     """A 'bb'-prefixed host that declares a non-BB role must NOT be
     picked up once any host declares shared_bb."""

@@ -22,10 +22,11 @@ def workflow():
 def test_top_level_reexports():
     assert repro.simulate is repro.api.simulate
     assert repro.Result is repro.api.Result
-    from repro.simulator import Simulator, SimulatorConfig
+    from repro.config import Config
+    from repro.simulator import Simulator
 
     assert repro.Simulator is Simulator
-    assert repro.SimulatorConfig is SimulatorConfig
+    assert repro.Config is Config
     from repro.storage import BBMode
 
     assert repro.BBMode is BBMode
@@ -58,7 +59,7 @@ def test_simulate_accepts_config_mapping(platform, workflow):
 
 
 def test_simulate_accepts_config_object(platform, workflow):
-    config = repro.SimulatorConfig(bb_mode=repro.BBMode.PRIVATE)
+    config = repro.Config(bb_mode=repro.BBMode.PRIVATE)
     result = repro.simulate(platform, workflow, config=config)
     assert result.config is config
     assert result.makespan > 0

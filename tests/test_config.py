@@ -1,10 +1,9 @@
 """Tests for the v2 configuration surface (``repro.Config``).
 
 Covers the single coercion path (:meth:`Config.from_any`), the doc
-round-trip serialized into v2 manifests, the deprecation shims on the
-old keyword-argument surface, and — critically — that introducing the
-v2 surface did not shift the sweep cache's content addresses for
-unchanged points.
+round-trip serialized into v2 manifests, and — critically — that the
+v2 manifest layout did not shift the sweep cache's content addresses
+for unchanged points.
 """
 
 import json
@@ -16,7 +15,6 @@ import repro
 from repro import Config
 from repro.network import DEFAULT_ALLOCATOR
 from repro.platform.presets import cori_spec
-from repro.simulator import SimulatorConfig
 from repro.storage import BBMode
 from repro.workflow.swarp import make_swarp
 
@@ -51,15 +49,6 @@ def test_from_any_none_gives_defaults():
 def test_from_any_config_passes_through():
     cfg = Config(input_fraction=0.5)
     assert Config.from_any(cfg) is cfg
-
-
-def test_from_any_lifts_simulator_config():
-    sim = SimulatorConfig(bb_mode=BBMode.PRIVATE, input_fraction=0.25)
-    cfg = Config.from_any(sim)
-    assert cfg.bb_mode is BBMode.PRIVATE
-    assert cfg.input_fraction == 0.25
-    assert not cfg.wants_observer()  # observability stays off
-    assert cfg.to_simulator_config() == sim
 
 
 def test_from_any_mapping_mixes_model_and_obs_keys():
@@ -135,11 +124,11 @@ def test_to_doc_from_doc_round_trip():
     assert doc["bb_mode"] == "private"          # enum serialized by value
     assert doc["metrics"] == ["network", "des"]  # tuple becomes a list
     json.dumps(doc)  # JSON-ready as promised
-    assert Config.from_doc(doc) == cfg
+    assert Config.from_any(doc) == cfg
 
 
 def test_from_doc_reads_v1_model_only_shape():
-    # The v1 manifest config: flat SimulatorConfig fields, no schema tag.
+    # The v1 manifest config: flat model-knob fields, no schema tag.
     v1 = {
         "bb_mode": "striped",
         "input_fraction": 1.0,
@@ -149,8 +138,8 @@ def test_from_doc_reads_v1_model_only_shape():
         "network_allocator": "max-min",
         "queue_policy": "fifo",
     }
-    cfg = Config.from_doc(v1)
-    assert cfg.to_simulator_config() == SimulatorConfig()
+    cfg = Config.from_any(v1)
+    assert cfg == Config()
     assert not cfg.wants_observer()
 
 
@@ -171,7 +160,7 @@ def test_make_observer_builds_observer_with_bus(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# simulate() integration and deprecation shims
+# simulate() and Simulator integration
 # ----------------------------------------------------------------------
 def test_simulate_accepts_config_v2(platform, workflow):
     result = repro.simulate(
@@ -188,30 +177,14 @@ def test_simulate_config_observability_switches_imply_observer(
     assert result.telemetry is not None
 
 
-def test_simulate_allocator_kwarg_deprecated(platform, workflow):
-    with pytest.warns(DeprecationWarning, match="allocator"):
-        result = repro.simulate(platform, workflow, allocator="incremental")
-    assert result.config.network_allocator == "incremental"
-
-
-def test_simulate_policy_kwarg_deprecated(platform, workflow):
-    with pytest.warns(DeprecationWarning, match="policy"):
-        result = repro.simulate(platform, workflow, policy="fifo")
-    assert result.config.queue_policy == "fifo"
-
-
-def test_simulator_config_bb_mode_string_deprecated():
-    with pytest.warns(DeprecationWarning, match="bb_mode"):
-        cfg = SimulatorConfig(bb_mode="private")
-    assert cfg.bb_mode is BBMode.PRIVATE
-
-
 def test_simulator_accepts_config_v2(platform, workflow):
     from repro.simulator import Simulator
 
-    sim = Simulator(platform, workflow, Config(bb_mode=BBMode.PRIVATE))
-    assert sim.config.bb_mode is BBMode.PRIVATE
-    assert isinstance(sim.config, SimulatorConfig)
+    cfg = Config(bb_mode=BBMode.PRIVATE)
+    sim = Simulator(platform, workflow, cfg)
+    assert sim.config is cfg
+    mapped = Simulator(platform, workflow, {"bb_mode": "private"})
+    assert mapped.config == cfg
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +195,6 @@ def test_manifest_with_config_uses_v2_schema():
         MANIFEST_SCHEMA_V2,
         build_manifest,
         config_from_manifest,
-        config_v2_from_manifest,
         validate_manifest,
     )
 
@@ -231,12 +203,11 @@ def test_manifest_with_config_uses_v2_schema():
     assert doc["schema"] == MANIFEST_SCHEMA_V2
     assert doc["config"]["schema"] == "repro.api.config/2"
     assert validate_manifest(doc) == []
-    assert config_from_manifest(doc) == cfg.to_simulator_config()
-    assert config_v2_from_manifest(doc) == cfg
+    assert config_from_manifest(doc) == cfg
 
 
 def test_manifest_v1_layout_still_reads():
-    from repro.obs import config_from_manifest, config_v2_from_manifest
+    from repro.obs import config_from_manifest
 
     v1_doc = {
         "schema": "repro.obs.manifest/1",
@@ -251,10 +222,9 @@ def test_manifest_v1_layout_still_reads():
             "queue_policy": "fifo",
         },
     }
-    sim = config_from_manifest(v1_doc)
-    assert sim == SimulatorConfig(bb_mode=BBMode.PRIVATE, input_fraction=0.5)
-    cfg = config_v2_from_manifest(v1_doc)
-    assert cfg.bb_mode is BBMode.PRIVATE and not cfg.wants_observer()
+    cfg = config_from_manifest(v1_doc)
+    assert cfg == Config(bb_mode=BBMode.PRIVATE, input_fraction=0.5)
+    assert not cfg.wants_observer()
 
 
 def test_configless_manifest_keeps_v1_schema():

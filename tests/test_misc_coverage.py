@@ -108,10 +108,10 @@ def test_scenario_mean_duration_unknown_group():
 
 
 def test_simulator_config_defaults():
-    from repro.simulator import SimulatorConfig
+    from repro.config import Config
     from repro.storage import BBMode as Mode
 
-    config = SimulatorConfig()
+    config = Config()
     assert config.bb_mode == Mode.STRIPED
     assert config.input_fraction == 1.0
     assert config.output_fraction == 0.0

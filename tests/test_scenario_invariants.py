@@ -25,12 +25,13 @@ from collections import defaultdict
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import Config
 from repro.obs import Observer
 from repro.obs.invariants import InvariantMonitor, standard_monitors
 from repro.platform.presets import cori_spec, summit_spec
 from repro.platform.topologies import build_dragonfly, build_fat_tree
 from repro.profile import build_profile
-from repro.simulator import Simulator, SimulatorConfig
+from repro.simulator import Simulator
 from repro.storage import BBMode
 from repro.wms.policies import policy_names
 from repro.workflow.synthetic import make_chain, make_fork_join, make_random_dag
@@ -93,7 +94,7 @@ def _workflow(scenario):
 def _run(scenario):
     spec, mode = PLATFORMS[scenario["platform"]](scenario["n_nodes"])
     workflow = _workflow(scenario)
-    config = SimulatorConfig(
+    config = Config(
         bb_mode=mode,
         input_fraction=scenario["input_fraction"],
         intermediate_fraction=scenario["intermediate_fraction"],

@@ -6,7 +6,8 @@ import pytest
 
 from repro.platform import platform_to_json
 from repro.platform.presets import cori_spec, summit_spec
-from repro.simulator import Simulator, SimulatorConfig, main
+from repro.config import Config
+from repro.simulator import Simulator, main
 from repro.storage import BBMode
 from repro.workflow.swarp import make_swarp
 from repro.workflow.wfformat import workflow_to_wfformat
@@ -39,10 +40,10 @@ def test_simulator_modes_differ():
     spec = cori_spec(n_compute=1, n_bb_nodes=2)
     wf = make_swarp(n_pipelines=1)
     private = Simulator(
-        spec, wf, SimulatorConfig(bb_mode=BBMode.PRIVATE)
+        spec, wf, Config(bb_mode=BBMode.PRIVATE)
     ).run()
     striped = Simulator(
-        spec, wf, SimulatorConfig(bb_mode=BBMode.STRIPED)
+        spec, wf, Config(bb_mode=BBMode.STRIPED)
     ).run()
     assert private.makespan > 0 and striped.makespan > 0
 
@@ -53,10 +54,10 @@ def test_simulator_on_summit_uses_local_bbs():
 
 
 def test_simulator_fraction_zero_keeps_pfs_only():
-    config = SimulatorConfig(
+    config = Config(
         input_fraction=0.0, intermediate_fraction=0.0, output_fraction=0.0
     )
-    bb = Simulator(cori_spec(), make_swarp(), SimulatorConfig()).run()
+    bb = Simulator(cori_spec(), make_swarp(), Config()).run()
     pfs_only = Simulator(cori_spec(), make_swarp(), config).run()
     # Intermediates over the 100 MB/s PFS are much slower than the BB.
     assert pfs_only.makespan > bb.makespan
@@ -72,6 +73,7 @@ def test_simulator_requires_compute_hosts():
                 name="pfs",
                 cores=1,
                 core_speed=1e9,
+                role="pfs",
                 disks=(DiskSpec("lustre", read_bandwidth=1e8, write_bandwidth=1e8),),
             ),
         ),
@@ -84,7 +86,8 @@ def test_simulator_requires_pfs_host():
     from repro.platform.spec import HostSpec, PlatformSpec
 
     spec = PlatformSpec(
-        name="nopfs", hosts=(HostSpec(name="cn0", cores=4, core_speed=1e9),)
+        name="nopfs",
+        hosts=(HostSpec(name="cn0", cores=4, core_speed=1e9, role="compute"),),
     )
     with pytest.raises(ValueError, match="pfs"):
         Simulator(spec, make_swarp())
@@ -176,3 +179,36 @@ def test_simulator_on_generated_dragonfly():
     spec = build_dragonfly(groups=2, nodes_per_group=2)
     trace = Simulator(spec, make_swarp(n_pipelines=2)).run()
     assert trace.makespan > 0
+
+
+def test_cli_manifest_records_the_config_main_built(files, tmp_path, monkeypatch):
+    """The exported manifest carries the run's whole ``Config``,
+    observability switches included (``--monitors`` used to be recorded
+    as ``monitors: false``)."""
+    import repro.simulator
+    from repro.obs import config_from_manifest, validate_obs_dir
+
+    built = []
+
+    class Recording(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.config)
+
+    monkeypatch.setattr(repro.simulator, "Simulator", Recording)
+    platform_path, workflow_path = files
+    obs_dir = tmp_path / "obs"
+    assert main(
+        [
+            "--platform", str(platform_path),
+            "--workflow", str(workflow_path),
+            "--monitors",
+            "--obs-dir", str(obs_dir),
+        ]
+    ) == 0
+    recorded = config_from_manifest(
+        json.loads((obs_dir / "manifest.json").read_text())
+    )
+    assert recorded.monitors is True
+    assert [recorded] == built
+    assert validate_obs_dir(obs_dir) == []

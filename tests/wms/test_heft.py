@@ -132,7 +132,7 @@ def test_heft_on_fat_tree():
     env = des.Environment()
     spec = build_fat_tree(pods=2, nodes_per_pod=2)
     plat = Platform(env, spec)
-    hosts = [h.name for h in spec.hosts_matching("cn")]
+    hosts = [h.name for h in spec.hosts_with_role("compute")]
     wf = make_random_dag(12, seed=8)
     assign = heft_assignment(wf, plat, hosts)
     engine = WorkflowEngine(

@@ -463,7 +463,8 @@ def test_explicit_fifo_matches_default_simulator_run():
     exactly — same trace, same waits, same structured event stream
     (no ``queue_policy`` provenance event pollutes default runs)."""
     from repro.platform.presets import cori_spec as spec
-    from repro.simulator import Simulator, SimulatorConfig
+    from repro.config import Config
+    from repro.simulator import Simulator
     from repro.workflow.swarp import make_swarp
 
     obs_default = Observer()
@@ -473,7 +474,7 @@ def test_explicit_fifo_matches_default_simulator_run():
     obs_fifo = Observer()
     fifo = Simulator(
         spec(), make_swarp(),
-        SimulatorConfig(queue_policy="fifo"), observer=obs_fifo,
+        Config(queue_policy="fifo"), observer=obs_fifo,
     ).run()
     assert _sim_signature(obs_default, default) == _sim_signature(
         obs_fifo, fifo
@@ -485,13 +486,14 @@ def test_explicit_fifo_matches_default_simulator_run():
 
 def test_non_default_policy_emits_provenance_event():
     from repro.platform.presets import cori_spec as spec
-    from repro.simulator import Simulator, SimulatorConfig
+    from repro.config import Config
+    from repro.simulator import Simulator
     from repro.workflow.swarp import make_swarp
 
     observer = Observer()
     Simulator(
         spec(), make_swarp(),
-        SimulatorConfig(queue_policy="easy-backfill"), observer=observer,
+        Config(queue_policy="easy-backfill"), observer=observer,
     ).run()
     stamps = [
         e for e in observer.events if e.get("event") == "queue_policy"
@@ -501,7 +503,7 @@ def test_non_default_policy_emits_provenance_event():
 
 
 def test_simulator_config_rejects_unknown_policy():
-    from repro.simulator import SimulatorConfig
+    from repro.config import Config
 
     with pytest.raises(ValueError, match="unknown queue policy"):
-        SimulatorConfig(queue_policy="sjf")
+        Config(queue_policy="sjf")
