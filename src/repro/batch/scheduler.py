@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from dataclasses import dataclass
+from typing import Callable, Generator
 
 from repro.des import Environment, Event, Interrupt
+from repro.wms.policies import EasyBackfillPolicy, QueuedRequest, RunningGrant
+
+#: The job-level queueing discipline: EASY backfilling with each job's
+#: walltime as its estimate.
+_EASY = EasyBackfillPolicy()
 
 
 class JobState(str, enum.Enum):
@@ -44,6 +48,7 @@ class JobAllocation:
     job: JobRequest
     nodes: tuple[str, ...]
     start_time: float
+    submit_time: float
 
     @property
     def deadline(self) -> float:
@@ -59,11 +64,12 @@ class JobResult:
     start_time: float
     end_time: float
     state: JobState
+    submit_time: float
 
     @property
     def wait_time(self) -> float:
-        """Queue wait (submission is time 0 of the request's life)."""
-        return self.start_time - self.submitted_at if hasattr(self, "submitted_at") else self.start_time
+        """Time spent queued, from submission to start."""
+        return self.start_time - self.submit_time
 
     @property
     def runtime(self) -> float:
@@ -83,7 +89,8 @@ class BatchScheduler:
     can finish (by its walltime) before the head's *reservation* — the
     earliest time enough nodes will be free for the head assuming all
     running jobs use their full walltime — or it only uses nodes the
-    head's reservation leaves spare.
+    head's reservation leaves spare.  The decision is
+    :class:`~repro.wms.policies.EasyBackfillPolicy`'s, over nodes.
     """
 
     def __init__(self, env: Environment, nodes: list[str]) -> None:
@@ -92,9 +99,9 @@ class BatchScheduler:
         self.env = env
         self.all_nodes = list(nodes)
         self._free: list[str] = list(nodes)
-        self._queue: list[tuple[int, JobRequest, JobBody, Event]] = []
+        #: (job, body, done event, submit time), in submission order.
+        self._queue: list[tuple[JobRequest, JobBody, Event, float]] = []
         self._running: dict[str, JobAllocation] = {}
-        self._order = itertools.count()
         self.results: list[JobResult] = []
 
     # ------------------------------------------------------------------
@@ -108,7 +115,7 @@ class BatchScheduler:
                 f"machine has {len(self.all_nodes)}"
             )
         done = self.env.event()
-        self._queue.append((next(self._order), job, body, done))
+        self._queue.append((job, body, done, self.env.now))
         self._schedule()
         return done
 
@@ -118,7 +125,7 @@ class BatchScheduler:
 
     @property
     def queued_jobs(self) -> list[str]:
-        return [job.name for _, job, _, _ in sorted(self._queue)]
+        return [job.name for job, _, _, _ in self._queue]
 
     @property
     def running_jobs(self) -> list[str]:
@@ -128,58 +135,28 @@ class BatchScheduler:
     # Scheduling core
     # ------------------------------------------------------------------
     def _schedule(self) -> None:
-        self._queue.sort()
-        # 1. Start queue-head jobs while they fit (plain FCFS).
-        while self._queue and self._queue[0][1].n_nodes <= len(self._free):
-            self._start(*self._queue.pop(0))
-        if not self._queue:
-            return
-
-        # 2. EASY backfilling around the blocked head.
-        head = self._queue[0][1]
-        shadow_time, extra_nodes = self._head_reservation(head)
-        index = 1
-        while index < len(self._queue):
-            _, job, body, done = self._queue[index]
-            fits_now = job.n_nodes <= len(self._free)
-            finishes_before_shadow = (
-                self.env.now + job.walltime <= shadow_time
-            )
-            within_extra = job.n_nodes <= extra_nodes
-            if fits_now and (finishes_before_shadow or within_extra):
-                entry = self._queue.pop(index)
-                self._start(*entry)
-                if within_extra and not finishes_before_shadow:
-                    extra_nodes -= job.n_nodes
-                # Free-node count changed; the head still blocks (by
-                # construction job.n_nodes < head's need or head would
-                # have started), so continue scanning from `index`.
-            else:
-                index += 1
-
-    def _head_reservation(self, head: JobRequest) -> tuple[float, int]:
-        """(shadow time, spare nodes at that time) for the blocked head.
-
-        Assumes running jobs release their nodes at their walltime
-        deadlines (the classic EASY estimate).
-        """
-        free = len(self._free)
-        releases = sorted(
-            (alloc.deadline, len(alloc.nodes))
+        queue = [
+            QueuedRequest(job.n_nodes, done, job.name, job.walltime)
+            for job, _, done, _ in self._queue
+        ]
+        running = [
+            RunningGrant(len(alloc.nodes), alloc.deadline)
             for alloc in self._running.values()
-        )
-        for deadline, released in releases:
-            free += released
-            if free >= head.n_nodes:
-                return deadline, free - head.n_nodes
-        # Unreachable while invariants hold (head fits the machine).
-        return float("inf"), 0  # pragma: no cover
+        ]
+        picks = _EASY.select(queue, len(self._free), self.env.now, running)
+        for index in picks:
+            self._start(*self._queue[index])
+        for index in reversed(picks):
+            del self._queue[index]
 
-    def _start(self, order: int, job: JobRequest, body: JobBody, done: Event) -> None:
+    def _start(
+        self, job: JobRequest, body: JobBody, done: Event, submit_time: float
+    ) -> None:
         nodes = tuple(self._free[: job.n_nodes])
         del self._free[: job.n_nodes]
         allocation = JobAllocation(
-            job=job, nodes=nodes, start_time=self.env.now
+            job=job, nodes=nodes, start_time=self.env.now,
+            submit_time=submit_time,
         )
         self._running[job.name] = allocation
         self.env.process(self._run(allocation, body, done))
@@ -228,6 +205,7 @@ class BatchScheduler:
             start_time=allocation.start_time,
             end_time=self.env.now,
             state=state,
+            submit_time=allocation.submit_time,
         )
         self.results.append(result)
         if not failed:

@@ -132,16 +132,19 @@ def _release_profile(
 ) -> list[tuple[float, int]]:
     """Cumulative (time, units available) steps from the running set.
 
-    The first entry is ``(now=-inf sentinel not included)`` — callers
-    seed with the current ``free``; each step adds a release.  Grants
-    with :data:`UNKNOWN` deadlines never release.
+    Starts from ``free`` units now; each step is one release time, and
+    grants released at the same time form one step, so the units
+    available at that instant count every one of them.  Grants with
+    :data:`UNKNOWN` deadlines never release.
     """
     steps: list[tuple[float, int]] = []
     available = free
-    for grant in sorted(running, key=lambda g: (g.deadline, -g.amount)):
+    for grant in sorted(running, key=lambda g: g.deadline):
         if grant.deadline == UNKNOWN:
             break
         available += grant.amount
+        if steps and steps[-1][0] == grant.deadline:
+            steps.pop()
         steps.append((grant.deadline, available))
     return steps
 
@@ -170,8 +173,16 @@ class EasyBackfillPolicy(QueuePolicy):
         if len(picks) == len(queue):
             return picks
 
+        # The prefix granted just now releases like any running grant
+        # (``now + UNKNOWN`` is UNKNOWN).
+        granted = [
+            RunningGrant(queue[i].amount, now + queue[i].estimate)
+            for i in picks
+        ]
         head = queue[len(picks)]
-        shadow, extra = self._head_reservation(head, free, now, running)
+        shadow, extra = self._head_reservation(
+            head, free, now, [*running, *granted]
+        )
         for index in range(len(picks) + 1, len(queue)):
             request = queue[index]
             if request.amount > free:

@@ -141,6 +141,60 @@ def test_backfill_never_delays_head():
     assert starts["long"] >= 30  # after the head started
 
 
+def test_backfill_uses_every_node_released_at_the_shadow_time():
+    """Two jobs end together at t=10 and free 7 nodes; the head needs 5,
+    so a long job that fits the other 2 backfills now."""
+    env = des.Environment()
+    sched = BatchScheduler(env, [f"cn{i}" for i in range(9)])
+    log = []
+    sched.submit(JobRequest("a", 3, walltime=10), make_body(env, 10, log))
+    sched.submit(JobRequest("b", 4, walltime=10), make_body(env, 10, log))
+    sched.submit(JobRequest("head", 5, walltime=10), make_body(env, 10, log))
+    # Runs past the shadow time, but only on the head's spare nodes.
+    sched.submit(JobRequest("long", 2, walltime=100), make_body(env, 100, log))
+    env.run()
+    starts = {e[0]: e[2] for e in log if e[1] == "start"}
+    assert starts == {"a": 0, "b": 0, "long": 0, "head": 10}
+
+
+def test_reservation_counts_jobs_started_in_the_same_pass():
+    """At t=10 "a" starts and "head" blocks; "a"'s release at t=110 is
+    the head's reservation, so the 1000 s job must not backfill."""
+    env = des.Environment()
+    sched = BatchScheduler(env, [f"cn{i}" for i in range(6)])
+    log = []
+    for name, n_nodes, walltime in [
+        ("r1", 4, 10), ("r2", 2, 50), ("a", 2, 100), ("head", 6, 10),
+        ("long", 2, 1000),
+    ]:
+        sched.submit(
+            JobRequest(name, n_nodes, walltime), make_body(env, walltime, log)
+        )
+    env.run()
+    starts = {e[0]: e[2] for e in log if e[1] == "start"}
+    assert starts == {"r1": 0, "r2": 0, "a": 10, "head": 110, "long": 120}
+
+
+def test_wait_time_counts_from_submission():
+    env = des.Environment()
+    sched = BatchScheduler(env, NODES)
+    results = {}
+
+    def submitter():
+        yield env.timeout(5)
+        idle = sched.submit(JobRequest("idle", 4, 100), make_body(env, 10))
+        queued = sched.submit(JobRequest("queued", 4, 100), make_body(env, 10))
+        results["idle"] = yield idle
+        results["queued"] = yield queued
+
+    env.process(submitter())
+    env.run()
+    assert results["idle"].start_time == 5
+    assert results["idle"].wait_time == 0
+    assert results["queued"].start_time == 15
+    assert results["queued"].wait_time == 10
+
+
 def test_queue_and_running_introspection():
     env = des.Environment()
     sched = BatchScheduler(env, NODES)

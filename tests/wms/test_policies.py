@@ -100,6 +100,26 @@ def test_easy_unknown_estimate_only_extra_units():
     assert EasyBackfillPolicy().select(queue, 2, 0.0, running) == []
 
 
+def test_easy_counts_every_release_at_a_shared_deadline():
+    # Head of 3, nothing free, two grants released together at t=5:
+    # every unit they free is there at the shadow time.
+    head = _queue((3, 1.0))[0]
+    reserve = EasyBackfillPolicy._head_reservation
+    releases = [RunningGrant(4, deadline=5.0), RunningGrant(2, deadline=5.0)]
+    assert reserve(head, 0, 0.0, releases) == (5.0, 3)
+    releases = [RunningGrant(3, deadline=5.0), RunningGrant(4, deadline=5.0)]
+    assert reserve(head, 0, 0.0, releases) == (5.0, 4)
+
+
+def test_easy_reservation_counts_the_prefix_granted_now():
+    # The 2-unit head is granted now and releases at t=100, which is
+    # when the 6-unit request can start: the 1000 s request that fits
+    # now would delay it, so it must wait.
+    queue = _queue((2, 100.0), (6, 10.0), (2, 1000.0))
+    running = [RunningGrant(2, deadline=50.0)]
+    assert EasyBackfillPolicy().select(queue, 4, 0.0, running) == [0]
+
+
 def test_conservative_backfills_without_delaying_anyone():
     # Head wants 4 at t=10; the 1-unit/2s job slots in front harmlessly.
     queue = _queue((4, 5.0), (1, 2.0))
