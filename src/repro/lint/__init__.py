@@ -8,8 +8,11 @@ An AST-based linter encoding the simulator's invariants as rules:
   :mod:`repro.platform.units`, no decimal/binary mixing (SIM010–SIM011);
 * **DES hygiene** — ``env.process`` takes generators, processes never
   block, no exact equality on simulated time (SIM020–SIM022);
-* **API hygiene** — no mutable defaults (SIM030).
+* **API hygiene** — no mutable defaults (SIM030);
+* **whole-program analyses** — determinism taint and unit/dimension
+  dataflow across modules (SIM100–SIM103, SIM201–SIM202).
 
+One :class:`Checker` pass parses each file once and runs every rule.
 Usage::
 
     python -m repro.lint src/              # lint a tree
@@ -21,12 +24,11 @@ rationale and examples: ``docs/LINT.md``.
 """
 
 from repro.lint.baseline import Baseline, write_baseline
-from repro.lint.checker import Checker, PARSE_ERROR_ID
+from repro.lint.checker import PARSE_ERROR_ID, Checker, RunStats
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.pragmas import UNKNOWN_PRAGMA_RULE_ID
 from repro.lint.rules import Rule, all_rules, register
-from repro.lint.semantic import SemanticAnalyzer, SemanticResult
 
 __all__ = [
     "Baseline",
@@ -35,8 +37,7 @@ __all__ = [
     "LintConfig",
     "PARSE_ERROR_ID",
     "Rule",
-    "SemanticAnalyzer",
-    "SemanticResult",
+    "RunStats",
     "Severity",
     "UNKNOWN_PRAGMA_RULE_ID",
     "all_rules",

@@ -2,17 +2,11 @@
 
 Exit codes: 0 = clean, 1 = diagnostics reported, 2 = usage error.
 
-Two analysis layers compose here:
-
-* the classic per-file rules (SIM0xx), run by the :class:`Checker`;
-* the whole-program semantic analyses (SIM1xx/SIM2xx), run by
-  :class:`~repro.lint.semantic.SemanticAnalyzer` when ``--semantic``
-  is given (or the selection names a semantic rule, or pyproject sets
-  ``semantic = true``).
-
-Supporting machinery: ``--baseline`` grandfathers existing findings,
-``--changed BASE`` lints only edited files plus their reverse-
-dependency closure, ``--cache-dir`` enables the incremental semantic
+One :class:`Checker` pass runs every selected rule: the per-file rules
+(SIM0xx) and the whole-program analyses (SIM1xx/SIM2xx) over the same
+parse.  Supporting machinery: ``--baseline`` grandfathers existing
+findings, ``--changed BASE`` reports only edited files plus their
+reverse-dependency closure, ``--cache-dir`` enables the incremental
 cache, and ``--format sarif`` emits code-scanning-ready output.
 """
 
@@ -21,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.lint.baseline import Baseline, write_baseline
@@ -43,8 +38,7 @@ def list_rules() -> str:
     """Render the rule catalogue (``--list-rules``)."""
     lines = []
     for rule_id, cls in all_rules().items():
-        tag = "semantic" if cls.semantic else cls.severity.value
-        lines.append(f"{rule_id}  [{tag:8s}]  {cls.summary}")
+        lines.append(f"{rule_id}  [{cls.severity.value:8s}]  {cls.summary}")
     return "\n".join(lines)
 
 
@@ -85,34 +79,16 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    semantic = parser.add_argument_group("whole-program analysis")
-    semantic.add_argument(
-        "--semantic",
-        action="store_true",
-        help="also run the interprocedural SIM1xx/SIM2xx analyses",
-    )
-    semantic.add_argument(
-        "--no-semantic",
-        action="store_true",
-        help="suppress the semantic analyses even if configured on",
-    )
-    semantic.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel workers for parsing (output is identical for any N)",
-    )
-    semantic.add_argument(
+    parser.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="incremental-analysis cache directory (warm runs re-analyze "
-        "only changed files plus their reverse-dependency closure)",
+        help="incremental cache directory (warm runs re-check only changed "
+        "files plus their reverse-dependency closure)",
     )
-    semantic.add_argument(
+    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print analysis statistics to stderr",
+        help="print run statistics to stderr",
     )
     adoption = parser.add_argument_group("incremental adoption")
     adoption.add_argument(
@@ -130,39 +106,30 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const="HEAD",
         metavar="BASE",
-        help="lint only files changed vs BASE (default HEAD) plus their "
+        help="report only files changed vs BASE (default HEAD) plus their "
         "reverse-dependency closure",
     )
     return parser
 
 
-def _resolve_targets(args, config: LintConfig) -> "tuple[list[str], Optional[list[str]]]":
-    """(lint roots, restrict-to file list or None) honoring --changed."""
-    paths = list(args.paths) or config.paths
-    if args.changed is None:
-        return paths, None
-    from repro.lint.semantic.changed import (
-        changed_python_files,
-        expand_with_dependents,
-        git_repo_root,
-    )
+def _changed_files(base: str) -> "Optional[list[Path]]":
+    """Files changed vs ``base``, or None (with a warning) to lint everything."""
+    from repro.lint.semantic import changed
 
-    repo_root = git_repo_root()
+    repo_root = changed.git_repo_root()
     if repo_root is None:
         print(
             "warning: --changed requires a git checkout; linting everything",
             file=sys.stderr,
         )
-        return paths, None
-    changed = changed_python_files(args.changed, repo_root)
-    if changed is None:
+        return None
+    files = changed.changed_python_files(base, repo_root)
+    if files is None:
         print(
-            f"warning: cannot diff against {args.changed!r}; linting everything",
+            f"warning: cannot diff against {base!r}; linting everything",
             file=sys.stderr,
         )
-        return paths, None
-    restrict = expand_with_dependents(paths, changed)
-    return paths, restrict
+    return files
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -177,59 +144,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     select = _split_ids(args.select) or config.select
     ignore = _split_ids(args.ignore) or config.ignore
 
-    registry = all_rules()
-    semantic_ids = frozenset(r for r, cls in registry.items() if cls.semantic)
-    run_semantic = (
-        args.semantic
-        or config.semantic
-        or bool(select and semantic_ids.intersection(select))
-    ) and not args.no_semantic
-
     try:
-        checker = Checker(select=select, ignore=ignore)
+        checker = Checker(
+            select=select, ignore=ignore, cache_dir=args.cache_dir or config.cache_dir
+        )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    try:
-        paths, restrict = _resolve_targets(args, config)
-    except Exception as error:  # git plumbing should never abort a lint
-        print(f"warning: --changed failed ({error}); linting everything", file=sys.stderr)
-        paths, restrict = list(args.paths) or config.paths, None
+    restrict = None
+    if args.changed is not None:
+        try:
+            restrict = _changed_files(args.changed)
+        except Exception as error:  # git plumbing should never abort a lint
+            print(f"warning: --changed failed ({error}); linting everything", file=sys.stderr)
 
-    # A selection naming only semantic rules needs no per-file pass at
-    # all — skipping it keeps warm incremental runs at engine speed
-    # instead of re-parsing every file for zero per-file rules.
-    semantic_only = bool(select) and set(select) <= semantic_ids
-    if semantic_only:
-        diagnostics = []
-    elif restrict is not None:
-        diagnostics = checker.check_paths(restrict)
-    else:
-        diagnostics = checker.check_paths(paths)
-
-    # Engine-backed rules contribute nothing through Checker; run them
-    # over the full tree so cross-module chains stay visible, then
-    # restrict reporting to the changed closure.
-    if run_semantic:
-        from repro.lint.semantic import SemanticAnalyzer
-
-        analyzer = SemanticAnalyzer(
-            select=select,
-            ignore=ignore,
-            cache_dir=args.cache_dir or config.cache_dir,
-            jobs=args.jobs,
+    diagnostics = checker.check_paths(list(args.paths) or config.paths, restrict_to=restrict)
+    if args.stats:
+        stats = checker.stats
+        print(
+            f"lint: {stats.files} file(s), {len(stats.analyzed)} analyzed, "
+            f"{len(stats.from_cache)} from cache, {stats.functions} function(s)",
+            file=sys.stderr,
         )
-        result = analyzer.analyze_paths(paths, restrict_to=restrict)
-        diagnostics = sorted([*diagnostics, *result.diagnostics])
-        if args.stats:
-            print(
-                "semantic: {files} file(s), {analyzed} analyzed, "
-                "{from_cache} from cache, {functions} function(s), jobs={jobs}".format(
-                    **result.stats
-                ),
-                file=sys.stderr,
-            )
 
     if args.write_baseline:
         count = write_baseline(diagnostics, args.write_baseline)

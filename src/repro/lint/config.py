@@ -7,8 +7,7 @@ Recognized keys (all optional)::
     select = ["SIM001"]        # run only these rules
     ignore = ["SIM010"]        # never run these rules
     baseline = ".repro-lint-baseline"   # grandfathered-findings file
-    semantic = false           # run whole-program analyses by default
-    cache_dir = ".repro-lint-cache"     # semantic incremental cache
+    cache_dir = ".repro-lint-cache"     # incremental cache
 
 CLI flags override the file; ``--select`` and ``--ignore`` replace the
 corresponding config lists entirely.
@@ -32,7 +31,6 @@ class LintConfig:
     select: Optional[list[str]] = None
     ignore: Optional[list[str]] = None
     baseline: Optional[str] = None
-    semantic: bool = False
     cache_dir: Optional[str] = None
 
     @classmethod
@@ -55,8 +53,6 @@ class LintConfig:
             config.ignore = [str(r) for r in table["ignore"]]
         if isinstance(table.get("baseline"), str):
             config.baseline = table["baseline"]
-        if isinstance(table.get("semantic"), bool):
-            config.semantic = table["semantic"]
         if isinstance(table.get("cache_dir"), str):
             config.cache_dir = table["cache_dir"]
         return config

@@ -1,11 +1,12 @@
 """Per-file analysis context shared by all rules.
 
 A :class:`FileContext` is built once per file by the checker and handed
-to every rule: the parsed AST, the raw source lines, an import map that
-resolves local names back to their fully-qualified origins (so
-``from time import time as clock; clock()`` is still recognized as
-``time.time``), and the file's path *inside* the ``repro`` package (so
-rules can scope themselves to ``wms/``, ``des/``, etc.).
+to every rule: the parsed AST, the raw source lines, the module's
+symbols — whose alias map resolves local names back to their
+fully-qualified origins (so ``from time import time as clock; clock()``
+is still recognized as ``time.time``), the same resolver the
+whole-program analyses use — and the file's path *inside* the ``repro``
+package (so rules can scope themselves to ``wms/``, ``des/``, etc.).
 """
 
 from __future__ import annotations
@@ -15,55 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import PurePath
 from typing import Optional
 
-
-def _qualified_name(node: ast.AST) -> Optional[str]:
-    """Dotted source text of a ``Name``/``Attribute`` chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-class ImportMap:
-    """Resolves local names to fully-qualified module paths.
-
-    Built from a module's ``import`` statements::
-
-        import numpy as np        ->  np        : numpy
-        from time import time     ->  time      : time.time
-        from x.y import z as w    ->  w         : x.y.z
-    """
-
-    def __init__(self, tree: ast.Module) -> None:
-        self._aliases: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self._aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self._aliases[local] = f"{node.module}.{alias.name}"
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Fully-qualified name of a ``Name``/``Attribute`` expression.
-
-        The leading component is expanded through the import aliases;
-        unknown names are returned as written (``env.process`` stays
-        ``env.process``) so rules can still match on suffixes.
-        """
-        dotted = _qualified_name(node)
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        head = self._aliases.get(head, head)
-        return f"{head}.{rest}" if rest else head
+from repro.lint.semantic.symbols import ModuleSymbols
 
 
 @dataclass
@@ -73,7 +26,9 @@ class FileContext:
     path: str                       # path as given (for diagnostics)
     source: str
     tree: ast.Module
-    imports: ImportMap
+    #: resolver for names (``ctx.imports.resolve(node)``) and the
+    #: whole-program analyses' view of this module
+    imports: ModuleSymbols
     #: Path relative to the ``repro`` package root ("wms/engine.py"),
     #: or None when the file is not inside a ``repro`` package (e.g.
     #: test fixtures) — scoped rules treat None as "in scope".
@@ -81,13 +36,13 @@ class FileContext:
     lines: list[str] = field(default_factory=list)
 
     @classmethod
-    def parse(cls, path: str, source: str) -> "FileContext":
+    def parse(cls, path: str, source: str, module: str) -> "FileContext":
         tree = ast.parse(source, filename=path)
         return cls(
             path=path,
             source=source,
             tree=tree,
-            imports=ImportMap(tree),
+            imports=ModuleSymbols.build(module, path, tree),
             package_relpath=package_relpath(path),
             lines=source.splitlines(),
         )

@@ -3,8 +3,10 @@
 A rule is a class with a unique ``id`` (``SIM001``), a one-line
 ``summary``, a ``rationale`` tying it to a concrete failure mode of the
 simulator, and a ``check(ctx)`` generator yielding
-:class:`~repro.lint.diagnostics.Diagnostic`\\ s.  Registering is one
-decorator::
+:class:`~repro.lint.diagnostics.Diagnostic`\\ s.  Whole-program rules
+(SIM1xx/SIM2xx) are registered the same way but keep the empty
+``check``: their findings come from the analyses in
+:mod:`repro.lint.semantic`.  Registering is one decorator::
 
     @register
     class NoWallClock(Rule):
@@ -26,9 +28,9 @@ Rule families (see ``docs/LINT.md`` for the full catalogue):
   ``WaitCause`` enum)
 * ``SIM08x`` — structured logging (no ad-hoc logging/stderr output in
   simulator subsystems; diagnostics go through ``repro.obs.log``)
-* ``SIM1xx`` — whole-program determinism taint (engine-backed; see
+* ``SIM1xx`` — whole-program determinism taint (see
   :mod:`repro.lint.semantic`)
-* ``SIM2xx`` — whole-program unit/dimension dataflow (engine-backed)
+* ``SIM2xx`` — whole-program unit/dimension dataflow
 """
 
 from __future__ import annotations
@@ -47,16 +49,14 @@ class Rule:
     rationale: ClassVar[str] = ""
     severity: ClassVar[Severity] = Severity.ERROR
     fix_hint: ClassVar[str] = ""
-    #: True for whole-program rules run by repro.lint.semantic.engine;
-    #: their per-file ``check`` is a no-op (see rules/semantic_meta.py).
-    semantic: ClassVar[bool] = False
 
     def applies_to(self, ctx: FileContext) -> bool:
         """Whether this rule runs on ``ctx`` at all (path scoping)."""
         return True
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        raise NotImplementedError
+        """Per-file findings; whole-program rules have none."""
+        return iter(())
 
     def diagnostic(
         self, ctx: FileContext, node, message: str, fix_hint: str = ""

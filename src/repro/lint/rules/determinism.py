@@ -3,7 +3,9 @@
 The simulator's validation story (Figures 10–14) assumes that the same
 scenario + seed always yields the same trace.  Wall-clock reads, the
 process-global RNG, and hash-order iteration all break that silently:
-no test fails, the numbers are just no longer reproducible.
+no test fails, the numbers are just no longer reproducible.  The call
+catalogs are shared with the SIM100 taint sources
+(:mod:`repro.lint.catalog`).
 """
 
 from __future__ import annotations
@@ -11,44 +13,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.lint.catalog import WALL_CLOCK_CALLS, global_rng_family, is_set_expr
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.rules import Rule, register
-
-#: Wall-clock entry points (resolved through import aliases).
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
-
-#: ``random`` module attributes that construct *explicit* generators —
-#: these are fine; everything else on the module is the shared global RNG.
-RANDOM_CONSTRUCTORS = frozenset({"random.Random", "random.SystemRandom"})
-
-#: ``numpy.random`` attributes that construct explicit generators/seeds.
-NUMPY_RANDOM_CONSTRUCTORS = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "MT19937",
-        "SFC64",
-    }
-)
 
 
 @register
@@ -103,28 +71,15 @@ class NoGlobalRandom(Rule):
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.imports.resolve(node.func)
-            if name is None:
-                continue
-            if name.startswith("random.") and name not in RANDOM_CONSTRUCTORS:
+            family = global_rng_family(name)
+            if family == "random":
                 yield self.diagnostic(
                     ctx, node, f"{name}() uses the process-global RNG"
                 )
-            elif name.startswith("numpy.random."):
-                tail = name.removeprefix("numpy.random.")
-                if tail not in NUMPY_RANDOM_CONSTRUCTORS:
-                    yield self.diagnostic(
-                        ctx, node, f"{name}() uses numpy's global RNG state"
-                    )
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
+            elif family == "numpy":
+                yield self.diagnostic(
+                    ctx, node, f"{name}() uses numpy's global RNG state"
+                )
 
 
 def _is_dict_view(node: ast.AST) -> bool:
@@ -158,20 +113,20 @@ class NoUnorderedIteration(Rule):
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                if _is_set_expr(node.iter):
+                if is_set_expr(node.iter):
                     yield self.diagnostic(
                         ctx, node.iter, "for-loop iterates a bare set"
                     )
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 for gen in node.generators:
-                    if _is_set_expr(gen.iter):
+                    if is_set_expr(gen.iter):
                         yield self.diagnostic(
                             ctx, gen.iter, "comprehension iterates a bare set"
                         )
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 if node.func.id in ("min", "max") and node.args:
                     arg = node.args[0]
-                    if _is_set_expr(arg) or _is_dict_view(arg):
+                    if is_set_expr(arg) or _is_dict_view(arg):
                         yield self.diagnostic(
                             ctx,
                             arg,

@@ -1,34 +1,20 @@
-"""Registry descriptors for the whole-program (semantic) rules.
+"""Registry entries for the whole-program rules (SIM1xx/SIM2xx).
 
-The SIM100/SIM200-series analyses run in
-:mod:`repro.lint.semantic.engine`, not per file — a taint chain is not
-computable from one AST.  These descriptor classes exist so the ids
-participate in the ordinary rule machinery anyway: ``--list-rules``
-documents them, ``--select``/``--ignore`` accept them, and pragma
-validation knows they are real.  Their per-file ``check`` is a no-op;
-set ``semantic = True`` marks them for the CLI to route to the engine.
+A taint chain is not computable from one AST, so these rules keep the
+empty per-file ``check``; their findings come from the analyses in
+:mod:`repro.lint.semantic`, run by the same
+:class:`~repro.lint.checker.Checker` pass.  Severity, summary and fix
+hint come from here like every other rule's.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Iterator
-
-from repro.lint.context import FileContext
-from repro.lint.diagnostics import Diagnostic, Severity
+from repro.lint.diagnostics import Severity
 from repro.lint.rules import Rule, register
 
 
-class SemanticRule(Rule):
-    """Engine-backed rule: per-file check is intentionally empty."""
-
-    semantic: ClassVar[bool] = True
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        return iter(())
-
-
 @register
-class TaintReachesSink(SemanticRule):
+class TaintReachesSink(Rule):
     id = "SIM100"
     summary = "nondeterministic value reaches a DES-visible sink"
     rationale = (
@@ -43,7 +29,7 @@ class TaintReachesSink(SemanticRule):
 
 
 @register
-class UnsortedFsEnumeration(SemanticRule):
+class UnsortedFsEnumeration(Rule):
     id = "SIM101"
     summary = "unsorted filesystem enumeration iterated directly"
     rationale = (
@@ -56,7 +42,7 @@ class UnsortedFsEnumeration(SemanticRule):
 
 
 @register
-class IdKeyedOrdering(SemanticRule):
+class IdKeyedOrdering(Rule):
     id = "SIM102"
     summary = "ordering keyed on id()"
     rationale = (
@@ -68,7 +54,7 @@ class IdKeyedOrdering(SemanticRule):
 
 
 @register
-class UnorderedReduction(SemanticRule):
+class UnorderedReduction(Rule):
     id = "SIM103"
     summary = "order-sensitive reduction over an unordered collection"
     rationale = (
@@ -80,7 +66,7 @@ class UnorderedReduction(SemanticRule):
 
 
 @register
-class CrossDimensionArithmetic(SemanticRule):
+class CrossDimensionArithmetic(Rule):
     id = "SIM201"
     summary = "cross-dimension arithmetic or comparison"
     rationale = (
@@ -93,7 +79,7 @@ class CrossDimensionArithmetic(SemanticRule):
 
 
 @register
-class BareMagnitudeArgument(SemanticRule):
+class BareMagnitudeArgument(Rule):
     id = "SIM202"
     summary = "bare magnitude passed to a dimension-typed parameter"
     rationale = (

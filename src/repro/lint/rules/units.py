@@ -12,22 +12,15 @@ import ast
 import re
 from typing import Iterator, Optional
 
+from repro.lint.catalog import MAGNITUDE_THRESHOLD, UNIT_FAMILIES
 from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.rules import Rule, register
-
-DECIMAL_UNITS = frozenset({"KB", "MB", "GB", "TB", "MFLOPS", "GFLOPS", "TFLOPS"})
-BINARY_UNITS = frozenset({"KiB", "MiB", "GiB", "TiB"})
-UNIT_NAMES = DECIMAL_UNITS | BINARY_UNITS
 
 #: Identifiers whose values are byte counts, rates, or speeds.
 QUANTITY_NAME = re.compile(
     r"(size|bytes|capacity|bandwidth|bw|speed|flops|rate)", re.IGNORECASE
 )
-
-#: Magnitudes below this are considered unit-free scalars (counts,
-#: percentages, small factors) rather than raw byte/flop quantities.
-THRESHOLD = 1000
 
 
 def _tail_name(node: ast.AST) -> Optional[str]:
@@ -47,7 +40,7 @@ def _uses_units(node: ast.AST, ctx: FileContext) -> bool:
         if isinstance(sub, (ast.Name, ast.Attribute)):
             name = ctx.imports.resolve(sub) or ""
             tail = name.rsplit(".", 1)[-1]
-            if tail in UNIT_NAMES:
+            if tail in UNIT_FAMILIES:
                 return True
             if tail in ("parse_size", "parse_bandwidth"):
                 return True
@@ -60,7 +53,7 @@ def _large_literals(node: ast.AST) -> Iterator[ast.Constant]:
             isinstance(sub, ast.Constant)
             and isinstance(sub.value, (int, float))
             and not isinstance(sub.value, bool)
-            and abs(sub.value) >= THRESHOLD
+            and abs(sub.value) >= MAGNITUDE_THRESHOLD
         ):
             yield sub
 
@@ -127,10 +120,8 @@ def _unit_families(node: ast.AST, ctx: FileContext) -> set[str]:
     for sub in ast.walk(node):
         if isinstance(sub, (ast.Name, ast.Attribute)):
             tail = (ctx.imports.resolve(sub) or "").rsplit(".", 1)[-1]
-            if tail in DECIMAL_UNITS:
-                families.add("decimal")
-            elif tail in BINARY_UNITS:
-                families.add("binary")
+            if tail in UNIT_FAMILIES:
+                families.add(UNIT_FAMILIES[tail])
     return families
 
 

@@ -1,8 +1,9 @@
-"""repro.lint.semantic — whole-program analyses beneath the rule registry.
+"""repro.lint.semantic — the whole-program analyses.
 
-Where the classic ``repro.lint`` rules see one file at a time, this
-subpackage parses the full project once into a module graph, symbol
-table, and call graph, then runs two interprocedural analyses:
+Where a per-file rule sees one AST, these see the project: the
+:class:`~repro.lint.checker.Checker` builds one module graph, symbol
+table and call graph from the trees it already parsed, and runs two
+interprocedural analyses over them to a fixpoint:
 
 * **determinism taint** (SIM100-series) — nondeterminism sources
   (unsorted set iteration, unsorted directory listings, wall clock,
@@ -17,14 +18,7 @@ table, and call graph, then runs two interprocedural analyses:
   dimension addition/comparison and bare magnitudes flowing into
   dimension-typed parameters are flagged.
 
-The engine is incremental (per-file content-hash cache; warm runs
-re-analyze only changed files plus their reverse-dependency closure)
-and deterministic: diagnostics are byte-identical across repeated runs
-and ``--jobs N``.
-
-Entry point: :class:`~repro.lint.semantic.engine.SemanticAnalyzer`.
+Also here: the module graph (:mod:`.modgraph`), the incremental cache
+(:mod:`.cache`) and the git plumbing behind ``--changed``
+(:mod:`.changed`).
 """
-
-from repro.lint.semantic.engine import SemanticAnalyzer, SemanticResult, semantic_rule_ids
-
-__all__ = ["SemanticAnalyzer", "SemanticResult", "semantic_rule_ids"]

@@ -1,171 +1,126 @@
 """Incremental analysis cache.
 
-One JSON document maps each analyzed file to its content hash, raw
+One JSON document maps each checked file to its content hash, raw
 import list, serialized interprocedural summaries, and post-pragma
-findings.  On a warm run the engine re-parses and re-analyzes only
-files whose hash changed plus their reverse-dependency closure; for
-everything else the cached summaries feed the fixpoint and the cached
-findings are replayed verbatim — so warm diagnostics are identical to
-a cold run by construction.
+findings of every rule (per-file and whole-program).  On a warm run the
+checker re-parses and re-analyzes only files whose hash changed plus
+their reverse-dependency closure; for everything else the cached
+summaries feed the fixpoint and the cached findings are replayed
+verbatim.  Per-file findings depend only on the file's own text and
+whole-program findings only on the file and what it imports, so warm
+diagnostics are identical to a cold run by construction.
 
-The cache is advisory: version or schema mismatches, unreadable files,
-and partial records all degrade to "treat as changed", never to wrong
-results.
+The document is keyed on :data:`CACHE_SCHEMA` *and* a digest of the
+linter's own source, so editing a rule or an analysis invalidates it.
+The cache is advisory: mismatches, unreadable files, and partial
+records all degrade to "treat as changed", never to wrong results.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.semantic.dimensions import Dim, DimSummary
-from repro.lint.semantic.taint import Taint, TaintFinding, TaintSummary
+from repro.lint.semantic.taint import Taint
 
-#: Bump when analysis semantics change — stale caches self-invalidate.
-CACHE_SCHEMA = "repro-lint-semantic/1"
+#: Version of the record layout below.
+CACHE_SCHEMA = "repro-lint/2"
 
-CACHE_FILENAME = "semantic-cache.json"
-
-
-def serialize_taint(taint: Optional[Taint]) -> Optional[dict[str, Any]]:
-    if taint is None:
-        return None
-    return {
-        "desc": taint.desc,
-        "path": taint.path,
-        "line": taint.line,
-        "chain": list(taint.chain),
-    }
+CACHE_FILENAME = "lint-cache.json"
 
 
-def deserialize_taint(doc: Optional[dict[str, Any]]) -> Optional[Taint]:
-    if doc is None:
-        return None
-    return Taint(
-        desc=doc["desc"], path=doc["path"], line=doc["line"], chain=tuple(doc["chain"])
-    )
+@functools.lru_cache(maxsize=None)
+def linter_digest() -> str:
+    """Hash of every ``repro/lint/**/*.py`` source: any edit to a rule or
+    an analysis changes it, so stale findings are never replayed."""
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
-def serialize_dim(dim: Optional[Dim]) -> Optional[list[list]]:
-    if dim is None:
-        return None
-    return [[base, exp] for base, exp in dim]
+def _dim(doc: "Optional[list]") -> Optional[Dim]:
+    """A dimension from JSON (``[["byte", 1], ...]``; tuples dump as lists)."""
+    return None if doc is None else tuple((base, exp) for base, exp in doc)
 
 
-def deserialize_dim(doc: "Optional[list]") -> Optional[Dim]:
-    if doc is None:
-        return None
-    return tuple((base, exp) for base, exp in doc)
-
-
-def serialize_finding(finding: TaintFinding) -> dict[str, Any]:
-    return {
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "rule": finding.rule_id,
-        "message": finding.message,
-        "chain": list(finding.chain),
-    }
-
-
-def deserialize_finding(doc: dict[str, Any]) -> TaintFinding:
-    return TaintFinding(
-        path=doc["path"],
-        line=doc["line"],
-        col=doc["col"],
-        rule_id=doc["rule"],
-        message=doc["message"],
-        chain=tuple(doc.get("chain", ())),
-    )
-
-
+@dataclass
 class FileRecord:
     """Cached facts for one file."""
 
-    def __init__(
-        self,
-        sha: str,
-        raw_imports: list[str],
-        taint: dict[str, Optional[Taint]],
-        dims: dict[str, DimSummary],
-        findings: list[TaintFinding],
-    ) -> None:
-        self.sha = sha
-        self.raw_imports = raw_imports
-        self.taint = taint
-        self.dims = dims
-        self.findings = findings
+    sha: str
+    raw_imports: list[str]
+    #: qname -> the taint its return carries (tainted functions only)
+    taint: dict[str, Taint]
+    dims: dict[str, DimSummary]
+    findings: list[Diagnostic]
 
     def to_doc(self) -> dict[str, Any]:
         return {
             "sha": self.sha,
             "imports": sorted(self.raw_imports),
-            "taint": {
-                qname: serialize_taint(taint)
-                for qname, taint in sorted(self.taint.items())
-            },
+            "taint": {qname: asdict(taint) for qname, taint in sorted(self.taint.items())},
             "dims": {
                 qname: {
                     "order": list(summary.params),
-                    "params": {
-                        p: serialize_dim(d) for p, d in sorted(summary.param_dims.items())
-                    },
-                    "return": serialize_dim(summary.return_dim),
+                    "params": dict(sorted(summary.param_dims.items())),
+                    "return": summary.return_dim,
                 }
                 for qname, summary in sorted(self.dims.items())
             },
-            "findings": [serialize_finding(f) for f in self.findings],
+            "findings": [f.to_dict() for f in self.findings],
         }
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "FileRecord":
-        taint = {
-            qname: deserialize_taint(t) for qname, t in doc.get("taint", {}).items()
-        }
-        dims = {
-            qname: DimSummary(
-                param_dims={
-                    p: deserialize_dim(d)
-                    for p, d in entry.get("params", {}).items()
-                    if d is not None
-                },
-                return_dim=deserialize_dim(entry.get("return")),
-                params=tuple(entry.get("order", ())),
-            )
-            for qname, entry in doc.get("dims", {}).items()
-        }
         return cls(
             sha=doc["sha"],
             raw_imports=list(doc.get("imports", [])),
-            taint=taint,
-            dims=dims,
-            findings=[deserialize_finding(f) for f in doc.get("findings", [])],
+            taint={
+                qname: Taint(**{**t, "chain": tuple(t["chain"])})
+                for qname, t in doc.get("taint", {}).items()
+            },
+            dims={
+                qname: DimSummary(
+                    param_dims={
+                        p: _dim(d) for p, d in entry.get("params", {}).items() if d is not None
+                    },
+                    return_dim=_dim(entry.get("return")),
+                    params=tuple(entry.get("order", ())),
+                )
+                for qname, entry in doc.get("dims", {}).items()
+            },
+            findings=[Diagnostic.from_dict(f) for f in doc.get("findings", [])],
         )
 
 
 class AnalysisCache:
-    """Load/store the per-file record map, keyed by resolved path."""
+    """Load/store the per-file record map, keyed by path as given."""
 
     def __init__(self, directory: "str | Path | None") -> None:
         self.directory = Path(directory) if directory is not None else None
         self.records: dict[str, FileRecord] = {}
-        self.loaded = False
 
     @property
     def path(self) -> Optional[Path]:
         return self.directory / CACHE_FILENAME if self.directory else None
 
     def load(self) -> None:
-        self.loaded = True
         if self.path is None or not self.path.is_file():
             return
         try:
             doc = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return
-        if doc.get("schema") != CACHE_SCHEMA:
+        if doc.get("schema") != CACHE_SCHEMA or doc.get("linter") != linter_digest():
             return
         for key, entry in doc.get("files", {}).items():
             try:
@@ -188,6 +143,7 @@ class AnalysisCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         doc = {
             "schema": CACHE_SCHEMA,
+            "linter": linter_digest(),
             "files": {key: self.records[key].to_doc() for key in sorted(self.records)},
         }
         tmp = self.path.with_suffix(".tmp")

@@ -1,25 +1,17 @@
-"""Git-aware target selection (``repro-lint --changed [BASE]``).
+"""Git plumbing for ``repro-lint --changed [BASE]``.
 
-Lints only files changed versus a base ref — plus their reverse-
-dependency closure from the module graph, because a taint or dimension
-summary change in an edited module can surface findings in any module
-that (transitively) imports it.  Designed for the pre-commit hook:
-with a warm semantic cache the whole run stays sub-second.
+These helpers only name the files changed versus a base ref.  The
+checker turns them into the set of files that report findings: the
+changed files plus their reverse-dependency closure in its own module
+graph, because a taint or dimension summary change in an edited module
+can surface findings in any module that (transitively) imports it.
 """
 
 from __future__ import annotations
 
 import subprocess
 from pathlib import Path
-from typing import Optional, Sequence
-
-from repro.lint.semantic.modgraph import (
-    ModuleGraph,
-    ModuleInfo,
-    collect_python_files,
-    extract_imports,
-    module_name_for,
-)
+from typing import Optional
 
 
 def git_repo_root(start: "str | Path | None" = None) -> Optional[Path]:
@@ -63,39 +55,3 @@ def changed_python_files(base: str, repo_root: Path) -> Optional[list[Path]]:
         set(diff.stdout.splitlines()) | set(untracked.stdout.splitlines())
     )
     return [repo_root / name for name in names if name.endswith(".py")]
-
-
-def build_import_graph(paths: Sequence["str | Path"]) -> ModuleGraph:
-    """Parse just enough of a tree to get module names + import edges."""
-    import ast
-
-    infos = []
-    for path in collect_python_files(paths):
-        name = module_name_for(path)
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            raw = extract_imports(tree, name)
-        except (OSError, SyntaxError, UnicodeDecodeError):
-            raw = frozenset()
-        infos.append(ModuleInfo(name=name, path=str(path), sha="", raw_imports=raw))
-    return ModuleGraph.build(infos)
-
-
-def expand_with_dependents(
-    lint_paths: Sequence["str | Path"], changed: Sequence[Path]
-) -> list[str]:
-    """Changed files ∪ their reverse-dependency closure, as path strings
-    relative to how ``lint_paths`` were given (the graph keys them so)."""
-    graph = build_import_graph(lint_paths)
-    resolved_to_given = {
-        str(Path(p).resolve()): p for p in graph.path_to_module
-    }
-    seeds = []
-    for path in changed:
-        given = resolved_to_given.get(str(Path(path).resolve()))
-        if given is not None:
-            seeds.append(graph.path_to_module[given])
-    closure = graph.reverse_closure(seeds)
-    return sorted(
-        info.path for name, info in graph.modules.items() if name in closure
-    )

@@ -23,9 +23,11 @@ Rules:
 
 * **SIM201** — addition/subtraction/comparison of two *known,
   different* dimensions (``transfer_bytes + startup_s``);
-* **SIM202** — bare numeric literal (``>= 1000``) passed to a
-  dimension-typed parameter — magnitudes belong in units vocabulary
-  (``32 * MiB``), not inline.
+* **SIM202** — bare numeric literal (``>= 1000``, the threshold SIM010
+  shares) passed to a dimension-typed parameter — magnitudes belong in
+  units vocabulary (``32 * MiB``), not inline.
+
+Unit constants and the threshold come from :mod:`repro.lint.catalog`.
 """
 
 from __future__ import annotations
@@ -34,8 +36,15 @@ import ast
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.lint.semantic.symbols import FunctionInfo, ModuleSymbols, SymbolTable
-from repro.lint.semantic.taint import TaintFinding
+from repro.lint.catalog import MAGNITUDE_THRESHOLD, UNITS
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.semantic.symbols import (
+    FunctionAnalysis,
+    FunctionInfo,
+    ModuleSymbols,
+    SymbolTable,
+    dotted_name,
+)
 
 # ----------------------------------------------------------------------
 # The dimension algebra: exponent vectors over base units.
@@ -93,11 +102,8 @@ def dim_div(a: Dim, b: Dim) -> Dim:
 
 #: repro.platform.units constants → dimension of values built from them.
 UNITS_CONSTANTS: dict[str, Dim] = {
-    **{name: BYTES for name in ("KB", "MB", "GB", "TB", "KiB", "MiB", "GiB", "TiB")},
-    **{name: SECONDS for name in ("US", "MS", "MINUTE", "HOUR")},
-    # The paper quotes core speeds (flop/s); task work in flops is
-    # written as  work = x * GFLOPS * seconds  at call sites.
-    **{name: FLOPS_PER_S for name in ("MFLOPS", "GFLOPS", "TFLOPS")},
+    name: next(dim for dim, label in _NAMES.items() if label == dim_label)
+    for name, (dim_label, _) in UNITS.items()
 }
 
 UNITS_MODULE = "repro.platform.units"
@@ -131,9 +137,6 @@ _TOKEN_DIMS: dict[str, Dim] = {
 
 #: tokens that must match as suffix words only when trailing ("_s").
 _SUFFIX_DIMS: dict[str, Dim] = {"s": SECONDS, "sec": SECONDS, "secs": SECONDS}
-
-#: SIM202 only fires on magnitudes large enough to be unit-bearing.
-BARE_LITERAL_THRESHOLD = 1000
 
 #: The repo (like the paper) quotes rates through scale constants —
 #: ``bandwidth = 6.5 * GB`` means 6.5 GB/s, ``core_speed = 36.8 *
@@ -200,25 +203,15 @@ def signature_dims(func: FunctionInfo) -> dict[str, Dim]:
     return dims
 
 
-class FunctionDimAnalysis:
+class FunctionDimAnalysis(FunctionAnalysis):
     """Single-function dimension propagation + mismatch detection."""
 
-    def __init__(
-        self,
-        func: FunctionInfo,
-        syms: ModuleSymbols,
-        table: SymbolTable,
-        summaries: dict[str, DimSummary],
-        collect: bool,
-    ) -> None:
-        self.func = func
-        self.syms = syms
-        self.table = table
-        self.summaries = summaries
-        self.collect = collect
-        self.path = func.path
-        self.env: dict[str, Dim] = dict(summaries[func.qname].param_dims) if func.qname in summaries else signature_dims(func)
-        self.findings: list[TaintFinding] = []
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        summary = self.summaries.get(self.func.qname)
+        self.env: dict[str, Dim] = (
+            dict(summary.param_dims) if summary is not None else signature_dims(self.func)
+        )
         self.return_dims: list[Optional[Dim]] = []
 
     def run(self) -> DimSummary:
@@ -230,30 +223,6 @@ class FunctionDimAnalysis:
             return_dim=return_dim,
             params=tuple(self.func.params),
         )
-
-    # -- helpers --------------------------------------------------------
-    def _finding(self, node: ast.AST, rule_id: str, message: str) -> None:
-        if not self.collect:
-            return
-        self.findings.append(
-            TaintFinding(
-                path=self.path,
-                line=getattr(node, "lineno", self.func.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                rule_id=rule_id,
-                message=message,
-            )
-        )
-
-    def _key(self, node: ast.AST) -> Optional[str]:
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return ".".join(reversed(parts))
-        return None
 
     # -- expression dimension -------------------------------------------
     def dim_of(self, node: Optional[ast.AST]) -> Optional[Dim]:
@@ -280,18 +249,18 @@ class FunctionDimAnalysis:
             return self.dim_of(node.value)
         if isinstance(node, ast.NamedExpr):
             dim = self.dim_of(node.value)
-            key = self._key(node.target)
+            key = dotted_name(node.target)
             if key is not None and dim is not None:
                 self.env[key] = dim
             return dim
         return None
 
     def _name_dim(self, node: ast.AST) -> Optional[Dim]:
-        key = self._key(node)
+        key = dotted_name(node)
         if key is not None and key in self.env:
             return self.env[key]
         # units constants, resolved through import aliases
-        dotted = self.syms.resolve_dotted(node)
+        dotted = self.syms.resolve(node)
         if dotted is not None:
             head, _, last = dotted.rpartition(".")
             if last in UNITS_CONSTANTS and (head == UNITS_MODULE or head == "units" or not head):
@@ -359,7 +328,7 @@ class FunctionDimAnalysis:
         for kw in node.keywords:
             self.dim_of(kw.value)
         target = self.table.resolve_call(self.syms, node, self.func.class_name)
-        dotted = self.syms.resolve_dotted(node.func)
+        dotted = self.syms.resolve(node.func)
         if target is not None:
             summary = self.summaries.get(target.qname)
             params = target.params
@@ -402,7 +371,7 @@ class FunctionDimAnalysis:
                 isinstance(arg, ast.Constant)
                 and isinstance(arg.value, (int, float))
                 and not isinstance(arg.value, bool)
-                and abs(arg.value) >= BARE_LITERAL_THRESHOLD
+                and abs(arg.value) >= MAGNITUDE_THRESHOLD
             ):
                 self._finding(
                     arg,
@@ -490,7 +459,7 @@ class FunctionDimAnalysis:
     def _assign_target(self, target: ast.AST, dim: Optional[Dim]) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             return  # unpacking: no per-element dims
-        key = self._key(target)
+        key = dotted_name(target)
         if key is None:
             return
         if dim is None or dim == DIMENSIONLESS:
@@ -518,14 +487,6 @@ def analyze_function_dims(
     table: SymbolTable,
     summaries: dict[str, DimSummary],
     collect: bool = False,
-) -> tuple[DimSummary, list[TaintFinding]]:
+) -> tuple[DimSummary, list[Diagnostic]]:
     analysis = FunctionDimAnalysis(func, syms, table, summaries, collect)
-    summary = analysis.run()
-    seen: set[tuple] = set()
-    unique: list[TaintFinding] = []
-    for finding in analysis.findings:
-        fkey = (finding.path, finding.line, finding.col, finding.rule_id, finding.message)
-        if fkey not in seen:
-            seen.add(fkey)
-            unique.append(finding)
-    return summary, unique
+    return analysis.run(), analysis.findings

@@ -1,8 +1,9 @@
 """Project module graph: file discovery, content hashes, import edges.
 
-The graph answers two questions the incremental engine needs:
+The graph answers two questions the checker needs:
 
-* *who do I import?* — forward edges, used to resolve call targets;
+* *which project module owns a dotted name?* — used to resolve call
+  targets through re-exports;
 * *who imports me?* — reverse edges, used to compute the
   re-analysis closure after an edit (taint flows callee → caller and
   dimension summaries flow callee → caller, so a change in module ``m``
@@ -14,7 +15,6 @@ deterministic regardless of filesystem enumeration order.
 
 from __future__ import annotations
 
-import ast
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,75 +41,30 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) or path.stem
 
 
-def extract_imports(tree: ast.Module, module: str) -> frozenset[str]:
-    """Raw dotted names imported by a module (absolute form).
-
-    Relative imports are resolved against ``module``'s package so
-    fixture packages using ``from .collect import gather`` still
-    produce edges.  Names are *not* yet restricted to project modules;
-    :meth:`ModuleGraph.build` does that.
-    """
-    package_parts = module.split(".")[:-1]
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base_parts = package_parts[: len(package_parts) - node.level + 1]
-                base = ".".join(base_parts + ([node.module] if node.module else []))
-            else:
-                base = node.module or ""
-            if not base:
-                continue
-            names.add(base)
-            for alias in node.names:
-                names.add(f"{base}.{alias.name}")
-    return frozenset(names)
-
-
-@dataclass
-class ModuleInfo:
-    """One project module: identity, location, and import edges."""
-
-    name: str
-    path: str          # path as given on the command line (diagnostics)
-    sha: str
-    raw_imports: frozenset[str] = frozenset()
-
-
 @dataclass
 class ModuleGraph:
-    """Forward/reverse import edges between project modules only."""
+    """Reverse import edges between project modules only."""
 
-    modules: dict[str, ModuleInfo] = field(default_factory=dict)
-    #: module -> project modules it imports (direct edges)
-    imports: dict[str, frozenset[str]] = field(default_factory=dict)
+    modules: frozenset[str] = frozenset()
     #: module -> project modules importing it (reverse edges)
     dependents: dict[str, frozenset[str]] = field(default_factory=dict)
-    #: path (as given) -> module name
-    path_to_module: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, infos: Iterable[ModuleInfo]) -> "ModuleGraph":
-        graph = cls()
-        for info in sorted(infos, key=lambda m: m.name):
-            graph.modules[info.name] = info
-            graph.path_to_module[info.path] = info.name
-        known = set(graph.modules)
+    def build(cls, raw_imports: dict[str, Iterable[str]]) -> "ModuleGraph":
+        """Graph from module -> every dotted name it imports (absolute
+        form, as :class:`~repro.lint.semantic.symbols.ModuleSymbols`
+        collects them); names outside the project are dropped."""
+        known = frozenset(raw_imports)
         reverse: dict[str, set[str]] = {name: set() for name in known}
-        for name, info in graph.modules.items():
-            edges: set[str] = set()
-            for imported in info.raw_imports:
-                resolved = _longest_known_prefix(imported, known)
-                if resolved and resolved != name:
-                    edges.add(resolved)
-            graph.imports[name] = frozenset(edges)
-            for target in edges:
-                reverse[target].add(name)
-        graph.dependents = {name: frozenset(deps) for name, deps in reverse.items()}
-        return graph
+        for name in sorted(known):
+            for imported in raw_imports[name]:
+                target = _longest_known_prefix(imported, known)
+                if target and target != name:
+                    reverse[target].add(name)
+        return cls(
+            modules=known,
+            dependents={name: frozenset(deps) for name, deps in sorted(reverse.items())},
+        )
 
     def reverse_closure(self, seeds: Iterable[str]) -> frozenset[str]:
         """Seeds plus every transitive dependent — the re-analysis set."""
@@ -125,21 +80,21 @@ class ModuleGraph:
 
     def resolve_module(self, dotted: str) -> Optional[str]:
         """Longest project-module prefix of a dotted name, if any."""
-        return _longest_known_prefix(dotted, self.modules.keys())
+        return _longest_known_prefix(dotted, self.modules)
 
 
-def _longest_known_prefix(dotted: str, known: "set[str] | Sequence[str] | Iterable[str]") -> Optional[str]:
-    known_set = known if isinstance(known, (set, frozenset, dict)) else set(known)
+def _longest_known_prefix(dotted: str, known: frozenset[str]) -> Optional[str]:
     parts = dotted.split(".")
     for end in range(len(parts), 0, -1):
         candidate = ".".join(parts[:end])
-        if candidate in known_set:
+        if candidate in known:
             return candidate
     return None
 
 
 def collect_python_files(paths: Sequence["str | Path"]) -> list[Path]:
-    """Deterministic file discovery shared with the per-file checker."""
+    """Deterministic file discovery: directories in sorted order,
+    ``__pycache__`` skipped, each file once."""
     seen: set[Path] = set()
     out: list[Path] = []
     for raw in paths:

@@ -4,7 +4,8 @@ Each module contributes a flat map of qualified names
 (``repro.sweep.cache.point_key``, ``repro.des.environment.Environment.schedule``)
 to :class:`FunctionInfo` records carrying the AST node.  A per-module
 alias map (imports *and* top-level defs, relative imports included)
-lets analyses resolve an ``ast.Call`` back to a project function —
+resolves names for the per-file rules and lets the analyses resolve an
+``ast.Call`` back to a project function —
 best-effort, which is the right trade for a linter: unresolved calls
 simply contribute no interprocedural edge.
 """
@@ -15,7 +16,20 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.semantic.modgraph import ModuleGraph
+
+
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Source text of a ``Name``/``Attribute`` chain (``self._queue``), else None."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 @dataclass
@@ -38,8 +52,11 @@ class ModuleSymbols:
     module: str
     path: str
     tree: ast.Module
-    #: local name -> absolute dotted target (imports + top-level defs)
+    #: local name -> absolute dotted target (imports + top-level defs);
+    #: the one import resolver, for the per-file rules too
     aliases: dict[str, str] = field(default_factory=dict)
+    #: every dotted name imported (absolute form) — the module-graph edges
+    imported: frozenset[str] = frozenset()
     #: qname -> FunctionInfo for every def in this module
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name -> set of method names (for self.x() resolution)
@@ -57,9 +74,11 @@ class ModuleSymbols:
     # ------------------------------------------------------------------
     def _scan_imports(self) -> None:
         package_parts = self.module.split(".")[:-1]
+        imported: set[str] = set()
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
+                    imported.add(alias.name)
                     if alias.asname:
                         self.aliases[alias.asname] = alias.name
                     else:
@@ -73,9 +92,12 @@ class ModuleSymbols:
                     base = node.module or ""
                 if not base:
                     continue
+                imported.add(base)
                 for alias in node.names:
                     local = alias.asname or alias.name
                     self.aliases[local] = f"{base}.{alias.name}"
+                    imported.add(f"{base}.{alias.name}")
+        self.imported = frozenset(imported)
 
     def _scan_defs(self) -> None:
         for stmt in self.tree.body:
@@ -115,18 +137,18 @@ class ModuleSymbols:
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
-    def resolve_dotted(self, node: ast.AST) -> Optional[str]:
-        """Absolute dotted name of a Name/Attribute chain, aliases expanded."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
+    def resolve(self, node: ast.AST) -> Optional[str]:
+        """Absolute dotted name of a Name/Attribute chain, aliases expanded.
+
+        Unknown heads are returned as written (``env.process`` stays
+        ``env.process``) so rules can still match on suffixes.
+        """
+        dotted = dotted_name(node)
+        if dotted is None:
             return None
-        parts.append(node.id)
-        parts.reverse()
-        head = self.aliases.get(parts[0], parts[0])
-        return ".".join([head, *parts[1:]])
+        head, _, rest = dotted.partition(".")
+        head = self.aliases.get(head, head)
+        return f"{head}.{rest}" if rest else head
 
 
 class SymbolTable:
@@ -168,7 +190,7 @@ class SymbolTable:
             if func.attr in methods:
                 return self.functions.get(f"{syms.module}.{current_class}.{func.attr}")
             return None
-        dotted = syms.resolve_dotted(func)
+        dotted = syms.resolve(func)
         if dotted is None:
             return None
         return self.lookup_dotted(dotted)
@@ -200,3 +222,43 @@ class SymbolTable:
         if target is None:
             return None
         return self.lookup_dotted(".".join([target, *rest[1:]]), _depth + 1)
+
+
+class FunctionAnalysis:
+    """State shared by the single-function analysis passes.
+
+    ``collect=False`` passes only compute the summary (used during the
+    interprocedural fixpoint); the final ``collect=True`` pass also
+    records findings with complete chains.
+    """
+
+    def __init__(
+        self,
+        func: FunctionInfo,
+        syms: ModuleSymbols,
+        table: SymbolTable,
+        summaries: dict,
+        collect: bool,
+    ) -> None:
+        self.func = func
+        self.syms = syms
+        self.table = table
+        self.summaries = summaries
+        self.collect = collect
+        self.path = func.path
+        self.findings: list[Diagnostic] = []
+
+    def _finding(
+        self, node: ast.AST, rule_id: str, message: str, chain: tuple[str, ...] = ()
+    ) -> None:
+        if self.collect:
+            self.findings.append(
+                Diagnostic(
+                    path=self.path,
+                    line=getattr(node, "lineno", self.func.lineno),
+                    col=getattr(node, "col_offset", 0) + 1,
+                    rule_id=rule_id,
+                    message=message,
+                    chain=chain,
+                )
+            )

@@ -13,6 +13,8 @@ The analysis is interprocedural: each function gets a summary (does it
 the project call graph to a fixpoint, and findings carry the full
 propagation chain so a two-hop bug reads as a path, not a location.
 
+Wall-clock and global-RNG sources come from the catalog SIM001/SIM002
+use (:mod:`repro.lint.catalog`, which states where the two differ).
 Sanitizers launder taint: ``sorted()`` pins an order, ``len()``/
 ``min()``/``max()`` collapse to order-insensitive values, ``x.sort()``
 cleans ``x`` in place.  ``sum(1 for _ in xs)`` is recognized as a
@@ -34,13 +36,27 @@ import ast
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.lint.semantic.symbols import FunctionInfo, ModuleSymbols, SymbolTable
+from repro.lint.catalog import (
+    GLOBAL_RNG_SEEDS,
+    WALL_CLOCK_CALLS,
+    global_rng_family,
+    is_set_expr,
+)
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.semantic.symbols import (
+    FunctionAnalysis,
+    FunctionInfo,
+    ModuleSymbols,
+    SymbolTable,
+    dotted_name,
+)
 
 # ----------------------------------------------------------------------
 # Catalogs
 # ----------------------------------------------------------------------
 
-#: Fully-qualified calls producing run-to-run-varying values.
+#: Fully-qualified calls producing run-to-run-varying values, besides
+#: the wall-clock and global-RNG catalog shared with SIM001/SIM002.
 SOURCE_CALLS: dict[str, str] = {
     "os.listdir": "unsorted os.listdir() enumeration",
     "os.scandir": "unsorted os.scandir() enumeration",
@@ -50,10 +66,6 @@ SOURCE_CALLS: dict[str, str] = {
     "os.urandom": "os.urandom() entropy",
     "uuid.uuid1": "uuid.uuid1() wall-clock/MAC value",
     "uuid.uuid4": "uuid.uuid4() entropy",
-    "time.time": "wall-clock read",
-    "time.time_ns": "wall-clock read",
-    "time.monotonic": "wall-clock read",
-    "time.perf_counter": "wall-clock read",
     "id": "id()-derived value (allocator-dependent)",
 }
 
@@ -61,10 +73,6 @@ SOURCE_CALLS: dict[str, str] = {
 #: (``some_path.iterdir()``) — matched on the attribute when the
 #: receiver's type is unknown.
 FS_ATTR_SOURCES = frozenset({"iterdir", "glob", "rglob", "scandir"})
-
-#: ``random.<attr>()`` draws on the process-global RNG except for
-#: explicit generator construction.
-RANDOM_OK = frozenset({"random.Random", "random.SystemRandom", "random.seed"})
 
 #: Builtins whose result is order-insensitive (or order-pinning).
 SANITIZERS = frozenset(
@@ -135,28 +143,6 @@ class TaintSummary:
     returns_taint: Optional[Taint] = None
 
 
-@dataclass(frozen=True)
-class TaintFinding:
-    """One raw finding, pre-Diagnostic (the engine owns rendering)."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    message: str
-    chain: tuple[str, ...] = ()
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("set", "frozenset")
-    )
-
-
 def _is_counting_genexp(node: ast.Call) -> bool:
     """``sum(1 for _ in xs)`` — order-insensitive counting idiom."""
     if not (isinstance(node.func, ast.Name) and node.func.id == "sum"):
@@ -168,64 +154,20 @@ def _is_counting_genexp(node: ast.Call) -> bool:
     )
 
 
-class FunctionTaintAnalysis:
-    """Single-function abstract interpretation over taint state.
+class FunctionTaintAnalysis(FunctionAnalysis):
+    """Single-function abstract interpretation over taint state."""
 
-    ``collect=False`` passes only compute the summary (used during the
-    interprocedural fixpoint); the final ``collect=True`` pass also
-    records findings with complete chains.
-    """
-
-    def __init__(
-        self,
-        func: FunctionInfo,
-        syms: ModuleSymbols,
-        table: SymbolTable,
-        summaries: dict[str, TaintSummary],
-        collect: bool,
-    ) -> None:
-        self.func = func
-        self.syms = syms
-        self.table = table
-        self.summaries = summaries
-        self.collect = collect
-        self.path = func.path
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.env: dict[str, Taint] = {}
         self.unordered: set[str] = set()
-        self.findings: list[TaintFinding] = []
         self.summary = TaintSummary()
 
-    # -- driver ---------------------------------------------------------
     def run(self) -> TaintSummary:
         self.exec_block(self.func.node.body)
         return self.summary
 
     # -- helpers --------------------------------------------------------
-    def _key(self, node: ast.AST) -> Optional[str]:
-        """Dotted key for env tracking (``x``, ``self._queue``)."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(node.id)
-            return ".".join(reversed(parts))
-        return None
-
-    def _finding(self, node: ast.AST, rule_id: str, message: str, chain: tuple[str, ...] = ()) -> None:
-        if not self.collect:
-            return
-        self.findings.append(
-            TaintFinding(
-                path=self.path,
-                line=getattr(node, "lineno", self.func.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                rule_id=rule_id,
-                message=message,
-                chain=chain,
-            )
-        )
-
     def _merge(self, key: Optional[str], taint: Optional[Taint]) -> None:
         if key is None:
             return
@@ -236,11 +178,11 @@ class FunctionTaintAnalysis:
 
     def _iteration_taint(self, iter_node: ast.AST) -> Optional[Taint]:
         """Taint carried by iterating ``iter_node`` (order included)."""
-        if _is_set_expr(iter_node):
+        if is_set_expr(iter_node):
             return Taint.source(
                 "unsorted set iteration", self.path, getattr(iter_node, "lineno", 1)
             )
-        key = self._key(iter_node)
+        key = dotted_name(iter_node)
         if key is not None and key in self.unordered:
             return Taint.source(
                 f"unsorted iteration over set {key!r}", self.path, getattr(iter_node, "lineno", 1)
@@ -254,7 +196,7 @@ class FunctionTaintAnalysis:
         """Description if ``node`` is an unsorted filesystem enumeration."""
         if not isinstance(node, ast.Call):
             return None
-        resolved = self.syms.resolve_dotted(node.func)
+        resolved = self.syms.resolve(node.func)
         if resolved in SOURCE_CALLS and resolved.split(".")[0] in ("os", "glob"):
             return SOURCE_CALLS[resolved]
         if isinstance(node.func, ast.Attribute) and node.func.attr in FS_ATTR_SOURCES:
@@ -266,7 +208,7 @@ class FunctionTaintAnalysis:
         if node is None or isinstance(node, ast.Constant):
             return None
         if isinstance(node, (ast.Name, ast.Attribute)):
-            key = self._key(node)
+            key = dotted_name(node)
             return self.env.get(key) if key is not None else None
         if isinstance(node, ast.Call):
             return self._call_taint(node)
@@ -306,7 +248,7 @@ class FunctionTaintAnalysis:
             return self._comp_taint(node)
         if isinstance(node, ast.NamedExpr):
             taint = self.taint_of(node.value)
-            self._merge(self._key(node.target), taint)
+            self._merge(dotted_name(node.target), taint)
             return taint
         if isinstance(node, ast.Lambda):
             return None
@@ -347,7 +289,7 @@ class FunctionTaintAnalysis:
         arg_taints += [self.taint_of(k.value) for k in node.keywords]
         any_arg = next((t for t in arg_taints if t), None)
 
-        resolved = self.syms.resolve_dotted(node.func)
+        resolved = self.syms.resolve(node.func)
         self._check_id_keyed_sort(node, resolved)
         self._check_unordered_reduction(node, resolved)
 
@@ -359,7 +301,9 @@ class FunctionTaintAnalysis:
         # Sources ------------------------------------------------------
         if resolved in SOURCE_CALLS:
             return Taint.source(SOURCE_CALLS[resolved], self.path, node.lineno)
-        if resolved is not None and resolved.startswith("random.") and resolved not in RANDOM_OK:
+        if resolved in WALL_CLOCK_CALLS:
+            return Taint.source("wall-clock read", self.path, node.lineno)
+        if global_rng_family(resolved) and resolved not in GLOBAL_RNG_SEEDS:
             return Taint.source(f"{resolved}() global-RNG draw", self.path, node.lineno)
 
         # Project calls ------------------------------------------------
@@ -457,11 +401,11 @@ class FunctionTaintAnalysis:
         elif isinstance(node.func, ast.Attribute) and node.func.attr == "join" and node.args:
             candidates.append(node.args[0])
         for arg in candidates:
-            unordered = _is_set_expr(arg) or (
-                (key := self._key(arg)) is not None and key in self.unordered
+            unordered = is_set_expr(arg) or (
+                (key := dotted_name(arg)) is not None and key in self.unordered
             )
             if isinstance(arg, ast.GeneratorExp) and arg.generators:
-                unordered = unordered or _is_set_expr(arg.generators[0].iter)
+                unordered = unordered or is_set_expr(arg.generators[0].iter)
             if unordered:
                 self._finding(
                     node,
@@ -487,7 +431,7 @@ class FunctionTaintAnalysis:
                 self._assign_target(stmt.target, stmt.value, self.taint_of(stmt.value))
         elif isinstance(stmt, ast.AugAssign):
             taint = self.taint_of(stmt.value)
-            key = self._key(stmt.target)
+            key = dotted_name(stmt.target)
             if taint is not None:
                 self._merge(key, taint)
         elif isinstance(stmt, ast.Return):
@@ -509,7 +453,7 @@ class FunctionTaintAnalysis:
             for item in stmt.items:
                 taint = self.taint_of(item.context_expr)
                 if item.optional_vars is not None:
-                    self._merge(self._key(item.optional_vars), taint)
+                    self._merge(dotted_name(item.optional_vars), taint)
             self.exec_block(stmt.body)
         elif isinstance(stmt, ast.Try):
             self.exec_block(stmt.body)
@@ -531,14 +475,14 @@ class FunctionTaintAnalysis:
             for elt in target.elts:
                 self._assign_target(elt, value, taint)
             return
-        key = self._key(target)
+        key = dotted_name(target)
         if key is None:
             return
         if taint is None:
             self.env.pop(key, None)
         else:
             self.env[key] = taint
-        if _is_set_expr(value):
+        if is_set_expr(value):
             self.unordered.add(key)
         else:
             self.unordered.discard(key)
@@ -547,7 +491,7 @@ class FunctionTaintAnalysis:
         self.taint_of(value)
         if not isinstance(value, ast.Call) or not isinstance(value.func, ast.Attribute):
             return
-        base_key = self._key(value.func.value)
+        base_key = dotted_name(value.func.value)
         attr = value.func.attr
         if base_key is None:
             return
@@ -593,16 +537,9 @@ def analyze_function(
     table: SymbolTable,
     summaries: dict[str, TaintSummary],
     collect: bool = False,
-) -> tuple[TaintSummary, list[TaintFinding]]:
-    """Run the local analysis; returns (summary, findings-if-collecting)."""
+) -> tuple[TaintSummary, list[Diagnostic]]:
+    """Run the local analysis; returns (summary, findings-if-collecting).
+
+    Findings may repeat (loop bodies run twice); the checker dedupes."""
     analysis = FunctionTaintAnalysis(func, syms, table, summaries, collect)
-    summary = analysis.run()
-    # deduplicate repeats from the two-pass loop bodies
-    seen: set[tuple] = set()
-    unique: list[TaintFinding] = []
-    for finding in analysis.findings:
-        fkey = (finding.path, finding.line, finding.col, finding.rule_id, finding.message)
-        if fkey not in seen:
-            seen.add(fkey)
-            unique.append(finding)
-    return summary, unique
+    return analysis.run(), analysis.findings

@@ -8,12 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint import Checker
 from repro.lint.cli import main
-from repro.lint.semantic.changed import (
-    changed_python_files,
-    expand_with_dependents,
-    git_repo_root,
-)
+from repro.lint.semantic.changed import changed_python_files, git_repo_root
 
 
 def git(*argv, cwd):
@@ -66,11 +63,16 @@ def test_changed_files_lists_edits_and_untracked(repo):
 
 
 def test_reverse_closure_includes_transitive_importers(repo):
-    changed = [repo / "pkg" / "base.py"]
-    closure = expand_with_dependents([repo / "pkg"], changed)
-    names = sorted(Path(p).name for p in closure)
-    # base itself, its importer, and its importer's importer — not the
-    # unrelated module
+    # every module gets a finding; restricting the report to base.py
+    # must keep base itself, its importer, and its importer's importer —
+    # not the unrelated module
+    for name in ("base", "midlayer", "app", "unrelated"):
+        module = repo / "pkg" / f"{name}.py"
+        module.write_text("import time\nSTAMP = time.time()\n" + module.read_text())
+    diagnostics = Checker(select=["SIM001"]).check_paths(
+        [repo / "pkg"], restrict_to=[repo / "pkg" / "base.py"]
+    )
+    names = sorted({Path(d.path).name for d in diagnostics})
     assert names == ["app.py", "base.py", "midlayer.py"]
 
 

@@ -5,11 +5,22 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.lint import all_rules
 from repro.lint.cli import main
+from repro.lint.config import LintConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = str(FIXTURES / "sim001_bad.py")
 GOOD = str(FIXTURES / "sim001_good.py")
+
+
+@pytest.fixture(autouse=True)
+def default_config(monkeypatch):
+    """Ignore the repository's [tool.repro-lint] table (its cache and
+    baseline) so these tests see the CLI's own defaults."""
+    monkeypatch.setattr("repro.lint.cli.LintConfig.load", lambda start=None: LintConfig())
 
 
 def test_exit_zero_on_clean_file(capsys):
@@ -84,3 +95,15 @@ def test_module_entry_point():
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_broken_file_gives_one_diagnostic_with_every_rule(tmp_path, capsys):
+    (tmp_path / "broken.py").write_text("def f(:\n")
+    (tmp_path / "latin1.py").write_bytes(b"x = '\xe9'\n")
+    every_rule = ",".join(all_rules())
+    assert main(["--format", "json", "--select", every_rule, str(tmp_path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(Path(e["path"]).name, e["rule"]) for e in payload] == [
+        ("broken.py", "SIM999"),
+        ("latin1.py", "SIM999"),
+    ]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Checker, all_rules
+from repro.lint import Checker, Rule, all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECT = re.compile(r"expect\[(SIM\d+)\]")
@@ -53,12 +53,15 @@ def test_good_fixture_is_clean(rule_id):
 
 
 def test_every_registered_rule_has_a_fixture():
-    # Engine-backed (semantic) rules are exercised by the whole-program
+    # Whole-program rules (no per-file check) are exercised by the
     # corpus under fixtures/semantic/ (see test_semantic_*.py), not by
     # single-file snippets.
-    semantic = {rule_id for rule_id, cls in all_rules().items() if cls.semantic}
+    whole_program = {
+        rule_id for rule_id, cls in all_rules().items() if cls.check is Rule.check
+    }
+    assert whole_program == {"SIM100", "SIM101", "SIM102", "SIM103", "SIM201", "SIM202"}
     with_fixtures = set(_rule_ids_with_fixtures())
-    assert set(all_rules()) - semantic <= with_fixtures
+    assert set(all_rules()) - whole_program <= with_fixtures
     assert (Path(__file__).parent / "fixtures" / "semantic").is_dir()
 
 

@@ -1,56 +1,48 @@
-"""Byte-identity guarantees: semantic analyzer output must be
-identical across repeated runs, worker counts, and output formats."""
+"""Byte-identity guarantees: checker output must be identical across
+repeated runs and output formats."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
+from repro.lint import Checker
 from repro.lint.sarif import collect_rule_meta, render_sarif
-from repro.lint.semantic import SemanticAnalyzer
 
 FIXTURES = Path(__file__).parent / "fixtures" / "semantic"
 
 
-def rendered_output(jobs: int) -> str:
-    result = SemanticAnalyzer(jobs=jobs).analyze_paths([str(FIXTURES)])
-    return "\n".join(d.render() for d in result.diagnostics)
+def rendered_output() -> str:
+    diagnostics = Checker().check_paths([str(FIXTURES)])
+    return "\n".join(d.render() for d in diagnostics)
 
 
 def test_repeated_runs_are_byte_identical():
-    first = rendered_output(jobs=1)
+    first = rendered_output()
     assert first  # the corpus is not empty
     for _ in range(3):
-        assert rendered_output(jobs=1) == first
+        assert rendered_output() == first
 
 
-@pytest.mark.parametrize("jobs", [2, 4])
-def test_worker_count_does_not_change_output(jobs):
-    assert rendered_output(jobs=jobs) == rendered_output(jobs=1)
+def test_sarif_output_is_byte_identical_across_runs():
+    def sarif() -> str:
+        diagnostics = Checker().check_paths([str(FIXTURES)])
+        rule_ids = {d.rule_id for d in diagnostics}
+        return render_sarif(diagnostics, collect_rule_meta(rule_ids))
 
-
-def test_sarif_output_is_byte_identical_across_jobs():
-    def sarif(jobs: int) -> str:
-        result = SemanticAnalyzer(jobs=jobs).analyze_paths([str(FIXTURES)])
-        rule_ids = {d.rule_id for d in result.diagnostics}
-        return render_sarif(result.diagnostics, collect_rule_meta(rule_ids))
-
-    baseline = sarif(1)
-    assert sarif(1) == baseline
-    assert sarif(4) == baseline
+    baseline = sarif()
+    assert '"codeFlows"' in baseline
+    for _ in range(2):
+        assert sarif() == baseline
 
 
 def test_sarif_carries_code_flow_for_taint_chain():
-    result = SemanticAnalyzer(select=["SIM100"]).analyze_paths(
-        [str(FIXTURES / "taintpkg")]
-    )
-    doc = render_sarif(result.diagnostics, collect_rule_meta(["SIM100"]))
+    diagnostics = Checker(select=["SIM100"]).check_paths([str(FIXTURES / "taintpkg")])
+    doc = render_sarif(diagnostics, collect_rule_meta(["SIM100"]))
     assert '"codeFlows"' in doc
     assert "collectors.py" in doc  # the source hop is in the thread flow
 
 
 def test_diagnostics_sorted_by_location():
-    result = SemanticAnalyzer().analyze_paths([str(FIXTURES)])
-    keys = [(d.path, d.line, d.col, d.rule_id, d.message) for d in result.diagnostics]
+    diagnostics = Checker().check_paths([str(FIXTURES)])
+    keys = [(d.path, d.line, d.col, d.rule_id, d.message) for d in diagnostics]
     assert keys == sorted(keys)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint.semantic import SemanticAnalyzer
+from repro.lint import Checker
 from repro.lint.semantic.dimensions import (
     BYTES,
     BYTES_PER_S,
@@ -20,8 +20,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "semantic"
 
 
 def run(*paths, select=("SIM201", "SIM202")):
-    analyzer = SemanticAnalyzer(select=list(select))
-    return analyzer.analyze_paths([str(p) for p in paths]).diagnostics
+    return Checker(select=list(select)).check_paths([str(p) for p in paths])
 
 
 def test_bad_fixture_reports_each_mixup():

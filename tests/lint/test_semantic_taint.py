@@ -5,16 +5,17 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import re
+
 import pytest
 
-from repro.lint.semantic import SemanticAnalyzer
+from repro.lint import Checker
 
 FIXTURES = Path(__file__).parent / "fixtures" / "semantic"
 
 
 def run(*paths, select=None):
-    analyzer = SemanticAnalyzer(select=select)
-    return analyzer.analyze_paths([str(p) for p in paths]).diagnostics
+    return Checker(select=select).check_paths([str(p) for p in paths])
 
 
 # ----------------------------------------------------------------------
@@ -56,6 +57,27 @@ def test_sorted_launders_taint():
 def test_single_module_analysis_has_no_cross_module_noise():
     # analyzing only middle.py (no sink in scope) reports nothing
     assert run(FIXTURES / "taintpkg" / "middle.py", select=["SIM100"]) == []
+
+
+def test_wall_clock_and_global_rng_sources_reach_sink():
+    # the SIM001/SIM002 catalog: time.time, time.monotonic_ns,
+    # datetime.now and np.random.rand are all SIM100 sources
+    path = FIXTURES / "clock_bad.py"
+    expected = [
+        lineno
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"expect\[SIM100\]", line)
+    ]
+    diags = run(path, select=["SIM100"])
+    assert [d.line for d in diags] == expected
+    assert len(expected) == 4
+    messages = " ".join(d.message for d in diags)
+    assert "wall-clock read" in messages
+    assert "numpy.random.rand() global-RNG draw" in messages
+
+
+def test_seeded_generators_and_simulated_time_clean():
+    assert run(FIXTURES / "clock_good.py", select=["SIM100"]) == []
 
 
 # ----------------------------------------------------------------------
