@@ -27,7 +27,6 @@ Example
 from repro.des.core import (
     Event,
     EventPriority,
-    EventQueue,
     Interrupt,
     SimulationError,
     StopSimulation,
@@ -52,7 +51,6 @@ __all__ = [
     "Environment",
     "Event",
     "EventPriority",
-    "EventQueue",
     "Interrupt",
     "PriorityResource",
     "Process",

@@ -1,19 +1,18 @@
 """Core event machinery for the DES kernel.
 
-Defines :class:`Event` — the unit of scheduling — and
-:class:`EventQueue` — the pending-event heap — together with the
-exceptions used to control simulation flow.  Events move through three
+Defines :class:`Event` — the unit of scheduling — together with the
+exceptions used to control simulation flow.  The pending-event heap
+lives on :class:`~repro.des.Environment`.  Events move through three
 states: *pending* (created, not yet triggered), *triggered* (given a value
 or an exception and placed on the environment's queue), and *processed*
 (its callbacks have run).
 """
-# lint: hot-path - step()/push()/pop() run once per simulation event
+# lint: hot-path - succeed()/fail() run once per simulation event
 
 from __future__ import annotations
 
 import enum
-from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.environment import Environment
@@ -66,54 +65,6 @@ class EventPriority(enum.IntEnum):
 
 # Sentinel distinguishing "not yet triggered" from "triggered with None".
 _PENDING = object()
-
-
-class EventQueue:
-    """The kernel's pending-event heap: 3-tuples, one packed tiebreaker.
-
-    Each entry is ``(time, key, event)`` where ``key`` packs the event's
-    priority and a monotonically increasing serial into one int:
-    ``(priority << 52) | serial``.  Since the serial never reaches
-    2**52 in any feasible run, the packed key orders exactly like the
-    historical ``(time, priority, serial, event)`` 4-tuples — priority
-    dominates, serial breaks the remaining ties FIFO — while each push
-    allocates one tuple element fewer and each comparison resolves on
-    the second slot instead of cascading through the third.  The key is
-    unique per entry, so tuple comparison never reaches (or requires
-    ordering on) the :class:`Event` itself.
-    """
-
-    __slots__ = ("_heap", "_serial")
-
-    #: Bits reserved for the FIFO serial below the packed priority.
-    PRIORITY_SHIFT = 52
-
-    def __init__(self) -> None:
-        self._heap: list[Tuple[float, int, "Event"]] = []
-        self._serial = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, when: float, priority: int, event: "Event") -> None:
-        """Enqueue ``event`` at time ``when`` with ``priority``."""
-        self._serial += 1
-        heappush(
-            self._heap,
-            (when, (priority << EventQueue.PRIORITY_SHIFT) | self._serial, event),
-        )
-
-    def peek_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def pop(self) -> Tuple[float, "Event"]:
-        """Remove and return ``(time, event)`` for the earliest entry."""
-        when, _key, event = heappop(self._heap)
-        return when, event
 
 
 class Event:

@@ -3,16 +3,20 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.des.core import (
     Event,
     EventPriority,
-    EventQueue,
     SimulationError,
     StopSimulation,
 )
 from repro.des.process import Process
+
+#: Bits of the FIFO serial below the priority in a heap entry's key.
+PRIORITY_SHIFT = 52
+_INF = float("inf")
 
 
 class Timeout(Event):
@@ -44,7 +48,13 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = EventQueue()
+        #: The pending events, as ``(time, key, event)`` heap entries.
+        #: ``key`` packs ``(priority << PRIORITY_SHIFT) | serial``: the
+        #: priority orders same-time events and the serial, which never
+        #: reaches 2**52, breaks the remaining ties first in, first out.
+        #: The key is unique, so comparisons never reach the event.
+        self._heap: list[tuple[float, int, Event]] = []
+        self._serial = 0
         self._active_process: Optional[Process] = None
         #: Callbacks to run once the current instant has no events left.
         self._instant_end: list[Callable[[], None]] = []
@@ -71,11 +81,11 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._queue.peek_time()
+        return self._heap[0][0] if self._heap else _INF
 
     def __len__(self) -> int:
         """Number of scheduled (not yet processed) events."""
-        return len(self._queue)
+        return len(self._heap)
 
     # ------------------------------------------------------------------
     # Event factories
@@ -114,7 +124,11 @@ class Environment:
         """Queue ``event`` to be processed ``delay`` units from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self._queue.push(self._now + delay, int(priority), event)
+        self._serial += 1
+        heappush(
+            self._heap,
+            (self._now + delay, (priority << PRIORITY_SHIFT) | self._serial, event),
+        )
 
     def at_instant_end(self, callback: Callable[[], None]) -> None:
         """Call ``callback()`` once every event at the current time is done.
@@ -131,7 +145,8 @@ class Environment:
     def _end_instant(self) -> None:
         """Run the instant-end callbacks if the current instant is over."""
         pending = self._instant_end
-        while pending and self._queue.peek_time() > self._now:
+        heap = self._heap
+        while pending and (not heap or heap[0][0] > self._now):
             callbacks = pending[:]
             pending.clear()
             for callback in callbacks:
@@ -139,13 +154,13 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event; raise ``EmptySchedule`` if none."""
-        queue = self._queue
-        if not queue:
+        heap = self._heap
+        if not heap:
             if self._instant_end:
                 self._end_instant()
-            if not queue:
+            if not heap:
                 raise EmptySchedule()
-        when, event = queue.pop()
+        when, _key, event = heappop(heap)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -155,7 +170,7 @@ class Environment:
         assert callbacks is not None
         for callback in callbacks:
             callback(event)
-        if self._instant_end and queue.peek_time() > when:
+        if self._instant_end and (not heap or heap[0][0] > when):
             self._end_instant()
 
         obs = self.obs
@@ -224,8 +239,10 @@ class Environment:
             # A stop raised by the last event of an instant skipped its
             # instant-end callbacks; they run before the clock moves on.
             self._end_instant()
-            while self._queue or self._instant_end:
-                self.step()
+            heap = self._heap
+            step = self.step
+            while heap or self._instant_end:
+                step()
         except StopSimulation as stop:
             stop_value = stop.value
             if isinstance(until, Event):

@@ -75,6 +75,10 @@ def compute_point(params: dict[str, Any], obs_dir=None) -> float:
 
         profile = build_profile(scenario.trace, observer=observer)
         export_run(observer, obs_dir, profile=profile)
+        # Break the observer <-> environment cycle: the point's telemetry
+        # is then freed when the point returns, not at the next full
+        # garbage collection, so a sweep holds one point's telemetry.
+        observer.detach()
     return scenario.makespan
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.des import Environment, Event, EventPriority
+from repro.des import Environment, Event, EventPriority, Timeout
 from repro.network.allocators import resolve_allocator
 from repro.network.components import ComponentSolver
 from repro.network.link import Link
@@ -187,12 +187,12 @@ class FlowNetwork:
         )
         if not flow.links and max_rate == _INF:
             # Loopback with no cap: completes after latency alone.
-            self.env.process(self._complete_after(flow, latency))
+            Timeout(self.env, latency, flow).callbacks.append(self._on_latency_end)
             return done
 
         total_latency = latency + sum(link.latency for link in flow.links)
         if total_latency > 0:
-            self.env.process(self._admit_after(flow, total_latency))
+            Timeout(self.env, total_latency, flow).callbacks.append(self._on_admit)
         else:
             self._admit(flow)
         return done
@@ -226,13 +226,13 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     # Admission and completion
     # ------------------------------------------------------------------
-    def _complete_after(self, flow: Flow, delay: float):
-        yield self.env.timeout(delay)
-        self._finish(flow)
+    def _on_latency_end(self, timeout: Event) -> None:
+        """A loopback flow's latency is over: it is done."""
+        self._finish(timeout._value)
 
-    def _admit_after(self, flow: Flow, delay: float):
-        yield self.env.timeout(delay)
-        self._admit(flow)
+    def _on_admit(self, timeout: Event) -> None:
+        """A flow's latency is over: its bytes start to move."""
+        self._admit(timeout._value)
 
     def _admit(self, flow: Flow) -> None:
         now = self.env.now

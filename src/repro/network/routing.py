@@ -45,11 +45,14 @@ class RoutingTable:
     Routes are registered between named endpoints (host names).  Lookups
     are symmetric: a route registered for (a, b) also answers (b, a), with
     the link order reversed (irrelevant for the fluid model, which only
-    cares about the set of links traversed).
+    cares about the set of links traversed).  The reversed route is built
+    once, on its first lookup.
     """
 
     def __init__(self) -> None:
         self._routes: dict[tuple[str, str], Route] = {}
+        #: Reversed routes answered so far, keyed like their lookup.
+        self._reversed: dict[tuple[str, str], Route] = {}
         self._loopback = Route([])
 
     def add_route(self, src: str, dst: str, links: Iterable[Link]) -> None:
@@ -57,6 +60,7 @@ class RoutingTable:
         if src == dst:
             raise ValueError("cannot register a route from a host to itself")
         self._routes[(src, dst)] = Route(links)
+        self._reversed.pop((dst, src), None)
 
     def route(self, src: str, dst: str) -> Route:
         """Look up the route between two hosts.
@@ -66,13 +70,18 @@ class RoutingTable:
         """
         if src == dst:
             return self._loopback
-        route = self._routes.get((src, dst))
+        key = (src, dst)
+        route = self._routes.get(key)
         if route is not None:
             return route
-        route = self._routes.get((dst, src))
+        route = self._reversed.get(key)
         if route is not None:
-            return Route(reversed(route.links))
-        raise KeyError(f"no route registered between {src!r} and {dst!r}")
+            return route
+        forward = self._routes.get((dst, src))
+        if forward is None:
+            raise KeyError(f"no route registered between {src!r} and {dst!r}")
+        route = self._reversed[key] = Route(reversed(forward.links))
+        return route
 
     def has_route(self, src: str, dst: str) -> bool:
         return (

@@ -207,20 +207,34 @@ class StorageService(abc.ABC):
         return self._gated(lambda: self._read_flow(file, dest_host))
 
     def _gated(self, start_transfer) -> Event:
-        """Run a transfer behind the metadata server, if one exists."""
-        if self._metadata is None:
+        """Run a transfer behind the metadata server, if one exists.
+
+        The operation queues for a server slot (FIFO), holds it for
+        ``metadata_service_time``, releases it and only then starts its
+        transfer; the returned event fires with the transfer's value
+        (or fails with its exception).  Each step is a callback on the
+        event before it.
+        """
+        metadata = self._metadata
+        if metadata is None:
             return start_transfer()
-        done = self.env.event()
+        env = self.env
+        done = env.event()
+        request = metadata.request()
 
-        def run():
-            request = self._metadata.request()
-            yield request
-            yield self.env.timeout(self.metadata_service_time)
-            self._metadata.release(request)
-            result = yield start_transfer()
-            done.succeed(result)
+        def relay(transfer: Event) -> None:
+            if not transfer._ok:
+                transfer.defuse()  # ``done`` carries the failure on
+            done.trigger(transfer)
 
-        self.env.process(run())
+        def served(_timeout: Event) -> None:
+            metadata.release(request)
+            start_transfer().callbacks.append(relay)
+
+        def granted(_request: Event) -> None:
+            env.timeout(self.metadata_service_time).callbacks.append(served)
+
+        request.callbacks.append(granted)
         return done
 
     @abc.abstractmethod

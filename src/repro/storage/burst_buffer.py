@@ -146,6 +146,10 @@ class SharedBurstBuffer(StorageService):
     def _striped_transfer(self, file: File, host: str, write: bool) -> Event:
         """One chunk per BB node, all in parallel; done when all land.
 
+        The chunks start at once, and a countdown callback on each one
+        fires ``done`` when the last lands (or fails it with the first
+        chunk that fails).
+
         Each chunk pays the per-stripe metadata latency — this is what
         makes striped mode disastrous for many-small-files patterns
         (paper Figure 5b/5e) while still fine for large files.
@@ -153,36 +157,33 @@ class SharedBurstBuffer(StorageService):
         n = len(self.bb_hosts)
         chunk = file.size / n
         op_latency = self.latencies.write if write else self.latencies.read
+        move = self.platform.write_to_disk if write else self.platform.read_from_disk
         done = self.env.event()
+        unfinished = n
 
-        def run():
-            transfers = []
-            for bb in self.bb_hosts:
-                if write:
-                    ev = self.platform.write_to_disk(
-                        chunk,
-                        bb,
-                        self.disk,
-                        src_host=host,
-                        extra_latency=op_latency + self.per_stripe_latency,
-                        max_rate=self.max_stream_rate,
-                        label=f"{self.name}:stripe:{file.name}@{bb}",
-                    )
-                else:
-                    ev = self.platform.read_from_disk(
-                        chunk,
-                        bb,
-                        self.disk,
-                        dest_host=host,
-                        extra_latency=op_latency + self.per_stripe_latency,
-                        max_rate=self.max_stream_rate,
-                        label=f"{self.name}:stripe:{file.name}@{bb}",
-                    )
-                transfers.append(ev)
-            yield self.env.all_of(transfers)
-            done.succeed(file)
+        def chunk_done(event: Event) -> None:
+            nonlocal unfinished
+            if not event._ok:
+                # The first failed chunk fails the file; a failed file
+                # never counts down to zero.
+                event.defuse()
+                if not done.triggered:
+                    done.fail(event._value)
+                return
+            unfinished -= 1
+            if unfinished == 0:
+                done.succeed(file)
 
-        self.env.process(run())
+        for bb in self.bb_hosts:
+            move(
+                chunk,
+                bb,
+                self.disk,
+                host,
+                extra_latency=op_latency + self.per_stripe_latency,
+                max_rate=self.max_stream_rate,
+                label=f"{self.name}:stripe:{file.name}@{bb}",
+            ).callbacks.append(chunk_done)
         return done
 
 

@@ -80,11 +80,15 @@ def stage_file(
     if registry is not None:
         done = source.env.event()
 
-        def finish():
-            yield transfer
-            registry.register(file, target)
-            done.succeed(file)
+        def finish(transfer: Event) -> None:
+            # A failed copy registers nothing and fails ``done`` with it.
+            if transfer._ok:
+                registry.register(file, target)
+                done.succeed(file)
+            else:
+                transfer.defuse()
+                done.fail(transfer._value)
 
-        source.env.process(finish())
+        transfer.callbacks.append(finish)
         return done
     return transfer

@@ -9,6 +9,14 @@ Execution semantics (per compute task):
 5. write all output files concurrently to their placement tier;
 6. release cores; signal completion.
 
+Each task has exactly one DES process, started when its last parent
+finishes (a per-task count of unfinished parents, decremented by a
+callback on each parent's completion event).  Every other wait is a
+callback on the event it waits for: per-file I/O logging here, stripe
+joins and metadata-server gating in :mod:`repro.storage`, and latency
+delays in :class:`~repro.network.FlowNetwork`.  A phase waiting on one
+event yields it directly; only two or more build an ``AllOf``.
+
 Stage-in tasks (``TaskCategory.STAGE_IN``) are executed as *sequential*
 PFS→BB copies of the external input files the placement policy sends to
 the BB (the paper: "the stage-in task is always sequential").
@@ -21,7 +29,8 @@ measured execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.compute.service import ComputeService
@@ -119,6 +128,8 @@ class WorkflowEngine:
         #: consumer hosts ahead of time).
         self._host_cache: dict[str, str] = {}
         self._task_done: dict[str, Event] = {}
+        #: Task name → parents not yet finished, for tasks not yet ready.
+        self._unfinished_parents: dict[str, int] = {}
         self._pending_consumers: dict[str, set[str]] = {}
         self._started = False
         #: Dependency-satisfied tasks that have not yet started (waiting
@@ -182,22 +193,33 @@ class WorkflowEngine:
     def start(self) -> Event:
         """Launch the workflow inside an already-running simulation.
 
-        Spawns one process per task and returns an event that fires when
-        every task has completed — composable with other simulated
-        activity (e.g. a batch-job body running an engine on its
-        allocated nodes).  Use :meth:`run` when the engine owns the
-        event loop.
+        Starts each task's process once its last parent has finished and
+        returns an event that fires when every task has completed —
+        composable with other simulated activity (e.g. a batch-job body
+        running an engine on its allocated nodes).  Use :meth:`run` when
+        the engine owns the event loop.
         """
         if self._started:
             raise RuntimeError("engine instances are single-use")
         self._started = True
         self._initialize_files()
 
+        task_done = self._task_done
         for task in self.workflow:
-            self._task_done[task.name] = self.env.event()
+            task_done[task.name] = self.env.event()
+        obs = self.env.obs
         for task in self.workflow:
-            self.env.process(self._run_task(task))
-        return self.env.all_of(list(self._task_done.values()))
+            parents = self.workflow.parents(task.name)
+            if not parents:
+                self.env.process(self._run_task(task))
+                continue
+            if obs is not None:
+                obs.on_task_blocked(task.name, WaitCause.DEPENDENCY)
+            self._unfinished_parents[task.name] = len(parents)
+            on_parent_done = partial(self._parent_done, task)
+            for parent in parents:
+                task_done[parent.name].callbacks.append(on_parent_done)
+        return self.env.all_of(list(task_done.values()))
 
     def run(self, until: Optional[float] = None) -> ExecutionTrace:
         """Execute the workflow to completion; returns the trace."""
@@ -213,18 +235,19 @@ class WorkflowEngine:
         return self.trace.makespan
 
     # ------------------------------------------------------------------
-    def _run_task(self, task: Task):
-        # Wait for parents.
-        parents = self.workflow.parents(task.name)
-        if parents:
-            obs = self.env.obs
-            if obs is not None:
-                obs.on_task_blocked(task.name, WaitCause.DEPENDENCY)
-            yield self.env.all_of([self._task_done[p.name] for p in parents])
-            obs = self.env.obs
-            if obs is not None:
-                obs.on_task_unblocked(task.name, WaitCause.DEPENDENCY)
+    def _parent_done(self, task: Task, _done: Event) -> None:
+        """Count one finished parent; start ``task`` after the last."""
+        left = self._unfinished_parents[task.name] - 1
+        if left:
+            self._unfinished_parents[task.name] = left
+            return
+        del self._unfinished_parents[task.name]
+        obs = self.env.obs
+        if obs is not None:
+            obs.on_task_unblocked(task.name, WaitCause.DEPENDENCY)
+        self.env.process(self._run_task(task))
 
+    def _run_task(self, task: Task):
         host = self._host_of(task)
         record = TaskRecord(
             name=task.name,
@@ -371,12 +394,10 @@ class WorkflowEngine:
             for f in task.inputs:
                 service = self.registry.lookup(f, prefer=prefer, reader_host=host)
                 reads.append(
-                    self.env.process(
-                        self._timed_io(task, f, service, "read", service.read(f, host))
-                    )
+                    self._logged_io(task, f, service, "read", service.read(f, host))
                 )
             if reads:
-                yield self.env.all_of(reads)
+                yield self._all(reads)
             record.read_end = self.env.now
             self.trace.log(self.env.now, "read_end", task.name)
 
@@ -394,15 +415,11 @@ class WorkflowEngine:
             for f in task.outputs:
                 service = self._output_target(f, host)
                 writes.append(
-                    self.env.process(
-                        self._timed_io(
-                            task, f, service, "write", service.write(f, host)
-                        )
-                    )
+                    self._logged_io(task, f, service, "write", service.write(f, host))
                 )
                 self.registry.register(f, service)
             if writes:
-                yield self.env.all_of(writes)
+                yield self._all(writes)
             record.write_end = self.env.now
             self.trace.log(self.env.now, "write_end", task.name)
         finally:
@@ -413,21 +430,35 @@ class WorkflowEngine:
         if self.config.evict_consumed_intermediates:
             self._evict_after(task)
 
-    def _timed_io(self, task: Task, f: File, service: StorageService, kind: str, transfer: Event):
-        """Await one transfer, logging it as a per-file I/O operation."""
+    def _logged_io(
+        self, task: Task, f: File, service: StorageService, kind: str, transfer: Event
+    ) -> Event:
+        """Log ``transfer`` as a per-file I/O operation when it completes
+        (a failed transfer logs nothing; the task's process gets the
+        failure)."""
         start = self.env.now
-        yield transfer
-        self.trace.log_io(
-            IOOperation(
-                task=task.name,
-                file=f.name,
-                service=service.name,
-                kind=kind,
-                size=f.size,
-                start=start,
-                end=self.env.now,
+
+        def log(transfer: Event) -> None:
+            if not transfer._ok:
+                return
+            self.trace.log_io(
+                IOOperation(
+                    task=task.name,
+                    file=f.name,
+                    service=service.name,
+                    kind=kind,
+                    size=f.size,
+                    start=start,
+                    end=self.env.now,
+                )
             )
-        )
+
+        transfer.callbacks.append(log)
+        return transfer
+
+    def _all(self, events: list[Event]) -> Event:
+        """The event that fires when every one of ``events`` has."""
+        return events[0] if len(events) == 1 else self.env.all_of(events)
 
     def _output_target(self, f: File, host: str) -> StorageService:
         """Resolve the service an output file should be written to.

@@ -108,6 +108,25 @@ def test_routing_table_symmetric_lookup():
     assert list(table.route("pfs", "cn1")) == [l]
 
 
+def test_routing_table_reverse_route_is_built_once_in_reverse_order():
+    table = RoutingTable()
+    l1, l2, l3 = (Link(f"l{i}", bandwidth=1.0) for i in range(3))
+    table.add_route("bb0", "cn0", [l1, l2, l3])
+    reverse = table.route("cn0", "bb0")
+    assert reverse.links == (l3, l2, l1)
+    assert table.route("cn0", "bb0") is reverse
+    assert table.route("bb0", "cn0").links == (l1, l2, l3)
+
+
+def test_routing_table_reregistered_route_replaces_its_reverse():
+    table = RoutingTable()
+    l1, l2 = Link("l1", bandwidth=1.0), Link("l2", bandwidth=1.0)
+    table.add_route("a", "b", [l1])
+    assert table.route("b", "a").links == (l1,)
+    table.add_route("a", "b", [l1, l2])
+    assert table.route("b", "a").links == (l2, l1)
+
+
 def test_routing_table_loopback_is_empty_route():
     table = RoutingTable()
     r = table.route("host", "host")

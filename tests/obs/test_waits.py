@@ -7,15 +7,19 @@ the closed set at call sites).
 
 import pytest
 
+import repro
 from repro import des
-from repro.compute import CoreAllocator
+from repro.compute import ComputeService, CoreAllocator
 from repro.obs import Observer, WaitCause, WaitInterval
 from repro.platform import Platform
-from repro.platform.presets import cori_spec
-from repro.platform.units import GiB
+from repro.platform.presets import TABLE_I, cori_spec
+from repro.platform.units import MB, GiB
 from repro.scenarios import run_genomes, run_swarp
+from repro.storage import ParallelFileSystem
 from repro.storage.base import InsufficientStorage
 from repro.storage.provisioning import BBProvisioner
+from repro.wms import WorkflowEngine
+from repro.workflow import File, Task, Workflow
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +273,58 @@ def test_contended_genomes_records_cores_waits():
     assert total == pytest.approx(
         sum(w.duration for w in obs.waits if w.cause is WaitCause.CORES)
     )
+
+
+def test_dependency_wait_ends_at_the_last_parent_for_one_or_many_parents():
+    """A multi-parent task (``join``) and a single-parent task (``tail``)
+    each report one DEPENDENCY interval, from the start of the run to the
+    end of their last parent."""
+    speed = TABLE_I["cori"]["core_speed"]
+    a, b, j = (File(f"wait/{n}", 1 * MB) for n in "abj")
+    workflow = Workflow("waits", [
+        Task("fast", flops=5 * speed, outputs=(a,)),
+        Task("slow", flops=9 * speed, outputs=(b,)),
+        Task("join", flops=2 * speed, inputs=(a, b), outputs=(j,)),
+        Task("tail", flops=1 * speed, inputs=(j,)),
+    ])
+    obs = Observer()
+    trace = repro.simulate(cori_spec(n_compute=2), workflow, observer=obs).trace
+    dependency = {}
+    for wait in obs.waits:
+        if wait.cause is WaitCause.DEPENDENCY:
+            dependency.setdefault(wait.task, []).append((wait.start, wait.end))
+    last_parent_end = max(trace.records[n].end for n in ("fast", "slow"))
+    assert trace.records["slow"].end > trace.records["fast"].end
+    assert dependency == {
+        "join": [(0.0, last_parent_end)],
+        "tail": [(0.0, trace.records["join"].end)],
+    }
+
+
+def test_metadata_gated_read_reports_its_queueing():
+    """Two inputs read at once through a one-slot metadata server: the
+    second read's I/O operation spans both service times, so the queueing
+    shows in the trace and in the task's read phase."""
+    env = des.Environment()
+    Observer().attach(env)
+    platform = Platform(env, cori_spec(n_compute=1))
+    pfs = ParallelFileSystem(platform, metadata_service_time=0.5)
+    inputs = (File("gated/x", 1), File("gated/y", 1))
+    workflow = Workflow("gated", [Task("reader", flops=0.0, inputs=inputs)])
+    engine = WorkflowEngine(
+        platform, workflow, ComputeService(platform, ["cn0"]), pfs
+    )
+    trace = engine.run()
+    reads = sorted(
+        (op.end - op.start, op.start) for op in trace.io_operations
+        if op.kind == "read"
+    )
+    transfer = 1 / TABLE_I["cori"]["pfs_disk_bandwidth"]
+    assert [start for _, start in reads] == [0.0, 0.0]
+    assert reads[0][0] == pytest.approx(0.5 + transfer, rel=1e-9)
+    assert reads[1][0] == pytest.approx(1.0 + transfer, rel=1e-9)
+    record = trace.records["reader"]
+    assert record.read_end - record.read_start == pytest.approx(reads[1][0])
 
 
 def test_wait_interval_serialization():

@@ -34,6 +34,19 @@ def test_single_op_pays_service_time():
     assert env.now == pytest.approx(1.5, rel=1e-6)
 
 
+
+def test_gated_op_fails_with_its_transfer(monkeypatch):
+    env, plat, pfs = setup(metadata_time=0.5)
+    monkeypatch.setattr(
+        plat, "write_to_disk",
+        lambda *args, **kwargs: env.event().fail(OSError("disk lost")),
+    )
+    done = pfs.write(File("f", MB), src_host="cn0")
+    with pytest.raises(OSError, match="disk lost"):
+        env.run(until=done)
+    assert not done.ok
+    assert env.now == pytest.approx(0.5)
+
 def test_concurrent_ops_queue_on_metadata():
     """Unlike per-op latency, metadata time SERIALIZES: 4 concurrent
     writes pay 4 × 0.5 s of metadata back to back."""

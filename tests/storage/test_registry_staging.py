@@ -115,6 +115,23 @@ def test_stage_registers_in_registry(setup):
     assert set(reg.locations(f)) == {pfs, bb}
 
 
+
+def test_failed_stage_copy_fails_and_registers_nothing(setup, monkeypatch):
+    env, plat, pfs, bb = setup
+    reg = FileRegistry()
+    f = File("f", 10 * MB)
+    pfs.add_file(f)
+    reg.register(f, pfs)
+    monkeypatch.setattr(
+        plat, "transfer_between_disks",
+        lambda *args, **kwargs: env.event().fail(OSError("link down")),
+    )
+    done = stage_file(f, pfs, bb, registry=reg)
+    with pytest.raises(OSError, match="link down"):
+        env.run(until=done)
+    assert not done.ok
+    assert reg.locations(f) == [pfs]
+
 def test_stage_missing_source_raises(setup):
     env, plat, pfs, bb = setup
     with pytest.raises(FileNotOnService):

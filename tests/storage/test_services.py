@@ -202,6 +202,25 @@ def test_striped_large_file_aggregates_bandwidth(cori):
     assert env.now == pytest.approx(1.0, rel=1e-3)
 
 
+def test_striped_transfer_fails_with_a_failed_chunk(cori, monkeypatch):
+    env, plat = cori
+    bb = SharedBurstBuffer(plat, ["bb0", "bb1"], BBMode.STRIPED)
+    f = File("data", 100 * MB)
+    bb.add_file(f)
+    read_from_disk = plat.read_from_disk
+
+    def failing_on_bb1(size, disk_host, *args, **kwargs):
+        if disk_host == "bb1":
+            return env.event().fail(OSError("bb1 lost"))
+        return read_from_disk(size, disk_host, *args, **kwargs)
+
+    monkeypatch.setattr(plat, "read_from_disk", failing_on_bb1)
+    done = bb.read(f, dest_host="cn0")
+    with pytest.raises(OSError, match="bb1 lost"):
+        env.run(until=done)
+    assert not done.ok
+
+
 def test_bb_requires_hosts():
     env = des.Environment()
     plat = Platform(env, cori_spec())
