@@ -33,18 +33,45 @@ with :func:`repro.scenarios.run_swarp` / ``run_genomes`` for the paper's
 prebuilt scenarios and :class:`repro.Simulator` for finer control.
 """
 
+import importlib
+
 __version__ = "1.0.0"
 
+
+def _lazy_getattr(namespace: dict, where: dict[str, str]):
+    """A PEP 562 module ``__getattr__`` over ``where`` (name -> module).
+
+    The name resolves to the attribute of that name in its module,
+    imported on first access, and is then cached in ``namespace`` (the
+    package's ``globals()``) so later lookups skip the hook.  Packages
+    use it to keep heavy submodules (numpy, scipy, exporters) out of a
+    plain simulation's imports.
+    """
+
+    def __getattr__(name: str):
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
 #: Public names re-exported lazily (keeps ``import repro`` light: the
-#: facade pulls in numpy-heavy layers only when first touched).
+#: facade pulls in the simulator's layers only when first touched).
 _API = {
-    "simulate": ("repro.api", "simulate"),
-    "Result": ("repro.api", "Result"),
-    "Config": ("repro.config", "Config"),
-    "Simulator": ("repro.simulator", "Simulator"),
-    "BBMode": ("repro.storage", "BBMode"),
-    "build_profile": ("repro.profile", "build_profile"),
-    "diff_profiles": ("repro.profile", "diff_profiles"),
+    "simulate": "repro.api",
+    "Result": "repro.api",
+    "Config": "repro.config",
+    "Simulator": "repro.simulator",
+    "BBMode": "repro.storage",
+    "build_profile": "repro.profile",
+    "diff_profiles": "repro.profile",
 }
 
 __all__ = [
@@ -66,16 +93,4 @@ __all__ = [
     "workflow",
 ]
 
-
-def __getattr__(name: str):
-    try:
-        module, attr = _API[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module), attr)
-    globals()[name] = value  # cache: subsequent lookups skip __getattr__
-    return value
+__getattr__ = _lazy_getattr(globals(), _API)

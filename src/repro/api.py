@@ -19,14 +19,16 @@ like :class:`~repro.simulator.Simulator` — which does the actual work.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.config import Config
-from repro.obs import Observer
 from repro.platform import PlatformSpec
 from repro.simulator import Simulator
 from repro.traces.events import ExecutionTrace
 from repro.workflow.model import Workflow
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs import Observer
 
 
 class Result:
@@ -163,6 +165,8 @@ def simulate(
     if observer in (None, False) and cfg.wants_observer():
         observer = True
     if observer is True:
+        from repro.obs import Observer
+
         observer = cfg.make_observer() or Observer(monitors=cfg.monitors)
     elif observer is False:
         observer = None

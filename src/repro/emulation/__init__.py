@@ -20,9 +20,11 @@ with the effects the paper's simple model deliberately omits —
   does not capture.
 
 Every constant lives in :mod:`repro.emulation.calibration`, annotated
-with the paper observation it encodes.
+with the paper observation it encodes.  The trial runner
+(:mod:`repro.emulation.trials`, numpy) is imported on first use.
 """
 
+from repro import _lazy_getattr
 from repro.emulation.calibration import (
     EmulatedTaskTruth,
     EmulationEffects,
@@ -32,7 +34,6 @@ from repro.emulation.calibration import (
     effects_for,
 )
 from repro.emulation.compute import EmulatedComputeService
-from repro.emulation.trials import TrialStats, run_trials
 
 __all__ = [
     "CORI_EFFECTS",
@@ -45,3 +46,11 @@ __all__ = [
     "effects_for",
     "run_trials",
 ]
+
+
+#: Trial-runner names resolved lazily (PEP 562): ``repro.emulation.trials``
+#: imports numpy, which a run without seeded interference never needs.
+__getattr__ = _lazy_getattr(
+    globals(),
+    {"TrialStats": "repro.emulation.trials", "run_trials": "repro.emulation.trials"},
+)

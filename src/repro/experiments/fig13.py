@@ -23,15 +23,13 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.config import Config
 from repro.experiments.common import ExperimentResult, sweep_values
 from repro.network import DEFAULT_ALLOCATOR
 from repro.scenarios import run_genomes
 from repro.sweep import SweepOptions, SweepSpec, point_id
 
-FRACTIONS = tuple(np.round(np.linspace(0.0, 1.0, 11), 2))
+FRACTIONS = tuple(i / 10 for i in range(11))
 
 
 def makespan(system: str, fraction: float, n_chromosomes: int, observer=None) -> float:
@@ -75,10 +73,6 @@ def compute_point(params: dict[str, Any], obs_dir=None) -> float:
 
         profile = build_profile(scenario.trace, observer=observer)
         export_run(observer, obs_dir, profile=profile)
-        # Break the observer <-> environment cycle: the point's telemetry
-        # is then freed when the point returns, not at the next full
-        # garbage collection, so a sweep holds one point's telemetry.
-        observer.detach()
     return scenario.makespan
 
 
@@ -107,7 +101,7 @@ def sweep_spec(quick: bool = False, config: "Config | None" = None) -> SweepSpec
         "repro.experiments.fig13:compute_point",
         axes={
             "system": ["cori", "summit"],
-            "fraction": [float(f) for f in _fractions(quick)],
+            "fraction": list(_fractions(quick)),
         },
         constants=_constants(quick, config),
         pass_obs_dir=True,
@@ -131,11 +125,9 @@ def run(
     for fraction in _fractions(quick):
         row = []
         for system in ("cori", "summit"):
-            pid = point_id(
-                {**constants, "system": system, "fraction": float(fraction)}
-            )
+            pid = point_id({**constants, "system": system, "fraction": fraction})
             row.append(values[pid])
-        result.add_row(float(fraction), row[0], row[1])
+        result.add_row(fraction, row[0], row[1])
     result.notes.append(
         "expect: both fall with fraction; summit < cori; cori plateau ~80%"
     )

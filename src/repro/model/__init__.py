@@ -1,21 +1,17 @@
 """The paper's performance model (Section IV-A) and calibration tools.
 
-The calibration fitters (``FitResult``, ``fit_amdahl_alpha``,
-``fit_lambda_io``) need scipy (the ``repro[fit]`` extra) and are
-imported on first use, so simulating never loads scipy.
+The accuracy metrics (numpy) and the calibration fitters (``FitResult``,
+``fit_amdahl_alpha``, ``fit_lambda_io``; scipy, the ``repro[fit]``
+extra) are imported on first use, so simulating loads neither.
 """
 
+from repro import _lazy_getattr
 from repro.model.equations import (
     amdahl_speedup,
     amdahl_time,
     io_fraction_from_times,
     observed_time,
     sequential_compute_time,
-)
-from repro.model.metrics import (
-    mean_relative_error,
-    per_point_relative_error,
-    trend_agreement,
 )
 
 __all__ = [
@@ -32,16 +28,17 @@ __all__ = [
     "trend_agreement",
 ]
 
-#: Fit helpers resolved lazily (PEP 562): ``repro.model.fitting`` imports
-#: scipy, which no simulation needs.
-_FITTING = frozenset({"FitResult", "fit_amdahl_alpha", "fit_lambda_io"})
-
-
-def __getattr__(name: str):
-    if name not in _FITTING:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.model import fitting
-
-    value = getattr(fitting, name)
-    globals()[name] = value
-    return value
+#: Names resolved lazily (PEP 562): ``repro.model.metrics`` imports
+#: numpy and ``repro.model.fitting`` imports scipy, neither of which a
+#: simulation needs.
+__getattr__ = _lazy_getattr(
+    globals(),
+    {
+        "mean_relative_error": "repro.model.metrics",
+        "per_point_relative_error": "repro.model.metrics",
+        "trend_agreement": "repro.model.metrics",
+        "FitResult": "repro.model.fitting",
+        "fit_amdahl_alpha": "repro.model.fitting",
+        "fit_lambda_io": "repro.model.fitting",
+    },
+)

@@ -84,7 +84,7 @@ class Flow:
     max_rate: float = _INF           # private cap (e.g. POSIX stream limit)
     started_at: float = 0.0
     completed_at: Optional[float] = None
-    done_event: Optional[Event] = None
+    done_event: Optional[Event] = None  # cleared once the flow finishes
     label: str = ""
     #: Admission serial: same-instant completions finish in this order.
     seq: int = 0
@@ -132,8 +132,13 @@ class FlowNetwork:
         self._fid = itertools.count(1)
         self._seq = 0
         self._links: dict[str, Link] = {}
+        links = self._links
+        # A closure over the link table, not a bound method: the solver
+        # must not point back at the network, or every finished run
+        # would be a reference cycle only the cyclic collector frees.
         self._solver = ComponentSolver(
-            self._link_capacity, resolve_allocator(allocator)
+            lambda name, n_users: links[name].effective_bandwidth(n_users),
+            resolve_allocator(allocator),
         )
         #: ``(finish_time, serial, version, class)``, one live entry per
         #: class with a positive rate: the next wake-up is the top.
@@ -324,15 +329,15 @@ class FlowNetwork:
                 label=flow.label, size=flow.size,
                 elapsed=flow.elapsed, active=len(self._flows),
             )
-        assert flow.done_event is not None
-        flow.done_event.succeed(flow)
+        # The event carries the flow as its value, so the flow lets go of
+        # the event: a finished flow and its event form no cycle.
+        done, flow.done_event = flow.done_event, None
+        assert done is not None
+        done.succeed(flow)
 
     # ------------------------------------------------------------------
     # Rate solves and wake-ups
     # ------------------------------------------------------------------
-    def _link_capacity(self, name: str, n_users: int) -> float:
-        return self._links[name].effective_bandwidth(n_users)
-
     def _request_flush(self) -> None:
         """Arm one end-of-instant solve covering every admit/drain of the
         current instant."""

@@ -30,100 +30,67 @@ exporter formats, the live bus, invariant monitors, and the Perfetto
 how-to.
 """
 
-from repro.obs.exporters import (
-    chrome_trace,
-    export_run,
-    write_chrome_trace,
-    write_metric_csvs,
-)
-from repro.obs.invariants import (
-    BBOccupancyMonitor,
-    EventMonotonicityMonitor,
-    InvariantMonitor,
-    InvariantViolation,
-    LeaseBalanceMonitor,
-    LinkCapacityMonitor,
-    standard_monitors,
-)
-from repro.obs.live import LIVE_SCHEMA, LiveBus
-from repro.obs.log import (
-    COMPONENTS,
-    LOG_SCHEMA,
-    iter_ndjson,
-    make_event,
-    read_events,
-    write_events,
-)
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    MANIFEST_SCHEMA_V2,
-    build_manifest,
-    config_from_manifest,
-    platform_digest,
-    write_manifest,
-)
-from repro.obs.observer import METRIC_GROUPS, Observer
-from repro.obs.probes import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    TimeSeries,
-)
-from repro.obs.spans import Span, spans_from_record
-from repro.obs.validate import (
-    validate_chrome_trace,
-    validate_events_ndjson,
-    validate_live_dir,
-    validate_manifest,
-    validate_metrics_dir,
-    validate_obs_dir,
-    validate_profile_doc,
-)
-from repro.obs.waits import WaitCause, WaitInterval
+from repro import _lazy_getattr
 
-__all__ = [
-    "COMPONENTS",
-    "LIVE_SCHEMA",
-    "LOG_SCHEMA",
-    "MANIFEST_SCHEMA",
-    "MANIFEST_SCHEMA_V2",
-    "METRIC_GROUPS",
-    "BBOccupancyMonitor",
-    "Counter",
-    "EventMonotonicityMonitor",
-    "Gauge",
-    "Histogram",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "LeaseBalanceMonitor",
-    "LinkCapacityMonitor",
-    "LiveBus",
-    "MetricRegistry",
-    "Observer",
-    "Span",
-    "TimeSeries",
-    "WaitCause",
-    "WaitInterval",
-    "build_manifest",
-    "chrome_trace",
-    "config_from_manifest",
-    "export_run",
-    "iter_ndjson",
-    "make_event",
-    "platform_digest",
-    "read_events",
-    "spans_from_record",
-    "standard_monitors",
-    "validate_chrome_trace",
-    "validate_events_ndjson",
-    "validate_live_dir",
-    "validate_manifest",
-    "validate_metrics_dir",
-    "validate_obs_dir",
-    "validate_profile_doc",
-    "write_chrome_trace",
-    "write_events",
-    "write_manifest",
-    "write_metric_csvs",
-]
+#: Public names, by the submodule that defines them.  They resolve
+#: lazily (PEP 562): the simulator imports ``repro.obs.waits`` on every
+#: run, and that must not load the exporters, validators, live bus and
+#: manifest builder, which only an observed run or its export needs.
+_EXPORTS = {
+    "exporters": (
+        "chrome_trace",
+        "export_run",
+        "write_chrome_trace",
+        "write_metric_csvs",
+    ),
+    "invariants": (
+        "BBOccupancyMonitor",
+        "EventMonotonicityMonitor",
+        "InvariantMonitor",
+        "InvariantViolation",
+        "LeaseBalanceMonitor",
+        "LinkCapacityMonitor",
+        "standard_monitors",
+    ),
+    "live": ("LIVE_SCHEMA", "LiveBus"),
+    "log": (
+        "COMPONENTS",
+        "LOG_SCHEMA",
+        "iter_ndjson",
+        "make_event",
+        "read_events",
+        "write_events",
+    ),
+    "manifest": (
+        "MANIFEST_SCHEMA",
+        "MANIFEST_SCHEMA_V2",
+        "build_manifest",
+        "config_from_manifest",
+        "platform_digest",
+        "write_manifest",
+    ),
+    "observer": ("METRIC_GROUPS", "Observer"),
+    "probes": ("Counter", "Gauge", "Histogram", "MetricRegistry", "TimeSeries"),
+    "spans": ("Span", "spans_from_record"),
+    "validate": (
+        "validate_chrome_trace",
+        "validate_events_ndjson",
+        "validate_live_dir",
+        "validate_manifest",
+        "validate_metrics_dir",
+        "validate_obs_dir",
+        "validate_profile_doc",
+    ),
+    "waits": ("WaitCause", "WaitInterval"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+__getattr__ = _lazy_getattr(
+    globals(),
+    {
+        name: f"repro.obs.{module}"
+        for module, names in _EXPORTS.items()
+        for name in names
+    },
+)

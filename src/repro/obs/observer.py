@@ -179,6 +179,20 @@ class Observer:
             self.env.obs = None
             self.env = None
 
+    def end_run(self) -> None:
+        """The observed run has ended: its environment stops publishing.
+
+        Clears ``env.obs`` but keeps :attr:`env`, so :attr:`now` and the
+        live bus's last ``sim_time`` still read the run's end time.
+        This breaks the observer <-> environment reference cycle, so a
+        finished run and its telemetry are freed as soon as the caller
+        drops them, not at CPython's next full collection.  The run
+        entry points (:mod:`repro.scenarios`, :class:`repro.Simulator`)
+        call it when their run ends.
+        """
+        if self.env is not None:
+            self.env.obs = None
+
     @property
     def now(self) -> float:
         if self.env is None:

@@ -19,13 +19,11 @@ the high-fidelity emulator standing in for the real Cori/Summit runs
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
-
-import numpy as np
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import des
 from repro.compute import ComputeService
-from repro.obs import Observer
 from repro.emulation.calibration import (
     EmulationEffects,
     SWARP_TRUTH,
@@ -34,7 +32,6 @@ from repro.emulation.calibration import (
     tier_latencies,
 )
 from repro.emulation.compute import EmulatedComputeService
-from repro.emulation.trials import interference_factor
 from repro.platform import Platform, PlatformSpec
 from repro.platform.presets import (
     BB_DISK,
@@ -56,6 +53,9 @@ from repro.wms import EngineConfig, FractionPlacement, WorkflowEngine
 from repro.workflow.genomes import make_1000genomes
 from repro.workflow.model import Workflow
 from repro.workflow.swarp import make_swarp
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs import Observer
 
 SYSTEMS = ("cori", "summit")
 
@@ -127,11 +127,30 @@ def _tune_uplinks(
     return replace(spec, links=links)
 
 
-def _noisy_tier(tier: TierEffects, rng: Optional[np.random.Generator]) -> TierEffects:
+def _interference(
+    emulated: bool, seed: Optional[int]
+) -> Optional[Callable[[float], float]]:
+    """One trial's seeded interference draw (sigma -> factor), if any.
+
+    Only an emulated run with a seed draws, so numpy is imported here:
+    every other run imports only the standard library.
+    """
+    if not emulated or seed is None:
+        return None
+    import numpy as np
+
+    from repro.emulation.trials import interference_factor
+
+    return partial(interference_factor, np.random.default_rng(seed))
+
+
+def _noisy_tier(
+    tier: TierEffects, noise: Optional[Callable[[float], float]]
+) -> TierEffects:
     """Apply one trial's interference to a tier's knobs."""
-    if rng is None:
+    if noise is None:
         return tier
-    factor = interference_factor(rng, tier.interference_sigma)
+    factor = noise(tier.interference_sigma)
     return replace(
         tier,
         read_latency=tier.read_latency * factor,
@@ -207,7 +226,7 @@ def run_swarp(
         effects = None
     elif effects is None:
         effects = effects_for(system)
-    rng = np.random.default_rng(seed) if (emulated and seed is not None) else None
+    noise = _interference(emulated, seed)
 
     # --- platform ------------------------------------------------------
     if system == "cori":
@@ -226,7 +245,7 @@ def run_swarp(
         bb_sigma = effects.bb_onnode.interference_sigma if effects else 0.0
     if effects:
         uplink_scale = (
-            1.0 / interference_factor(rng, bb_sigma) if rng is not None else 1.0
+            1.0 / noise(bb_sigma) if noise is not None else 1.0
         )
         spec = _tune_uplinks(
             spec,
@@ -239,7 +258,7 @@ def run_swarp(
 
     # --- storage services ----------------------------------------------
     if effects:
-        pfs_tier = _noisy_tier(effects.pfs, rng)
+        pfs_tier = _noisy_tier(effects.pfs, noise)
         pfs = ParallelFileSystem(
             platform,
             latencies=tier_latencies(pfs_tier),
@@ -257,7 +276,7 @@ def run_swarp(
                 if bb_mode == BBMode.PRIVATE
                 else effects.bb_striped
             )
-            tier = _noisy_tier(tier, rng)
+            tier = _noisy_tier(tier, noise)
             per_stripe = effects.per_stripe_latency
             if (
                 bb_mode == BBMode.STRIPED
@@ -289,7 +308,7 @@ def run_swarp(
             )
     else:
         if effects:
-            tier = _noisy_tier(effects.bb_onnode, rng)
+            tier = _noisy_tier(effects.bb_onnode, noise)
             bb = OnNodeBurstBuffer(
                 platform,
                 local_bb_host("cn0"),
@@ -335,6 +354,8 @@ def run_swarp(
         ),
     )
     trace = engine.run()
+    if observer is not None:
+        observer.end_run()
     return ScenarioResult(trace=trace, platform=platform, engine=engine, workflow=workflow)
 
 
@@ -396,7 +417,7 @@ def run_genomes(
         effects = None
     elif effects is None:
         effects = effects_for(system)
-    rng = np.random.default_rng(seed) if (emulated and seed is not None) else None
+    noise = _interference(emulated, seed)
 
     if system == "cori":
         spec = cori_spec(n_compute=n_compute, n_bb_nodes=n_bb_nodes)
@@ -410,7 +431,7 @@ def run_genomes(
             else effects.bb_onnode.interference_sigma
         )
         uplink_scale = (
-            1.0 / interference_factor(rng, sigma) if rng is not None else 1.0
+            1.0 / noise(sigma) if noise is not None else 1.0
         )
         spec = _tune_uplinks(
             spec,
@@ -422,7 +443,7 @@ def run_genomes(
     platform = Platform(env, spec, allocator=network_allocator)
 
     if effects:
-        pfs_tier = _noisy_tier(effects.pfs, rng)
+        pfs_tier = _noisy_tier(effects.pfs, noise)
         pfs = ParallelFileSystem(
             platform,
             latencies=tier_latencies(pfs_tier),
@@ -437,7 +458,7 @@ def run_genomes(
 
     if system == "cori":
         if effects:
-            tier = _noisy_tier(effects.bb_striped, rng)
+            tier = _noisy_tier(effects.bb_striped, noise)
             shared = SharedBurstBuffer(
                 platform,
                 bb_node_names(n_bb_nodes),
@@ -456,7 +477,7 @@ def run_genomes(
         def bb_for_host(host: str) -> StorageService:
             if host not in bb_services:
                 if effects:
-                    tier = _noisy_tier(effects.bb_onnode, rng)
+                    tier = _noisy_tier(effects.bb_onnode, noise)
                     bb_services[host] = OnNodeBurstBuffer(
                         platform,
                         local_bb_host(host),
@@ -494,6 +515,8 @@ def run_genomes(
         config=EngineConfig(prestage_inputs=True),
     )
     trace = engine.run()
+    if observer is not None:
+        observer.end_run()
     return ScenarioResult(trace=trace, platform=platform, engine=engine, workflow=workflow)
 
 
@@ -647,6 +670,8 @@ def run_contended(
     for job in jobs:
         env.process(run_job(env, job))
     env.run()
+    if observer is not None:
+        observer.end_run()
     return ScenarioResult(
         trace=trace, platform=platform, engine=None, workflow=None
     )

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro import des
 from repro.compute import ComputeService
 from repro.config import Config
 from repro.network import DEFAULT_ALLOCATOR, allocator_names
-from repro.obs import Observer
 from repro.platform import HostRole, Platform, PlatformSpec, platform_from_json
 from repro.storage import (
     BBMode,
@@ -42,6 +41,9 @@ from repro.wms import EngineConfig, FractionPlacement, WorkflowEngine
 from repro.wms.policies import DEFAULT_POLICY, policy_names
 from repro.workflow.model import Workflow
 from repro.workflow.wfformat import workflow_from_wfformat
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.obs import Observer
 
 
 class Simulator:
@@ -155,7 +157,10 @@ class Simulator:
             ),
             config=EngineConfig(use_amdahl_alpha=self.config.use_amdahl_alpha),
         )
-        return engine.run()
+        trace = engine.run()
+        if self.observer is not None:
+            self.observer.end_run()
+        return trace
 
     def export_telemetry(
         self,

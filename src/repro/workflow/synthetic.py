@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.platform.presets import TABLE_I
 from repro.workflow.model import File, Task, Workflow
 
@@ -120,6 +118,8 @@ def make_random_dag(
         raise ValueError("n_tasks must be positive")
     if not (0.0 <= edge_probability <= 1.0):
         raise ValueError("edge_probability must be in [0, 1]")
+    import numpy as np  # only this generator draws; the others are stdlib
+
     rng = np.random.default_rng(seed)
 
     inputs: dict[int, list[File]] = {i: [] for i in range(n_tasks)}

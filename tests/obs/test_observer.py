@@ -50,6 +50,16 @@ def test_detach_restores_disabled_path():
         obs.now
 
 
+def test_end_run_unhooks_env_but_keeps_its_clock():
+    env = des.Environment()
+    obs = Observer().attach(env)
+    env.run(until=5.0)
+    obs.end_run()
+    assert env.obs is None
+    assert obs.env is env
+    assert obs.now == 5.0
+
+
 def test_unknown_metric_group_rejected():
     with pytest.raises(ValueError):
         Observer(metrics=["storage", "nonsense"])

@@ -6,11 +6,15 @@ occupancy series that respect BB capacity, and a manifest that
 reconstructs the exact simulator configuration.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from repro import simulate
 from repro.config import Config
+from repro.experiments import fig13
 from repro.obs import (
     Observer,
     chrome_trace,
@@ -20,10 +24,11 @@ from repro.obs import (
     validate_obs_dir,
 )
 from repro.platform.presets import cori_spec
-from repro.scenarios import run_swarp
+from repro.scenarios import run_genomes, run_swarp
 from repro.simulator import Simulator
 from repro.storage import BBMode
 from repro.workflow.swarp import make_swarp
+from repro.workflow.synthetic import make_fork_join
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +101,58 @@ def test_simulator_without_observer_cannot_export(tmp_path):
     simulator.run()
     with pytest.raises(ValueError):
         simulator.export_telemetry(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# A finished run is freed by reference counting
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_scenario_env_dies_with_its_result(no_cyclic_gc, observed):
+    obs = Observer() if observed else None
+    result = run_genomes(n_chromosomes=2, observer=obs)
+    env = weakref.ref(result.platform.env)
+    del result, obs
+    assert env() is None
+
+
+def test_simulate_env_dies_with_its_result(no_cyclic_gc):
+    result = simulate(
+        cori_spec(n_compute=1, n_bb_nodes=1), make_fork_join(3), observer=True
+    )
+    env = weakref.ref(result.observer.env)
+    del result
+    assert env() is None
+
+
+def test_fig13_point_frees_its_env(no_cyclic_gc, tmp_path, monkeypatch):
+    envs = []
+    real = fig13.run_genomes
+
+    def spy(**kwargs):
+        result = real(**kwargs)
+        envs.append(weakref.ref(result.platform.env))
+        return result
+
+    monkeypatch.setattr(fig13, "run_genomes", spy)
+    params = {"system": "cori", "fraction": 0.5, "n_chromosomes": 2}
+    fig13.compute_point(params, obs_dir=tmp_path / "point")
+    assert envs and envs[0]() is None
+
+
+def test_live_bus_closes_at_the_final_sim_time(tmp_path):
+    live = tmp_path / "live"
+    result = simulate(
+        cori_spec(n_compute=1, n_bb_nodes=1), make_fork_join(3), live_dir=live
+    )
+    assert result.observer.env.obs is None  # the run unhooked its observer
+    heartbeat = json.loads((live / "heartbeat.json").read_text())
+    assert heartbeat["closed"] is True
+    assert heartbeat["sim_time"] == pytest.approx(result.makespan, rel=1e-9)

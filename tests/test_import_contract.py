@@ -1,8 +1,9 @@
-"""A simulation imports only the stdlib and numpy.
+"""A model run imports only the stdlib; an emulated trial adds numpy.
 
-Each check runs in a fresh interpreter whose import system refuses
-scipy and networkx, so it fails if any code path touches them, not just
-if they end up in ``sys.modules``.
+Each check runs in a fresh interpreter whose import system refuses the
+named packages, so it fails if any code path touches them, not just if
+they end up in ``sys.modules``.  scipy and networkx are refused
+everywhere; numpy is refused on every non-emulated path.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BLOCK = """
 import sys
 
+REFUSED = {refused!r}
+
 
 class _Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] in ("scipy", "networkx"):
-            raise ImportError(f"import of {name} refused")
+        if name.partition(".")[0] in REFUSED:
+            raise ImportError(f"import of {{name}} refused")
         return None
 
 
@@ -30,10 +33,12 @@ sys.meta_path.insert(0, _Refuse())
 """
 
 
-def run_blocked(body: str) -> subprocess.CompletedProcess:
+def run_blocked(
+    body: str, refused: tuple[str, ...] = ("scipy", "networkx", "numpy")
+) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
-        [sys.executable, "-c", BLOCK + textwrap.dedent(body)],
+        [sys.executable, "-c", BLOCK.format(refused=refused) + textwrap.dedent(body)],
         env=env,
         capture_output=True,
         text=True,
@@ -42,6 +47,7 @@ def run_blocked(body: str) -> subprocess.CompletedProcess:
 
 
 def test_simulation_paths_need_neither_scipy_nor_networkx():
+    """Nor numpy: a non-emulated run imports only the stdlib."""
     proc = run_blocked(
         """
         import repro.scenarios
@@ -59,10 +65,32 @@ def test_simulation_paths_need_neither_scipy_nor_networkx():
         assert [t.name for t in loaded.topological_order()] == [
             t.name for t in wf.topological_order()
         ]
-        leaked = [m for m in ("scipy", "networkx") if m in sys.modules]
+        unobserved = ("exporters", "validate", "live", "manifest")
+        loaded = [m for m in unobserved if f"repro.obs.{m}" in sys.modules]
+        assert not loaded, loaded
+
+        from repro.experiments import fig13
+
+        assert fig13.FRACTIONS[::5] == (0.0, 0.5, 1.0)
+        leaked = [m for m in REFUSED if m in sys.modules]
         assert not leaked, leaked
         print("ok")
         """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_emulated_trial_runs_and_imports_numpy():
+    proc = run_blocked(
+        """
+        from repro.scenarios import run_swarp
+
+        assert run_swarp(emulated=True, seed=0).makespan > 0
+        assert "numpy" in sys.modules
+        print("ok")
+        """,
+        refused=("scipy", "networkx"),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
@@ -77,7 +105,8 @@ def test_fit_helpers_name_the_fit_extra_without_scipy():
             from repro.model import fit_lambda_io
         except ImportError as exc:
             print(exc)
-        """
+        """,
+        refused=("scipy", "networkx"),
     )
     assert proc.returncode == 0, proc.stderr
     assert "repro[fit]" in proc.stdout
@@ -89,3 +118,13 @@ def test_fit_helpers_resolve_lazily():
 
     assert repro.model.fit_lambda_io is fitting.fit_lambda_io
     assert repro.model.FitResult is fitting.FitResult
+
+
+def test_lazy_packages_resolve_every_public_name():
+    import repro.emulation
+    import repro.model
+    import repro.obs
+
+    for package in (repro.emulation, repro.model, repro.obs):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (package.__name__, name)
