@@ -101,9 +101,13 @@ class Result:
     def export_telemetry(self, directory: "str | Path") -> Path:
         """Write manifest + Perfetto trace + metric CSVs to ``directory``.
 
-        Requires the run to have been observed.
+        Requires the run to have been observed.  Once :meth:`profile`
+        has been built, it is written too (``profile.json``,
+        ``profile.folded`` and the Perfetto critical-path lane).
         """
-        return self._simulator.export_telemetry(directory, trace=self.trace)
+        return self._simulator.export_telemetry(
+            directory, trace=self.trace, profile=self._profile
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         observed = "observed" if self.observer is not None else "unobserved"
@@ -120,8 +124,6 @@ def simulate(
     *,
     config: "Config | Mapping[str, object] | str | Path | None" = None,
     observer: "Observer | bool | None" = None,
-    monitors: bool = False,
-    live_dir: "str | Path | None" = None,
 ) -> Result:
     """Simulate ``workflow`` on ``platform`` and return a :class:`Result`.
 
@@ -140,44 +142,19 @@ def simulate(
         quick literal configs, or a path to a JSON file of one.
     observer:
         An :class:`~repro.obs.Observer` to collect telemetry into;
-        ``True`` creates one collecting the config's metric groups.
-        Implied by the config's observability switches (``observe``,
-        ``monitors``, ``live_dir``, ...).
-    monitors:
-        ``True`` runs the standard online invariant monitors (BB
-        occupancy, link capacity, clock monotonicity, lease balance); a
-        violated invariant raises
-        :class:`~repro.obs.InvariantViolation` mid-run.  Only applies
-        when this call creates the observer — a pre-built
-        :class:`Observer` carries its own monitor list.  Equivalent to
-        ``Config.monitors``.
-    live_dir:
-        Stream live telemetry (``repro.obs.live/1``) into this
-        directory while the run executes; tail it with
-        ``repro-obs watch``.  The stream is closed when the run ends.
-        Equivalent to ``Config.live_dir``.
+        ``True`` creates one from the config
+        (:meth:`~repro.config.Config.make_observer`: its metric groups,
+        ``monitors`` and ``live_dir``).  Implied by the config's
+        observability switches (``observe``, ``monitors``,
+        ``live_dir``, ...).  A live bus is closed when the run ends.
     """
     cfg = Config.from_any(config)
-    if monitors:
-        cfg = cfg.replace(monitors=True)
-    if live_dir is not None:
-        cfg = cfg.replace(live_dir=str(live_dir))
-    if observer in (None, False) and cfg.wants_observer():
-        observer = True
-    if observer is True:
-        from repro.obs import Observer
-
-        observer = cfg.make_observer() or Observer(monitors=cfg.monitors)
+    if observer is True or (
+        observer in (None, False) and cfg.wants_observer()
+    ):
+        observer = cfg.replace(observe=True).make_observer()
     elif observer is False:
         observer = None
-    if (
-        cfg.live_dir is not None
-        and observer is not None
-        and observer.bus is None
-    ):
-        from repro.obs import LiveBus
-
-        observer.attach_bus(LiveBus(cfg.live_dir))
     simulator = Simulator(platform, workflow, config=cfg, observer=observer)
     trace = simulator.run()
     if observer is not None and observer.bus is not None:

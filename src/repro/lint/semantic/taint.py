@@ -67,6 +67,7 @@ SOURCE_CALLS: dict[str, str] = {
     "uuid.uuid1": "uuid.uuid1() wall-clock/MAC value",
     "uuid.uuid4": "uuid.uuid4() entropy",
     "id": "id()-derived value (allocator-dependent)",
+    "hash": "hash() value (str hashes are salted per interpreter)",
 }
 
 #: Method names that enumerate the filesystem in arbitrary order

@@ -28,6 +28,7 @@ Standard monitors (:func:`standard_monitors`):
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,14 +77,17 @@ class InvariantMonitor:
     name = "invariant"
 
     def bind(self, observer: "Observer") -> None:
-        self._observer = observer
+        # Weak, because the observer holds its monitors: a strong
+        # back-reference would be a cycle that keeps a finished run
+        # alive until CPython's next full collection.
+        self._observer = weakref.ref(observer)
         self._checks = observer.registry.counter(f"invariants.{self.name}.checks")
 
     def passed(self) -> None:
         self._checks.inc()
 
     def fail(self, detail: str, **fields: Any) -> None:
-        observer = self._observer
+        observer = self._observer()
         observer.log_event("obs", "invariant_violation",
                            invariant=self.name, detail=detail, **fields)
         observer.registry.counter("invariants.violations").inc()

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import weakref
 from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -88,7 +89,10 @@ class LiveBus:
         self._dropped = 0
         self.seq = 0
         self.closed = False
-        self._observer: Optional["Observer"] = None
+        #: The observer streaming into this bus, held weakly: it holds
+        #: the bus, and a strong back-reference would be a cycle that
+        #: keeps a finished run alive until a full collection.
+        self._observer: "Optional[weakref.ref[Observer]]" = None
         self._started = False
         # Last-flushed probe values, for incremental snapshots.
         self._last_counters: dict[str, float] = {}
@@ -99,9 +103,12 @@ class LiveBus:
     # Producer side (called from Observer hooks)
     # ------------------------------------------------------------------
     def attach(self, observer: "Observer") -> None:
-        if self._observer is not None and self._observer is not observer:
+        if self._observer is not None and self._observer() is not observer:
             raise ValueError("live bus is already attached to another observer")
-        self._observer = observer
+        self._observer = weakref.ref(observer)
+
+    def _attached(self) -> Optional["Observer"]:
+        return self._observer() if self._observer is not None else None
 
     def push(self, record: dict[str, Any]) -> None:
         """Buffer one typed record; flushes when the interval is reached."""
@@ -178,7 +185,7 @@ class LiveBus:
         self._started = True
 
     def _sim_time(self) -> Optional[float]:
-        observer = self._observer
+        observer = self._attached()
         if observer is None or observer.env is None:
             return None
         return observer.env.now
@@ -188,7 +195,7 @@ class LiveBus:
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         series: dict[str, float] = {}
-        observer = self._observer
+        observer = self._attached()
         if observer is not None:
             registry = observer.registry
             for name, probe in registry.counters.items():

@@ -1,8 +1,9 @@
 """High-level scenario builders — the library's main entry points.
 
-Each function assembles a platform, storage services, compute service,
-workflow, and engine for one of the paper's experimental configurations
-and runs it to completion:
+Each function chooses the platform, workflow, placement and engine
+settings of one of the paper's experimental configurations and runs it
+through the one run path (:func:`repro.simulator._execute`), which
+builds the storage and compute services from the host roles:
 
 * :func:`run_swarp` — the SWarp characterization scenarios of
   Section III (Figures 4–9) and their simulated counterparts
@@ -24,32 +25,19 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro import des
 from repro.compute import ComputeService
+from repro.config import Config
 from repro.emulation.calibration import (
     EmulationEffects,
     SWARP_TRUTH,
-    TierEffects,
     effects_for,
-    tier_latencies,
 )
-from repro.emulation.compute import EmulatedComputeService
+from repro.network import DEFAULT_ALLOCATOR
 from repro.platform import Platform, PlatformSpec
-from repro.platform.presets import (
-    BB_DISK,
-    bb_node_names,
-    compute_node_names,
-    cori_spec,
-    local_bb_host,
-    summit_spec,
-)
-from repro.storage import (
-    BBMode,
-    OnNodeBurstBuffer,
-    ParallelFileSystem,
-    SharedBurstBuffer,
-    StorageService,
-)
+from repro.platform.presets import compute_node_names, cori_spec, summit_spec
+from repro.simulator import _execute
+from repro.storage import BBMode
 from repro.traces.events import ExecutionTrace
-from repro.wms import EngineConfig, FractionPlacement, WorkflowEngine
+from repro.wms import EngineConfig, WorkflowEngine
 from repro.workflow.genomes import make_1000genomes
 from repro.workflow.model import Workflow
 from repro.workflow.swarp import make_swarp
@@ -100,33 +88,6 @@ class ScenarioResult:
         return end - start
 
 
-def _tune_uplinks(
-    spec: PlatformSpec,
-    suffixes: tuple[str, ...],
-    penalty: float,
-    bandwidth_scale: float = 1.0,
-) -> PlatformSpec:
-    """Apply a concurrency penalty and/or bandwidth scaling to BB uplinks.
-
-    ``bandwidth_scale`` carries the per-trial interference into the
-    links that actually bind under contention (per-service stream caps
-    rarely do when many flows share an uplink).
-    """
-    if penalty <= 0 and bandwidth_scale == 1.0:
-        return spec
-    links = tuple(
-        replace(
-            l,
-            concurrency_penalty=max(l.concurrency_penalty, penalty),
-            bandwidth=l.bandwidth * bandwidth_scale,
-        )
-        if l.name.endswith(suffixes)
-        else l
-        for l in spec.links
-    )
-    return replace(spec, links=links)
-
-
 def _interference(
     emulated: bool, seed: Optional[int]
 ) -> Optional[Callable[[float], float]]:
@@ -144,39 +105,54 @@ def _interference(
     return partial(interference_factor, np.random.default_rng(seed))
 
 
-def _noisy_tier(
-    tier: TierEffects, noise: Optional[Callable[[float], float]]
-) -> TierEffects:
-    """Apply one trial's interference to a tier's knobs."""
-    if noise is None:
-        return tier
-    factor = noise(tier.interference_sigma)
-    return replace(
-        tier,
-        read_latency=tier.read_latency * factor,
-        write_latency=tier.write_latency * factor,
-        stream_cap=tier.stream_cap / factor,
-        metadata_service_time=tier.metadata_service_time * factor,
-    )
+def _emulated_spec(
+    spec: PlatformSpec,
+    system: str,
+    bb_mode: BBMode,
+    effects: EmulationEffects,
+    noise: Optional[Callable[[float], float]],
+) -> PlatformSpec:
+    """The emulated platform: contended BB uplinks, effective PFS disk.
 
-
-def _override_pfs_disk(spec: PlatformSpec, bandwidth: Optional[float]) -> PlatformSpec:
-    """Replace the PFS disk bandwidth (emulated effective PFS speed)."""
-    if bandwidth is None:
-        return spec
-    hosts = tuple(
-        replace(
-            h,
-            disks=tuple(
-                replace(d, read_bandwidth=bandwidth, write_bandwidth=bandwidth)
-                for d in h.disks
-            ),
+    Draws the trial's interference first, with the sigma of the BB tier
+    the run uses, and scales the BB uplinks by it: those are the links
+    that bind under contention (per-service stream caps rarely do when
+    many flows share an uplink).
+    """
+    if system == "cori":
+        suffixes = ("-bbnet",)
+        tier = (
+            effects.bb_private if bb_mode == BBMode.PRIVATE
+            else effects.bb_striped
         )
-        if h.name == "pfs"
-        else h
-        for h in spec.hosts
-    )
-    return replace(spec, hosts=hosts)
+    else:
+        suffixes = ("-pcie",)
+        tier = effects.bb_onnode
+    penalty = effects.bb_uplink_concurrency_penalty
+    scale = 1.0 / noise(tier.interference_sigma) if noise is not None else 1.0
+    if penalty > 0 or scale != 1.0:
+        links = tuple(
+            replace(
+                l,
+                concurrency_penalty=max(l.concurrency_penalty, penalty),
+                bandwidth=l.bandwidth * scale,
+            )
+            if l.name.endswith(suffixes)
+            else l
+            for l in spec.links
+        )
+        spec = replace(spec, links=links)
+    bandwidth = effects.pfs_disk_bandwidth
+    if bandwidth is not None:
+        pfs_disks = {"read_bandwidth": bandwidth, "write_bandwidth": bandwidth}
+        hosts = tuple(
+            replace(h, disks=tuple(replace(d, **pfs_disks) for d in h.disks))
+            if h.name == "pfs"
+            else h
+            for h in spec.hosts
+        )
+        spec = replace(spec, hosts=hosts)
+    return spec
 
 
 def _validate_fraction(name: str, value: float) -> None:
@@ -219,114 +195,15 @@ def run_swarp(
         raise ValueError(f"system must be one of {SYSTEMS}, got {system!r}")
     _validate_fraction("input_fraction", input_fraction)
 
-    env = des.Environment()
-    if observer is not None:
-        observer.attach(env)
-    if not emulated:
-        effects = None
-    elif effects is None:
-        effects = effects_for(system)
-    noise = _interference(emulated, seed)
-
-    # --- platform ------------------------------------------------------
     if system == "cori":
         spec = cori_spec(n_compute=1, n_bb_nodes=n_bb_nodes)
-        suffixes = ("-bbnet",)
-        bb_sigma = (
-            effects.bb_private.interference_sigma
-            if effects and bb_mode == BBMode.PRIVATE
-            else effects.bb_striped.interference_sigma
-            if effects
-            else 0.0
-        )
     else:
         spec = summit_spec(n_compute=1)
-        suffixes = ("-pcie",)
-        bb_sigma = effects.bb_onnode.interference_sigma if effects else 0.0
-    if effects:
-        uplink_scale = (
-            1.0 / noise(bb_sigma) if noise is not None else 1.0
-        )
-        spec = _tune_uplinks(
-            spec,
-            suffixes,
-            effects.bb_uplink_concurrency_penalty,
-            bandwidth_scale=uplink_scale,
-        )
-        spec = _override_pfs_disk(spec, effects.pfs_disk_bandwidth)
-    platform = Platform(env, spec, allocator=network_allocator)
+    effects = (effects or effects_for(system)) if emulated else None
+    noise = _interference(emulated, seed)
+    if effects is not None:
+        spec = _emulated_spec(spec, system, bb_mode, effects, noise)
 
-    # --- storage services ----------------------------------------------
-    if effects:
-        pfs_tier = _noisy_tier(effects.pfs, noise)
-        pfs = ParallelFileSystem(
-            platform,
-            latencies=tier_latencies(pfs_tier),
-            max_stream_rate=pfs_tier.stream_cap,
-            metadata_service_time=pfs_tier.metadata_service_time,
-        )
-    else:
-        pfs = ParallelFileSystem(platform)
-
-    stage_extra_latency = 0.0
-    if system == "cori":
-        if effects:
-            tier = (
-                effects.bb_private
-                if bb_mode == BBMode.PRIVATE
-                else effects.bb_striped
-            )
-            tier = _noisy_tier(tier, noise)
-            per_stripe = effects.per_stripe_latency
-            if (
-                bb_mode == BBMode.STRIPED
-                and effects.striped_anomaly_low
-                <= input_fraction
-                < effects.striped_anomaly_high
-            ):
-                # The reproducible Figure 4 anomaly: staging into a
-                # striped allocation degrades in this fraction band.
-                stage_extra_latency = (
-                    tier.write_latency + tier.metadata_service_time + per_stripe
-                ) * (effects.striped_anomaly_factor - 1.0)
-            bb = SharedBurstBuffer(
-                platform,
-                bb_node_names(n_bb_nodes),
-                bb_mode,
-                owner_host="cn0" if bb_mode == BBMode.PRIVATE else None,
-                latencies=tier_latencies(tier),
-                per_stripe_latency=per_stripe,
-                max_stream_rate=tier.stream_cap,
-                metadata_service_time=tier.metadata_service_time,
-            )
-        else:
-            bb = SharedBurstBuffer(
-                platform,
-                bb_node_names(n_bb_nodes),
-                bb_mode,
-                owner_host="cn0" if bb_mode == BBMode.PRIVATE else None,
-            )
-    else:
-        if effects:
-            tier = _noisy_tier(effects.bb_onnode, noise)
-            bb = OnNodeBurstBuffer(
-                platform,
-                local_bb_host("cn0"),
-                latencies=tier_latencies(tier),
-                max_stream_rate=tier.stream_cap,
-            )
-        else:
-            bb = OnNodeBurstBuffer(platform, local_bb_host("cn0"))
-
-    # --- compute ---------------------------------------------------------
-    if effects:
-        compute: ComputeService = EmulatedComputeService(
-            platform, ["cn0"], effects=effects, truth=SWARP_TRUTH
-        )
-    else:
-        compute = ComputeService(platform, ["cn0"])
-
-    # --- workflow + engine ----------------------------------------------
     workflow = make_swarp(
         n_pipelines=n_pipelines,
         cores_per_task=cores_per_task,
@@ -335,28 +212,27 @@ def run_swarp(
     if resample_flops is not None or combine_flops is not None:
         workflow = _override_swarp_flops(workflow, resample_flops, combine_flops)
 
-    placement = FractionPlacement(
+    config = Config(
+        bb_mode=bb_mode,
         input_fraction=input_fraction,
         intermediate_fraction=1.0 if intermediates_in_bb else 0.0,
         output_fraction=1.0 if outputs_in_bb else 0.0,
+        network_allocator=network_allocator or DEFAULT_ALLOCATOR,
     )
-    engine = WorkflowEngine(
-        platform,
+    engine = _execute(
+        spec,
         workflow,
-        compute,
-        pfs,
-        bb_for_host=lambda host: bb,
-        placement=placement,
-        host_assignment=lambda task: "cn0",
-        config=EngineConfig(
-            stage_extra_latency=stage_extra_latency,
-            stage_in_external=not emulated,
-        ),
+        config,
+        EngineConfig(stage_in_external=not emulated),
+        observer=observer,
+        effects=effects,
+        noise=noise,
+        truth=SWARP_TRUTH,
     )
-    trace = engine.run()
-    if observer is not None:
-        observer.end_run()
-    return ScenarioResult(trace=trace, platform=platform, engine=engine, workflow=workflow)
+    return ScenarioResult(
+        trace=engine.trace, platform=engine.platform, engine=engine,
+        workflow=workflow,
+    )
 
 
 def _override_swarp_flops(
@@ -365,14 +241,12 @@ def _override_swarp_flops(
     combine_flops: Optional[float],
 ) -> Workflow:
     """Rebuild a SWarp workflow with calibrated task flops (Eq. 4 output)."""
-    from dataclasses import replace as dc_replace
-
     tasks = []
     for task in workflow:
         if task.group == "resample" and resample_flops is not None:
-            tasks.append(dc_replace(task, flops=resample_flops))
+            tasks.append(replace(task, flops=resample_flops))
         elif task.group == "combine" and combine_flops is not None:
-            tasks.append(dc_replace(task, flops=combine_flops))
+            tasks.append(replace(task, flops=combine_flops))
         else:
             tasks.append(task)
     return Workflow(workflow.name, tasks)
@@ -410,114 +284,38 @@ def run_genomes(
     if n_bb_nodes <= 0:
         raise ValueError("n_bb_nodes must be positive")
 
-    env = des.Environment()
-    if observer is not None:
-        observer.attach(env)
-    if not emulated:
-        effects = None
-    elif effects is None:
-        effects = effects_for(system)
-    noise = _interference(emulated, seed)
-
     if system == "cori":
         spec = cori_spec(n_compute=n_compute, n_bb_nodes=n_bb_nodes)
     else:
         spec = summit_spec(n_compute=n_compute)
-    if effects:
-        suffix = ("-bbnet",) if system == "cori" else ("-pcie",)
-        sigma = (
-            effects.bb_striped.interference_sigma
-            if system == "cori"
-            else effects.bb_onnode.interference_sigma
-        )
-        uplink_scale = (
-            1.0 / noise(sigma) if noise is not None else 1.0
-        )
-        spec = _tune_uplinks(
-            spec,
-            suffix,
-            effects.bb_uplink_concurrency_penalty,
-            bandwidth_scale=uplink_scale,
-        )
-        spec = _override_pfs_disk(spec, effects.pfs_disk_bandwidth)
-    platform = Platform(env, spec, allocator=network_allocator)
-
-    if effects:
-        pfs_tier = _noisy_tier(effects.pfs, noise)
-        pfs = ParallelFileSystem(
-            platform,
-            latencies=tier_latencies(pfs_tier),
-            max_stream_rate=pfs_tier.stream_cap,
-            metadata_service_time=pfs_tier.metadata_service_time,
-        )
-    else:
-        pfs = ParallelFileSystem(platform)
-
-    hosts = compute_node_names(n_compute)
-    bb_services: dict[str, StorageService] = {}
-
-    if system == "cori":
-        if effects:
-            tier = _noisy_tier(effects.bb_striped, noise)
-            shared = SharedBurstBuffer(
-                platform,
-                bb_node_names(n_bb_nodes),
-                BBMode.STRIPED,
-                latencies=tier_latencies(tier),
-                per_stripe_latency=effects.per_stripe_latency,
-                max_stream_rate=tier.stream_cap,
-                metadata_service_time=tier.metadata_service_time,
-            )
-        else:
-            shared = SharedBurstBuffer(
-                platform, bb_node_names(n_bb_nodes), BBMode.STRIPED
-            )
-        bb_for_host: Callable[[str], StorageService] = lambda host: shared
-    else:
-        def bb_for_host(host: str) -> StorageService:
-            if host not in bb_services:
-                if effects:
-                    tier = _noisy_tier(effects.bb_onnode, noise)
-                    bb_services[host] = OnNodeBurstBuffer(
-                        platform,
-                        local_bb_host(host),
-                        latencies=tier_latencies(tier),
-                        max_stream_rate=tier.stream_cap,
-                    )
-                else:
-                    bb_services[host] = OnNodeBurstBuffer(
-                        platform, local_bb_host(host)
-                    )
-            return bb_services[host]
-
-    if effects:
-        compute: ComputeService = EmulatedComputeService(
-            platform, hosts, effects=effects, truth={}
-        )
-    else:
-        compute = ComputeService(platform, hosts)
+    effects = (effects or effects_for(system)) if emulated else None
+    noise = _interference(emulated, seed)
+    if effects is not None:
+        spec = _emulated_spec(spec, system, BBMode.STRIPED, effects, noise)
 
     workflow = make_1000genomes(
         n_chromosomes=n_chromosomes, cores_per_task=cores_per_task
     )
-    placement = FractionPlacement(
+    config = Config(
+        bb_mode=BBMode.STRIPED,
         input_fraction=input_fraction,
         intermediate_fraction=1.0,
         output_fraction=0.0,
+        network_allocator=network_allocator or DEFAULT_ALLOCATOR,
     )
-    engine = WorkflowEngine(
-        platform,
+    engine = _execute(
+        spec,
         workflow,
-        compute,
-        pfs,
-        bb_for_host=bb_for_host,
-        placement=placement,
-        config=EngineConfig(prestage_inputs=True),
+        config,
+        EngineConfig(prestage_inputs=True),
+        observer=observer,
+        effects=effects,
+        noise=noise,
     )
-    trace = engine.run()
-    if observer is not None:
-        observer.end_run()
-    return ScenarioResult(trace=trace, platform=platform, engine=engine, workflow=workflow)
+    return ScenarioResult(
+        trace=engine.trace, platform=engine.platform, engine=engine,
+        workflow=workflow,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,31 @@ Storage roles come from each host's explicit
 :class:`~repro.platform.HostRole` (``compute``, ``shared_bb``,
 ``local_bb``, ``pfs``); a platform with a role-less host is rejected.
 The run is configured by one :class:`~repro.config.Config`.
+
+Every workflow run, :class:`Simulator`'s and the paper scenarios'
+(:mod:`repro.scenarios`) alike, goes through :func:`_execute`, which
+builds the services from the host roles and runs the engine.
 """
 
 from __future__ import annotations
 
-import argparse
+from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from repro import des
 from repro.compute import ComputeService
 from repro.config import Config
+from repro.emulation.calibration import TierEffects, tier_latencies
+from repro.emulation.compute import EmulatedComputeService
 from repro.network import DEFAULT_ALLOCATOR, allocator_names
 from repro.platform import HostRole, Platform, PlatformSpec, platform_from_json
 from repro.storage import (
@@ -43,7 +57,210 @@ from repro.workflow.model import Workflow
 from repro.workflow.wfformat import workflow_from_wfformat
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.emulation.calibration import EmulationEffects
     from repro.obs import Observer
+
+#: The paper's simple model: no latencies, no stream cap, no metadata
+#: queue (every service default).
+_IDEAL_TIER = TierEffects(
+    read_latency=0.0,
+    write_latency=0.0,
+    stream_cap=float("inf"),
+    interference_sigma=0.0,
+)
+
+
+class _HostRoles(NamedTuple):
+    """A platform's storage and compute hosts, read off their roles."""
+
+    compute: list[str]
+    shared_bb: list[str]
+    #: Compute host -> its ``local_bb`` host.
+    local_bb: dict[str, str]
+    pfs: str
+
+
+def _host_roles(spec: PlatformSpec) -> _HostRoles:
+    """The hosts of each role; raises ``ValueError`` on a bad platform."""
+    if not spec.has_roles:
+        roleless = [h.name for h in spec.hosts if h.role is None]
+        raise ValueError(
+            f"hosts without a role: {', '.join(roleless)}; declare "
+            "role=compute|shared_bb|local_bb|pfs on every host"
+        )
+    compute = [h.name for h in spec.hosts_with_role(HostRole.COMPUTE)]
+    if not compute:
+        raise ValueError("platform has no compute hosts (role=compute)")
+    local_bb: dict[str, str] = {}
+    for h in spec.hosts_with_role(HostRole.LOCAL_BB):
+        if h.attached_to is None:
+            raise ValueError(
+                f"local_bb host {h.name!r} declares no attached_to "
+                "compute host"
+            )
+        local_bb[h.attached_to] = h.name
+    pfs = spec.hosts_with_role(HostRole.PFS)
+    if not pfs:
+        raise ValueError("platform has no PFS host (role=pfs)")
+    return _HostRoles(
+        compute=compute,
+        shared_bb=[h.name for h in spec.hosts_with_role(HostRole.SHARED_BB)],
+        local_bb=local_bb,
+        pfs=pfs[0].name,
+    )
+
+
+def _execute(
+    spec: PlatformSpec,
+    workflow: Workflow,
+    config: Config,
+    engine_config: EngineConfig,
+    observer: Optional[Observer] = None,
+    effects: Optional[EmulationEffects] = None,
+    noise: Optional[Callable[[float], float]] = None,
+    truth: Optional[Mapping[str, Any]] = None,
+) -> WorkflowEngine:
+    """Run ``workflow`` on ``spec`` to completion; returns the engine.
+
+    The one run path.  Services come from the host roles: the PFS on
+    the ``pfs`` host, one compute service over the ``compute`` hosts in
+    platform order, and burst buffers by one rule: one striped
+    namespace shared by every host, one private allocation per owning
+    host, or the host's own ``local_bb`` node.  Private and on-node
+    instances are built when a host first uses one.  ``config`` gives
+    the mode, the staged fractions (the placement), the allocator and
+    the queue policy.
+
+    ``effects`` swaps in the emulated tiers and compute model, with
+    ``noise`` (one trial's interference draw) applied per service as it
+    is built: the PFS, then each burst buffer in order of first use.
+    """
+    roles = _host_roles(spec)
+    env = des.Environment()
+    if observer is not None:
+        observer.attach(env)
+    platform = Platform(env, spec, allocator=config.network_allocator)
+
+    def tier(name: str) -> TierEffects:
+        """The named tier's knobs, with this trial's interference."""
+        if effects is None:
+            return _IDEAL_TIER
+        knobs = getattr(effects, name)
+        if noise is None:
+            return knobs
+        factor = noise(knobs.interference_sigma)
+        return replace(
+            knobs,
+            read_latency=knobs.read_latency * factor,
+            write_latency=knobs.write_latency * factor,
+            stream_cap=knobs.stream_cap / factor,
+            metadata_service_time=knobs.metadata_service_time * factor,
+        )
+
+    pfs_tier = tier("pfs")
+    pfs = ParallelFileSystem(
+        platform,
+        host=roles.pfs,
+        latencies=tier_latencies(pfs_tier),
+        max_stream_rate=pfs_tier.stream_cap,
+        metadata_service_time=pfs_tier.metadata_service_time,
+    )
+
+    def shared(
+        mode: BBMode, owner_host: Optional[str] = None
+    ) -> SharedBurstBuffer:
+        bb_tier = tier(f"bb_{mode.value}")
+        return SharedBurstBuffer(
+            platform,
+            roles.shared_bb,
+            mode,
+            owner_host=owner_host,
+            latencies=tier_latencies(bb_tier),
+            per_stripe_latency=(
+                effects.per_stripe_latency if effects is not None else 0.0
+            ),
+            max_stream_rate=bb_tier.stream_cap,
+            metadata_service_time=bb_tier.metadata_service_time,
+        )
+
+    striped = None
+    if roles.shared_bb and config.bb_mode == BBMode.STRIPED:
+        striped = shared(BBMode.STRIPED)
+        if (
+            effects is not None
+            and effects.striped_anomaly_low
+            <= config.input_fraction
+            < effects.striped_anomaly_high
+        ):
+            # The reproducible Figure 4 anomaly: staging into a striped
+            # allocation degrades in this fraction band.
+            engine_config = replace(
+                engine_config,
+                stage_extra_latency=(
+                    striped.latencies.write
+                    + striped.metadata_service_time
+                    + striped.per_stripe_latency
+                )
+                * (effects.striped_anomaly_factor - 1.0),
+            )
+
+    bb_services: dict[str, StorageService] = {}
+
+    def bb_for_host(host: str) -> Optional[StorageService]:
+        service = bb_services.get(host)
+        if service is not None:
+            return service
+        if host in roles.local_bb:
+            bb_tier = tier("bb_onnode")
+            service = OnNodeBurstBuffer(
+                platform,
+                roles.local_bb[host],
+                latencies=tier_latencies(bb_tier),
+                max_stream_rate=bb_tier.stream_cap,
+            )
+        elif striped is not None:
+            service = striped
+        elif roles.shared_bb:
+            service = shared(BBMode.PRIVATE, owner_host=host)
+        else:
+            return None
+        bb_services[host] = service
+        return service
+
+    if effects is None:
+        compute = ComputeService(
+            platform,
+            roles.compute,
+            use_amdahl_alpha=config.use_amdahl_alpha,
+            queue_policy=config.queue_policy,
+        )
+    else:
+        compute = EmulatedComputeService(
+            platform, roles.compute, effects=effects, truth=truth
+        )
+    if observer is not None and config.queue_policy != DEFAULT_POLICY:
+        # Structured provenance for non-default disciplines (the
+        # manifest always carries queue_policy; default runs keep
+        # their historical event stream byte-identical).
+        observer.log_event("wms", "queue_policy", policy=config.queue_policy)
+
+    engine = WorkflowEngine(
+        platform,
+        workflow,
+        compute,
+        pfs,
+        bb_for_host=bb_for_host if roles.shared_bb or roles.local_bb else None,
+        placement=FractionPlacement(
+            input_fraction=config.input_fraction,
+            intermediate_fraction=config.intermediate_fraction,
+            output_fraction=config.output_fraction,
+        ),
+        config=engine_config,
+    )
+    engine.run()
+    if observer is not None:
+        observer.end_run()
+    return engine
 
 
 class Simulator:
@@ -60,12 +277,7 @@ class Simulator:
             platform = platform_from_json(platform)
         if not isinstance(workflow, Workflow):
             workflow = workflow_from_wfformat(workflow)
-        if not platform.has_roles:
-            roleless = [h.name for h in platform.hosts if h.role is None]
-            raise ValueError(
-                f"hosts without a role: {', '.join(roleless)}; declare "
-                "role=compute|shared_bb|local_bb|pfs on every host"
-            )
+        _host_roles(platform)  # reject a bad platform here, not at run()
         self.spec = platform
         self.workflow = workflow
         #: The run's configuration; the model knobs are read off it and
@@ -75,92 +287,16 @@ class Simulator:
         #: before any service is built, so every sample is captured.
         self.observer = observer
 
-        self._compute_hosts = [
-            h.name for h in platform.hosts_with_role(HostRole.COMPUTE)
-        ]
-        if not self._compute_hosts:
-            raise ValueError("platform has no compute hosts (role=compute)")
-        self._shared_bb_hosts = [
-            h.name for h in platform.hosts_with_role(HostRole.SHARED_BB)
-        ]
-        self._local_bb_hosts: dict[str, str] = {}
-        for h in platform.hosts_with_role(HostRole.LOCAL_BB):
-            if h.attached_to is None:
-                raise ValueError(
-                    f"local_bb host {h.name!r} declares no attached_to "
-                    "compute host"
-                )
-            self._local_bb_hosts[h.attached_to] = h.name
-        if not platform.hosts_with_role(HostRole.PFS):
-            raise ValueError("platform has no PFS host (role=pfs)")
-
     def run(self) -> ExecutionTrace:
         """Simulate the workflow execution; returns the event trace."""
-        env = des.Environment()
-        if self.observer is not None:
-            self.observer.attach(env)
-        platform = Platform(
-            env, self.spec, allocator=self.config.network_allocator
-        )
-        pfs = ParallelFileSystem(platform)
-        compute = ComputeService(
-            platform,
-            self._compute_hosts,
-            use_amdahl_alpha=self.config.use_amdahl_alpha,
-            queue_policy=self.config.queue_policy,
-        )
-        if (
-            self.observer is not None
-            and self.config.queue_policy != DEFAULT_POLICY
-        ):
-            # Structured provenance for non-default disciplines (the
-            # manifest always carries queue_policy; default runs keep
-            # their historical event stream byte-identical).
-            self.observer.log_event(
-                "wms", "queue_policy", policy=self.config.queue_policy
-            )
-
-        bb_services: dict[str, StorageService] = {}
-
-        def bb_for_host(host: str) -> Optional[StorageService]:
-            if host in bb_services:
-                return bb_services[host]
-            if host in self._local_bb_hosts:
-                service: StorageService = OnNodeBurstBuffer(
-                    platform, self._local_bb_hosts[host]
-                )
-            elif self._shared_bb_hosts:
-                service = SharedBurstBuffer(
-                    platform,
-                    self._shared_bb_hosts,
-                    self.config.bb_mode,
-                    owner_host=host
-                    if self.config.bb_mode == BBMode.PRIVATE
-                    else None,
-                )
-            else:
-                return None
-            bb_services[host] = service
-            return service
-
-        has_bb = bool(self._shared_bb_hosts or self._local_bb_hosts)
-        engine = WorkflowEngine(
-            platform,
+        engine = _execute(
+            self.spec,
             self.workflow,
-            compute,
-            pfs,
-            bb_for_host=bb_for_host if has_bb else None,
-            placement=FractionPlacement(
-                input_fraction=self.config.input_fraction,
-                intermediate_fraction=self.config.intermediate_fraction,
-                output_fraction=self.config.output_fraction,
-            ),
-            config=EngineConfig(use_amdahl_alpha=self.config.use_amdahl_alpha),
+            self.config,
+            EngineConfig(use_amdahl_alpha=self.config.use_amdahl_alpha),
+            observer=self.observer,
         )
-        trace = engine.run()
-        if self.observer is not None:
-            self.observer.end_run()
-        return trace
+        return engine.trace
 
     def export_telemetry(
         self,
@@ -195,6 +331,8 @@ class Simulator:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: simulate a workflow JSON on a platform JSON."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="repro-simulate",
         description="Simulate a WfCommons workflow on a JSON-described "
@@ -278,15 +416,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obs_dir=args.obs_dir,
         profile=args.profile,
     )
-    observer = config.make_observer()
 
-    simulator = Simulator(
-        Path(args.platform),
-        Path(args.workflow),
-        config,
-        observer=observer,
-    )
-    trace = simulator.run()
+    from repro.api import simulate
+
+    result = simulate(Path(args.platform), Path(args.workflow), config=config)
+    trace = result.trace
     print(f"workflow: {trace.workflow_name}")
     print(f"tasks:    {len(trace.records)}")
     print(f"makespan: {trace.makespan:.3f}s")
@@ -298,11 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.output:
         trace.to_json(args.output)
         print(f"trace written to {args.output}")
-    profile = None
     if args.profile:
-        from repro.profile import build_profile
-
-        profile = build_profile(trace, observer=observer)
+        profile = result.profile()
         print()
         print("critical-path attribution (sums to the makespan):")
         for resource, seconds in sorted(
@@ -313,12 +444,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  dominant: {profile.dominant_resource} "
               f"({profile.dominant_class}-bound)")
     if args.obs_dir:
-        directory = simulator.export_telemetry(
-            args.obs_dir, trace=trace, profile=profile
-        )
+        directory = result.export_telemetry(args.obs_dir)
         print(f"telemetry written to {directory}")
-    elif observer is not None and observer.bus is not None:
-        observer.bus.close()  # export_run closes it on the --obs-dir path
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import zlib
 from typing import Optional, Sequence
 
 from repro.des import Event
@@ -103,8 +104,12 @@ class SharedBurstBuffer(StorageService):
         self.max_stream_rate = max_stream_rate
         # PRIVATE mode: deterministic assignment of this namespace to one
         # BB node (DataWarp pins a private allocation's files together).
+        # adler32, not hash(): str hashes are salted per interpreter.
+        # Its checksum spreads consecutively numbered owners (cn0, cn1,
+        # ...) over the nodes in turn.
         self._private_node = self.bb_hosts[
-            (hash(owner_host) if owner_host else 0) % len(self.bb_hosts)
+            (zlib.adler32(owner_host.encode()) if owner_host else 0)
+            % len(self.bb_hosts)
         ]
 
     # ------------------------------------------------------------------

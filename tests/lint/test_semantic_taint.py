@@ -76,6 +76,19 @@ def test_wall_clock_and_global_rng_sources_reach_sink():
     assert "numpy.random.rand() global-RNG draw" in messages
 
 
+def test_salted_hash_reaches_sink():
+    path = FIXTURES / "hash_bad.py"
+    expected = [
+        lineno
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"expect\[SIM100\]", line)
+    ]
+    diags = run(path, select=["SIM100"])
+    assert [d.line for d in diags] == expected
+    assert len(expected) == 2
+    assert all("hash() value" in d.message for d in diags)
+
+
 def test_seeded_generators_and_simulated_time_clean():
     assert run(FIXTURES / "clock_good.py", select=["SIM100"]) == []
 

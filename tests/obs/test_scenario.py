@@ -16,6 +16,7 @@ from repro import simulate
 from repro.config import Config
 from repro.experiments import fig13
 from repro.obs import (
+    LiveBus,
     Observer,
     chrome_trace,
     config_from_manifest,
@@ -114,9 +115,15 @@ def no_cyclic_gc():
     gc.enable()
 
 
-@pytest.mark.parametrize("observed", [False, True])
-def test_scenario_env_dies_with_its_result(no_cyclic_gc, observed):
-    obs = Observer() if observed else None
+@pytest.mark.parametrize("observed", [False, True, "monitors", "bus"])
+def test_scenario_env_dies_with_its_result(no_cyclic_gc, observed, tmp_path):
+    # Monitors and a live bus point back at their observer (weakly).
+    obs = {
+        False: lambda: None,
+        True: Observer,
+        "monitors": lambda: Observer(monitors=True),
+        "bus": lambda: Observer(bus=LiveBus(tmp_path / "live")),
+    }[observed]()
     result = run_genomes(n_chromosomes=2, observer=obs)
     env = weakref.ref(result.platform.env)
     del result, obs
@@ -150,7 +157,9 @@ def test_fig13_point_frees_its_env(no_cyclic_gc, tmp_path, monkeypatch):
 def test_live_bus_closes_at_the_final_sim_time(tmp_path):
     live = tmp_path / "live"
     result = simulate(
-        cori_spec(n_compute=1, n_bb_nodes=1), make_fork_join(3), live_dir=live
+        cori_spec(n_compute=1, n_bb_nodes=1),
+        make_fork_join(3),
+        config={"live_dir": live},
     )
     assert result.observer.env.obs is None  # the run unhooked its observer
     heartbeat = json.loads((live / "heartbeat.json").read_text())

@@ -58,6 +58,8 @@ def test_simulation_paths_need_neither_scipy_nor_networkx():
         from repro.workflow.wfformat import workflow_from_wfformat, workflow_to_wfformat
 
         assert repro.scenarios.run_genomes(n_chromosomes=2).makespan > 0
+        for system in ("cori", "summit"):
+            assert repro.scenarios.run_swarp(system=system).makespan > 0
         wf = make_fork_join(3)
         assert simulate(cori_spec(n_compute=1, n_bb_nodes=1), wf).makespan > 0
         lint_workflow(wf)

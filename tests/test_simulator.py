@@ -1,16 +1,27 @@
 """Tests for the WRENCH-style Simulator facade and its CLI."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from repro.platform import platform_to_json
-from repro.platform.presets import cori_spec, summit_spec
+from repro.platform import HostRole, platform_to_json
+from repro.platform.presets import BB_DISK, cori_spec, summit_spec
+from repro.platform.units import GB
 from repro.config import Config
 from repro.simulator import Simulator, main
 from repro.storage import BBMode
+from repro.storage.base import InsufficientStorage
+from repro.workflow.genomes import make_1000genomes
 from repro.workflow.swarp import make_swarp
 from repro.workflow.wfformat import workflow_to_wfformat
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -51,6 +62,67 @@ def test_simulator_modes_differ():
 def test_simulator_on_summit_uses_local_bbs():
     trace = Simulator(summit_spec(n_compute=1), make_swarp()).run()
     assert trace.makespan > 0
+
+
+def _with_bb_capacity(spec, capacity):
+    hosts = tuple(
+        replace(
+            h,
+            disks=tuple(
+                replace(d, capacity=capacity) if d.name == BB_DISK else d
+                for d in h.disks
+            ),
+        )
+        if h.role is HostRole.SHARED_BB
+        else h
+        for h in spec.hosts
+    )
+    return replace(spec, hosts=hosts)
+
+
+def test_striped_bb_is_one_namespace_shared_by_every_host():
+    """Eight hosts staging into a 2 GB striped allocation overflow it.
+
+    One striped instance per host would give each its own 2 GB and let
+    the run finish."""
+    spec = _with_bb_capacity(cori_spec(n_compute=8, n_bb_nodes=1), 2 * GB)
+    config = Config(input_fraction=1.0, intermediate_fraction=1.0)
+    with pytest.raises(InsufficientStorage, match="bb-striped"):
+        Simulator(spec, make_1000genomes(n_chromosomes=2), config).run()
+
+
+def test_private_bb_placement_ignores_the_string_hash_seed():
+    """Private allocations pin to BB nodes by a stable checksum of the
+    owner's name, so the schedule does not depend on PYTHONHASHSEED."""
+    code = textwrap.dedent(
+        """
+        import json
+        import repro
+        from repro.platform.presets import cori_spec
+        from repro.workflow.genomes import make_1000genomes
+
+        result = repro.simulate(
+            cori_spec(4, 2),
+            make_1000genomes(4),
+            config={"bb_mode": "private", "input_fraction": 1.0,
+                    "intermediate_fraction": 1.0},
+        )
+        print(json.dumps(sorted(
+            (r.name, r.host, r.start, r.end)
+            for r in result.trace.records.values()
+        )))
+        """
+    )
+    schedules = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        schedules.append(json.loads(proc.stdout))
+    assert schedules[0] == schedules[1]
 
 
 def test_simulator_fraction_zero_keeps_pfs_only():
@@ -185,7 +257,7 @@ def test_cli_manifest_records_the_config_main_built(files, tmp_path, monkeypatch
     """The exported manifest carries the run's whole ``Config``,
     observability switches included (``--monitors`` used to be recorded
     as ``monitors: false``)."""
-    import repro.simulator
+    import repro.api
     from repro.obs import config_from_manifest, validate_obs_dir
 
     built = []
@@ -195,7 +267,8 @@ def test_cli_manifest_records_the_config_main_built(files, tmp_path, monkeypatch
             super().__init__(*args, **kwargs)
             built.append(self.config)
 
-    monkeypatch.setattr(repro.simulator, "Simulator", Recording)
+    # main runs through repro.simulate, which builds the Simulator.
+    monkeypatch.setattr(repro.api, "Simulator", Recording)
     platform_path, workflow_path = files
     obs_dir = tmp_path / "obs"
     assert main(
