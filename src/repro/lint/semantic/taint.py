@@ -223,7 +223,9 @@ class FunctionTaintAnalysis(FunctionAnalysis):
             )
         if isinstance(node, ast.UnaryOp):
             return self.taint_of(node.operand)
-        if isinstance(node, (ast.Subscript, ast.Starred, ast.Await, ast.FormattedValue)):
+        if isinstance(node, ast.Subscript):
+            return self.taint_of(node.value) or self.taint_of(node.slice)
+        if isinstance(node, (ast.Starred, ast.Await, ast.FormattedValue)):
             return self.taint_of(node.value)
         if isinstance(node, ast.IfExp):
             self.taint_of(node.test)

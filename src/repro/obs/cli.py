@@ -4,11 +4,13 @@ Three subcommands over the observability file formats:
 
 * ``repro-obs validate <dir>...`` — schema-check exported telemetry
   directories (same checks as ``python -m repro.obs``);
-* ``repro-obs watch <live-dir>`` — tail a live directory (a sweep's
-  ``repro.sweep.live/1`` stream or a single run's ``repro.obs.live/1``
-  bus) and render progress: completed/cached/failed counts, per-point
-  heartbeat age, p50/p99 point latency, and an ETA.  ``--once`` renders
-  a single frame and exits — it works on finished directories too;
+* ``repro-obs watch <live-dir>`` — tail a live directory
+  (``repro.obs.live/1``) and render progress.  A sweep's stream (its
+  records carry a ``sweep_id``) shows completed/cached/failed counts,
+  the in-flight points and how long each has run, p50/p99 point
+  latency, and an ETA; a single run's stream shows its sim time and
+  record counts.  ``--once`` renders a single frame and exits — it
+  works on finished directories too;
 * ``repro-obs report <live-dir> -o report.html`` — write a
   self-contained static HTML report (stat tiles, a point-duration
   histogram, and the point table) from the same stream.
@@ -45,8 +47,9 @@ def load_live_dir(directory: "str | Path") -> dict[str, Any]:
     """Read a live directory into one state dict.
 
     Returns ``{"kind": "sweep" | "run", "heartbeat": ..., "events":
-    [...]}``; the kind is detected from the heartbeat schema.  Raises
-    :class:`WatchError` when there is no heartbeat to key off.
+    [...]}``: a stream whose records carry a ``sweep_id`` is a sweep,
+    any other is a single run.  Raises :class:`WatchError` when there
+    is no heartbeat to key off.
     """
     directory = Path(directory)
     heartbeat_path = directory / "heartbeat.json"
@@ -55,25 +58,14 @@ def load_live_dir(directory: "str | Path") -> dict[str, Any]:
             f"{directory}: no heartbeat.json — not a live telemetry "
             "directory (pass a --live sweep dir or an obs live/ dir)"
         )
-    heartbeat = json.loads(heartbeat_path.read_text())
-    schema = heartbeat.get("schema", "")
-    if schema.startswith("repro.sweep.live/"):
-        kind = "sweep"
-        stream = directory / "sweep.ndjson"
-    elif schema.startswith("repro.obs.live/"):
-        kind = "run"
-        stream = directory / "events.ndjson"
-    else:
-        raise WatchError(
-            f"{heartbeat_path}: unrecognized heartbeat schema {schema!r}"
-        )
+    stream = directory / "events.ndjson"
     events: list[dict[str, Any]] = []
     if stream.is_file():
         events = [r for r in iter_ndjson(stream) if "schema" not in r]
     return {
-        "kind": kind,
+        "kind": "sweep" if any("sweep_id" in r for r in events) else "run",
         "directory": directory,
-        "heartbeat": heartbeat,
+        "heartbeat": json.loads(heartbeat_path.read_text()),
         "events": events,
     }
 
@@ -83,9 +75,33 @@ def point_durations(events: "list[dict[str, Any]]") -> list[float]:
     return [
         float(e["duration"])
         for e in events
-        if e.get("event") in ("point_completed", "point_failed", "point_retry")
+        if e.get("kind") in ("point_completed", "point_failed", "point_retry")
         and isinstance(e.get("duration"), (int, float))
     ]
+
+
+def sweep_view(
+    events: "list[dict[str, Any]]",
+) -> tuple[str, dict[str, Any], dict[str, float]]:
+    """(sweep id, latest progress, in-flight points) of a sweep stream.
+
+    A point is in flight from its ``point_started`` record until any
+    later record names it; the value is that record's ``ts``, the
+    wall-clock start of the attempt.
+    """
+    sweep_id, progress = "?", {}
+    in_flight: dict[str, float] = {}
+    for record in events:
+        sweep_id = record.get("sweep_id", sweep_id)
+        progress = record.get("progress", progress)
+        pid = record.get("point_id")
+        if pid is None:
+            continue
+        if record.get("kind") == "point_started":
+            in_flight[pid] = float(record["ts"])
+        else:
+            in_flight.pop(pid, None)
+    return sweep_id, progress, dict(sorted(in_flight.items()))
 
 
 def quantile(samples: "list[float]", q: float) -> Optional[float]:
@@ -127,7 +143,7 @@ def _format_seconds(value: Optional[float]) -> str:
 def render_sweep(state: dict[str, Any], now: float) -> str:
     """One text frame of sweep progress."""
     heartbeat = state["heartbeat"]
-    progress = heartbeat.get("progress", {})
+    sweep_id, progress, in_flight = sweep_view(state["events"])
     closed = bool(heartbeat.get("closed"))
     age = now - float(heartbeat.get("ts", now))
     total = int(progress.get("total") or 0)
@@ -149,16 +165,15 @@ def render_sweep(state: dict[str, Any], now: float) -> str:
     bar = "#" * filled + "." * (width - filled)
 
     lines = [
-        f"sweep {heartbeat.get('sweep_id', '?')} — {status}",
+        f"sweep {sweep_id} — {status}",
         f"  [{bar}] {done}/{total} points — "
         f"{completed} completed, {cached} cached, {failed} failed, "
         f"{retried} retried",
     ]
-    in_flight = heartbeat.get("in_flight") or {}
     if in_flight:
         lines.append(f"  in flight ({len(in_flight)}):")
-        for pid, started in sorted(in_flight.items()):
-            lines.append(f"    {pid} — running {now - float(started):.1f}s")
+        for pid, started in in_flight.items():
+            lines.append(f"    {pid} — running {now - started:.1f}s")
     durations = point_durations(state["events"])
     p50 = quantile(durations, 0.50)
     p99 = quantile(durations, 0.99)
@@ -353,7 +368,7 @@ def build_report_html(state: dict[str, Any]) -> str:
     """Self-contained static HTML for a sweep live directory."""
     heartbeat = state["heartbeat"]
     events = state["events"]
-    progress = heartbeat.get("progress", {})
+    sweep_id, progress, _ = sweep_view(events)
     durations = point_durations(events)
     p50 = quantile(durations, 0.50)
     p99 = quantile(durations, 0.99)
@@ -408,14 +423,14 @@ def build_report_html(state: dict[str, Any]) -> str:
     rows = []
     for pid in sorted(final):
         record = final[pid]
-        event = record.get("event", "")
+        kind = record.get("kind", "")
         status_name = {
             "point_completed": "completed",
             "point_cached": "cached",
             "point_failed": "failed",
             "point_started": "running",
             "point_retry": "retrying",
-        }.get(event, event)
+        }.get(kind, kind)
         duration = record.get("duration")
         duration_text = (
             f"{duration:.2f}"
@@ -435,7 +450,7 @@ def build_report_html(state: dict[str, Any]) -> str:
         "</tr></thead><tbody>" + "".join(rows) + "</tbody></table>"
     )
 
-    sweep_id = html.escape(str(heartbeat.get("sweep_id", "?")))
+    sweep_id = html.escape(str(sweep_id))
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -466,7 +481,7 @@ def report(directory: "str | Path", output: "str | Path") -> int:
     if state["kind"] != "sweep":
         print(
             "error: report needs a sweep live directory "
-            "(repro.sweep.live/1 heartbeat)",
+            "(a stream of point records)",
             file=sys.stderr,
         )
         return 2

@@ -2,10 +2,19 @@
 
 Post-run exports (:func:`repro.obs.exporters.export_run`) answer "what
 happened"; the live bus answers "what is happening".  An attached
-:class:`LiveBus` receives typed records (structured log events, span
-closes, wait opens/closes) from the observer's hooks into a *bounded*
-ring buffer and, every ``flush_every`` pushes, drains the ring to
-``<directory>/``:
+:class:`LiveBus` receives typed records, each naming its type under
+``kind``, into a *bounded* ring buffer and, every ``flush_every``
+pushes, drains the ring to ``<directory>/``.  Two sources attach one:
+
+* an :class:`~repro.obs.observer.Observer` streams a simulation run's
+  structured log events, span closes and wait opens/closes;
+* a :class:`~repro.sweep.telemetry.SweepTelemetry` streams a sweep
+  campaign's point lifecycle (``point_started``, ``point_completed``,
+  ``point_cached``, ``point_retry``, ``point_failed``, ``sweep_done``),
+  each record carrying the ``sweep_id`` and a ``progress`` block.
+
+The bus reads only the source's ``registry`` and, when the source has
+one, its simulated clock (``env.now``).  It writes:
 
 ``events.ndjson``
     the drained records, each stamped with a wall-clock ``ts`` at flush
@@ -40,6 +49,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
+    from repro.sweep.telemetry import SweepTelemetry
 
 #: Live-stream format identifier; bump on breaking changes.
 LIVE_SCHEMA = "repro.obs.live/1"
@@ -89,10 +99,10 @@ class LiveBus:
         self._dropped = 0
         self.seq = 0
         self.closed = False
-        #: The observer streaming into this bus, held weakly: it holds
-        #: the bus, and a strong back-reference would be a cycle that
-        #: keeps a finished run alive until a full collection.
-        self._observer: "Optional[weakref.ref[Observer]]" = None
+        #: The observer or sweep streaming into this bus, held weakly:
+        #: it holds the bus, and a strong back-reference would be a
+        #: cycle that keeps a finished run alive until a full collection.
+        self._source: "Optional[weakref.ref[Observer | SweepTelemetry]]" = None
         self._started = False
         # Last-flushed probe values, for incremental snapshots.
         self._last_counters: dict[str, float] = {}
@@ -102,13 +112,15 @@ class LiveBus:
     # ------------------------------------------------------------------
     # Producer side (called from Observer hooks)
     # ------------------------------------------------------------------
-    def attach(self, observer: "Observer") -> None:
-        if self._observer is not None and self._observer() is not observer:
-            raise ValueError("live bus is already attached to another observer")
-        self._observer = weakref.ref(observer)
+    def attach(self, source: "Observer | SweepTelemetry") -> None:
+        if self._source is not None and self._source() is not source:
+            raise ValueError(
+                "live bus already streams from another observer or sweep"
+            )
+        self._source = weakref.ref(source)
 
-    def _attached(self) -> Optional["Observer"]:
-        return self._observer() if self._observer is not None else None
+    def _attached(self) -> "Observer | SweepTelemetry | None":
+        return self._source() if self._source is not None else None
 
     def push(self, record: dict[str, Any]) -> None:
         """Buffer one typed record; flushes when the interval is reached."""
@@ -185,19 +197,17 @@ class LiveBus:
         self._started = True
 
     def _sim_time(self) -> Optional[float]:
-        observer = self._attached()
-        if observer is None or observer.env is None:
-            return None
-        return observer.env.now
+        env = getattr(self._attached(), "env", None)
+        return None if env is None else env.now
 
     def _delta_snapshot(self, ts: float) -> dict[str, Any]:
         """Changed probes since the last flush, plus stream bookkeeping."""
         counters: dict[str, float] = {}
         gauges: dict[str, float] = {}
         series: dict[str, float] = {}
-        observer = self._attached()
-        if observer is not None:
-            registry = observer.registry
+        source = self._attached()
+        if source is not None:
+            registry = source.registry
             for name, probe in registry.counters.items():
                 if self._last_counters.get(name) != probe.value:
                     counters[name] = self._last_counters[name] = probe.value

@@ -8,11 +8,13 @@ campaigns:
 * :class:`SweepSpec` — a named, versioned set of points (cartesian grid
   or explicit list) with stable, order-independent point ids, executed
   by a module-level point function referenced as ``"pkg.mod:callable"``;
-* :func:`run_sweep` — fans points out over a
-  ``ProcessPoolExecutor`` with *deterministic result ordering* (always
-  by point id, never by completion order), per-point timeout/retry with
-  bounded backoff, and per-point telemetry counters threaded through
-  :mod:`repro.obs` probes;
+* :func:`run_sweep` — runs each point attempt in its own
+  ``multiprocessing.Process`` (at most ``workers`` at once) with
+  *deterministic result ordering* (always by point id, never by
+  completion order), per-point timeout/retry with bounded backoff, and
+  per-point telemetry counters threaded through :mod:`repro.obs` probes
+  (streamed through a :class:`~repro.obs.live.LiveBus` when given a
+  live directory);
 * :class:`SweepCache` — a content-addressed on-disk cache under
   ``results/.cache/`` keyed by the :mod:`repro.obs.manifest` provenance
   document (simulator version acts as the code salt), so a re-run with
@@ -23,7 +25,6 @@ bit-identical outputs: every point value is canonicalized through JSON
 before it is returned or stored, and results are assembled in point-id
 order.
 
-CLI: ``repro-sweep fig13 --workers 4`` (or ``python -m repro.sweep``).
 See ``docs/SWEEP.md`` for the spec format, cache layout and
 invalidation rules, and worker/retry/timeout semantics.
 """

@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.sweep.cache import SweepCache, point_key, point_key_doc
-from repro.sweep.live import SweepLiveWriter
 from repro.sweep.spec import SweepSpec, resolve_func, sanitize_point_id
 from repro.sweep.telemetry import SweepTelemetry
 
@@ -225,9 +224,11 @@ def run_sweep(
         Base directory for per-point telemetry; each point gets its own
         ``<obs-dir>/<point-id>/`` (collision → :class:`SweepError`).
     live_dir:
-        Directory for the live progress stream (``repro.sweep.live/1``
-        — ``sweep.ndjson`` + ``heartbeat.json``), the feed that
-        ``repro-obs watch`` tails.  ``None`` disables it.
+        Directory for the live progress stream: a
+        :class:`~repro.obs.live.LiveBus` that flushes every point record
+        (``events.ndjson``, ``snapshots.ndjson``, ``heartbeat.json``),
+        the feed that ``repro-obs watch`` tails.  ``None`` disables it
+        and leaves :mod:`repro.obs.live` unloaded.
     strict:
         Raise :class:`SweepError` if any point is still failed after
         retries (default); ``False`` leaves failures in the outcome.
@@ -240,11 +241,6 @@ def run_sweep(
         raise ValueError(f"timeout must be positive, got {timeout}")
 
     telemetry = telemetry or SweepTelemetry(spec.sweep_id)
-    live = (
-        SweepLiveWriter(Path(live_dir), telemetry)
-        if live_dir is not None
-        else None
-    )
     started = time.monotonic()  # lint: ignore[SIM001] — harness wall time
     ordered = spec.points_by_id()
     telemetry.total.set(float(len(ordered)))
@@ -254,6 +250,11 @@ def run_sweep(
     if layout is not None:
         for pid in ordered:
             point_dirs[pid] = layout.claim(pid)
+    bus = None
+    if live_dir is not None:
+        from repro.obs.live import LiveBus
+
+        bus = telemetry.attach_bus(LiveBus(live_dir, flush_every=1))
 
     outcomes: dict[str, PointOutcome] = {}
     to_run: dict[str, dict[str, Any]] = {}
@@ -274,21 +275,16 @@ def run_sweep(
                     cache_key=key,
                 )
                 telemetry.cached.inc()
-                if live is not None:
-                    live.record("point_cached", pid)
+                telemetry.record("point_cached", pid)
                 continue
         to_run[pid] = params
 
     if to_run:
+        attempts = _Attempts(to_run, outcomes, retries, telemetry)
         if workers == 1:
-            _run_serial(
-                spec, to_run, outcomes, retries, telemetry, point_dirs, live
-            )
+            _run_serial(spec, attempts, point_dirs)
         else:
-            _run_parallel(
-                spec, to_run, outcomes, workers, retries, timeout,
-                telemetry, point_dirs, live,
-            )
+            _run_parallel(spec, attempts, workers, timeout, point_dirs)
         for pid, outcome in outcomes.items():
             if outcome.status == "completed" and cache is not None:
                 key = keys.get(pid) or point_key(spec, dict(ordered[pid]))
@@ -302,8 +298,9 @@ def run_sweep(
     )
     result.wall_time_s = time.monotonic() - started  # lint: ignore[SIM001]
     telemetry.wall_time.set(result.wall_time_s)
-    if live is not None:
-        live.close()
+    if bus is not None:
+        telemetry.record("sweep_done")
+        bus.close()
 
     if layout is not None:
         for pid, outcome in outcomes.items():
@@ -336,58 +333,86 @@ def _obs_arg(spec: SweepSpec, point_dirs: dict[str, Path], pid: str) -> Optional
     return None
 
 
+class _Attempts:
+    """Attempt bookkeeping shared by the serial and parallel paths.
+
+    Both paths start and settle every attempt here, so a point's
+    telemetry and live records are the same whatever ``workers`` is.
+    """
+
+    def __init__(
+        self,
+        to_run: dict[str, dict[str, Any]],
+        outcomes: dict[str, PointOutcome],
+        retries: int,
+        telemetry: SweepTelemetry,
+    ) -> None:
+        self.to_run = to_run
+        self.outcomes = outcomes
+        self.retries = retries
+        self.telemetry = telemetry
+        self.count = {pid: 0 for pid in to_run}
+
+    def start(self, pid: str) -> None:
+        self.count[pid] += 1
+        t = self.telemetry
+        t.in_flight.set(t.in_flight.value + 1)
+        t.record("point_started", pid, attempt=self.count[pid])
+
+    def settle(self, pid: str, tag: str, payload: Any, duration: float) -> bool:
+        """Book one finished attempt; ``True`` when the point is retried.
+
+        ``tag`` is ``"ok"`` (``payload`` is the canonical value) or
+        ``"error"`` (``payload`` is the error text).
+        """
+        t = self.telemetry
+        t.in_flight.set(t.in_flight.value - 1)
+        t.point_seconds.observe(duration)
+        attempt = self.count[pid]
+        if tag == "ok":
+            t.completed.inc()
+            t.record("point_completed", pid, duration=duration)
+            self.outcomes[pid] = PointOutcome(
+                point_id=pid, params=self.to_run[pid], value=payload,
+                status="completed", attempts=attempt,
+            )
+            return False
+        if attempt <= self.retries:
+            t.retried.inc()
+            t.record("point_retry", pid, attempt=attempt,
+                     duration=duration, error=payload)
+            return True
+        t.failed.inc()
+        t.record("point_failed", pid, duration=duration, error=payload)
+        self.outcomes[pid] = PointOutcome(
+            point_id=pid, params=self.to_run[pid], value=None,
+            status="failed", attempts=attempt, error=payload,
+        )
+        return False
+
+
 def _run_serial(
-    spec: SweepSpec,
-    to_run: dict[str, dict[str, Any]],
-    outcomes: dict[str, PointOutcome],
-    retries: int,
-    telemetry: SweepTelemetry,
-    point_dirs: dict[str, Path],
-    live: Optional[SweepLiveWriter] = None,
+    spec: SweepSpec, attempts: _Attempts, point_dirs: dict[str, Path]
 ) -> None:
     """In-process execution, sequential, in point-id order."""
-    for pid, params in to_run.items():
-        attempts = 0
-        error: Optional[str] = None
-        value: Any = None
-        status = "failed"
-        while attempts <= retries:
-            attempts += 1
-            if attempts > 1:
-                telemetry.retried.inc()
-                if live is not None:
-                    live.record("point_retry", pid, attempt=attempts)
-                time.sleep(_backoff_delay(attempts - 1))
-            telemetry.in_flight.set(1.0)
-            if live is not None:
-                live.record("point_started", pid, attempt=attempts)
-            begin = time.monotonic()  # lint: ignore[SIM001] — harness wall time
-            try:
-                value = _canonical(
-                    _execute_point(spec.func, params, _obs_arg(spec, point_dirs, pid))
-                )
-                status = "completed"
-                error = None
-            except Exception as exc:  # noqa: BLE001 - reported per point
-                error = f"{type(exc).__name__}: {exc}"
-            finally:
+    try:
+        for pid, params in attempts.to_run.items():
+            while True:
+                attempts.start(pid)
+                begin = time.monotonic()  # lint: ignore[SIM001] — harness wall time
+                try:
+                    tag, payload = "ok", _canonical(
+                        _execute_point(spec.func, params, _obs_arg(spec, point_dirs, pid))
+                    )
+                except Exception as exc:  # noqa: BLE001 - reported per point
+                    tag, payload = "error", f"{type(exc).__name__}: {exc}"
                 duration = time.monotonic() - begin  # lint: ignore[SIM001]
-                telemetry.in_flight.set(0.0)
-                telemetry.point_seconds.observe(duration)
-            if status == "completed":
-                break
-        if status == "completed":
-            telemetry.completed.inc()
-            if live is not None:
-                live.record("point_completed", pid, duration=duration)
-        else:
-            telemetry.failed.inc()
-            if live is not None:
-                live.record("point_failed", pid, duration=duration, error=error)
-        outcomes[pid] = PointOutcome(
-            point_id=pid, params=params, value=value,
-            status=status, attempts=attempts, error=error,
-        )
+                if not attempts.settle(pid, tag, payload, duration):
+                    break
+                time.sleep(_backoff_delay(attempts.count[pid]))
+    finally:
+        # An interrupt (KeyboardInterrupt) leaves no attempt in flight.
+        attempts.telemetry.in_flight.set(0.0)
 
 
 def _point_worker(
@@ -440,14 +465,10 @@ def _reap(proc: multiprocessing.Process) -> Optional[int]:
 
 def _run_parallel(
     spec: SweepSpec,
-    to_run: dict[str, dict[str, Any]],
-    outcomes: dict[str, PointOutcome],
+    attempts: _Attempts,
     workers: int,
-    retries: int,
     timeout: Optional[float],
-    telemetry: SweepTelemetry,
     point_dirs: dict[str, Path],
-    live: Optional[SweepLiveWriter] = None,
 ) -> None:
     """Worker-process execution with per-point timeout and retries.
 
@@ -460,24 +481,21 @@ def _run_parallel(
     concurrently with its own retry.
     """
     mp = multiprocessing.get_context()
-    attempts = {pid: 0 for pid in to_run}
-    errors: dict[str, str] = {}
     resubmit_at: dict[str, float] = {}
     # Launch in point-id order (determinism of *launch* order is not
     # required for correctness — results are reordered — but it makes
     # worker logs reproducible).
-    queued = deque(to_run)
+    queued = deque(attempts.to_run)
     running: list[_RunningPoint] = []
 
     def launch(pid: str) -> None:
-        attempts[pid] += 1
         recv_conn, send_conn = mp.Pipe(duplex=False)
         proc = mp.Process(
             target=_point_worker,
             args=(
                 send_conn,
                 spec.func,
-                to_run[pid],
+                attempts.to_run[pid],
                 _obs_arg(spec, point_dirs, pid),
             ),
         )
@@ -486,54 +504,18 @@ def _run_parallel(
         now = time.monotonic()  # lint: ignore[SIM001] — harness timeout
         deadline = now + timeout if timeout is not None else None
         running.append(_RunningPoint(pid, proc, recv_conn, deadline, now))
-        telemetry.in_flight.set(float(len(running)))
-        if live is not None:
-            live.record("point_started", pid, attempt=attempts[pid])
+        attempts.start(pid)
 
     def settle(pid: str, tag: str, payload: Any, now: float,
-               duration: float = 0.0) -> None:
-        telemetry.point_seconds.observe(duration)
-        if tag == "ok":
-            outcomes[pid] = PointOutcome(
-                point_id=pid,
-                params=to_run[pid],
-                value=payload,
-                status="completed",
-                attempts=attempts[pid],
-            )
-            telemetry.completed.inc()
-            if live is not None:
-                live.record("point_completed", pid, duration=duration)
-            return
-        errors[pid] = payload
-        if attempts[pid] <= retries:
-            resubmit_at[pid] = now + _backoff_delay(attempts[pid])
-            if live is not None:
-                live.record(
-                    "point_retry", pid,
-                    attempt=attempts[pid], duration=duration, error=payload,
-                )
-        else:
-            outcomes[pid] = PointOutcome(
-                point_id=pid,
-                params=to_run[pid],
-                value=None,
-                status="failed",
-                attempts=attempts[pid],
-                error=errors[pid],
-            )
-            telemetry.failed.inc()
-            if live is not None:
-                live.record(
-                    "point_failed", pid, duration=duration, error=payload
-                )
+               duration: float) -> None:
+        if attempts.settle(pid, tag, payload, duration):
+            resubmit_at[pid] = now + _backoff_delay(attempts.count[pid])
 
     try:
         while queued or running or resubmit_at:
             now = time.monotonic()  # lint: ignore[SIM001] — harness clock
             for pid in [p for p, t in resubmit_at.items() if t <= now]:
                 del resubmit_at[pid]
-                telemetry.retried.inc()
                 queued.append(pid)
             while queued and len(running) < workers:
                 launch(queued.popleft())
@@ -596,7 +578,6 @@ def _run_parallel(
                 else:
                     still_running.append(r)
             running = still_running
-            telemetry.in_flight.set(float(len(running)))
     finally:
         # Unexpected exit (KeyboardInterrupt, telemetry bug): leave no
         # orphaned workers behind.
@@ -604,4 +585,4 @@ def _run_parallel(
             r.proc.terminate()
             r.conn.close()
             _reap(r.proc)
-        telemetry.in_flight.set(0.0)
+        attempts.telemetry.in_flight.set(0.0)

@@ -15,15 +15,23 @@ it publishes directly into a :class:`~repro.obs.probes.MetricRegistry`:
 * ``sweep.point_seconds`` (histogram) — per-point attempt wall times,
   bucketed so ``repro-obs watch`` gets p50/p99 without keeping samples;
 * ``sweep.wall_time_s`` (gauge) — harness wall time for the campaign.
+
+A :class:`~repro.obs.live.LiveBus` attached with :meth:`attach_bus`
+streams the campaign the way an observer's bus streams a run: each
+:meth:`record` pushes one point-lifecycle record carrying the sweep id
+and a :meth:`progress` block, and the bus snapshots the registry.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.probes import MetricRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only for a live directory
+    from repro.obs.live import LiveBus
 
 #: Telemetry export format identifier.
 STATS_SCHEMA = "repro.sweep.stats/1"
@@ -43,6 +51,42 @@ class SweepTelemetry:
         self.in_flight = self.registry.gauge("sweep.points_in_flight")
         self.point_seconds = self.registry.histogram("sweep.point_seconds")
         self.wall_time = self.registry.gauge("sweep.wall_time_s")
+        self._bus: Optional["LiveBus"] = None
+
+    def attach_bus(self, bus: "LiveBus") -> "LiveBus":
+        """Stream point records into ``bus`` from now on.
+
+        A closed bus is replaced, so one telemetry object can follow
+        several campaigns, each into its own live directory.
+        """
+        if self._bus is not None and self._bus is not bus and not self._bus.closed:
+            raise ValueError("sweep already streams to another live bus")
+        bus.attach(self)
+        self._bus = bus
+        return bus
+
+    def progress(self) -> dict[str, float]:
+        """Campaign counts: completed/cached/failed/retried/in_flight/total."""
+        return {
+            "completed": self.completed.value,
+            "cached": self.cached.value,
+            "failed": self.failed.value,
+            "retried": self.retried.value,
+            "in_flight": self.in_flight.value,
+            "total": self.total.value,
+        }
+
+    def record(self, kind: str, point_id: Optional[str] = None,
+               **fields: Any) -> None:
+        """Push one point-lifecycle record to the attached bus, if any."""
+        if self._bus is None:
+            return
+        doc = {"kind": kind, "sweep_id": self.sweep_id,
+               "progress": self.progress()}
+        if point_id is not None:
+            doc["point_id"] = point_id
+        doc.update(fields)
+        self._bus.push(doc)
 
     @property
     def cache_hit_ratio(self) -> float:

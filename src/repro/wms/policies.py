@@ -188,7 +188,8 @@ class EasyBackfillPolicy(QueuePolicy):
             if request.amount > free:
                 continue
             finishes_before_shadow = (
-                request.estimate != UNKNOWN
+                shadow != UNKNOWN
+                and request.estimate != UNKNOWN
                 and now + request.estimate <= shadow
             )
             within_extra = request.amount <= extra

@@ -17,6 +17,11 @@ def push_by_bucket(queue, task, n_buckets):
     heapq.heappush(queue, (bucket, task))  # expect[SIM100]
 
 
+def push_to_owner_node(queue, nodes, task):
+    node = nodes[hash(task.owner) % len(nodes)]
+    heapq.heappush(queue, (node, task))  # expect[SIM100]
+
+
 def push_by_checksum(queue, task):
     # A checksum is the same in every interpreter: not a source.
     heapq.heappush(queue, (zlib.adler32(task.name.encode()), task))

@@ -85,7 +85,7 @@ def test_salted_hash_reaches_sink():
     ]
     diags = run(path, select=["SIM100"])
     assert [d.line for d in diags] == expected
-    assert len(expected) == 2
+    assert len(expected) == 3
     assert all("hash() value" in d.message for d in diags)
 
 

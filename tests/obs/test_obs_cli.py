@@ -25,19 +25,19 @@ def _finished_sweep(tmp_path):
 
 def _mid_flight_sweep(tmp_path):
     """A live dir as a crashed/running 4-worker sweep would leave it."""
-    from repro.sweep.live import SweepLiveWriter
-
     telemetry = SweepTelemetry("midflight")
     telemetry.total.set(8.0)
-    writer = SweepLiveWriter(tmp_path / "live", telemetry, clock=_clock())
+    telemetry.attach_bus(
+        LiveBus(tmp_path / "live", flush_every=1, clock=_clock())
+    )
     for pid in ("x=1", "x=2"):
-        writer.record("point_started", pid, attempt=1)
+        telemetry.record("point_started", pid, attempt=1)
         telemetry.completed.inc()
         telemetry.point_seconds.observe(1.5)
-        writer.record("point_completed", pid, duration=1.5)
+        telemetry.record("point_completed", pid, duration=1.5)
     telemetry.in_flight.set(4.0)
     for pid in ("x=3", "x=4", "x=5", "x=6"):
-        writer.record("point_started", pid, attempt=1)
+        telemetry.record("point_started", pid, attempt=1)
     return tmp_path / "live"  # never closed: heartbeat stays open
 
 

@@ -1,12 +1,14 @@
-"""Sweep live stream and in-flight/latency telemetry."""
+"""Sweep live stream (a LiveBus fed by SweepTelemetry) and in-flight/latency telemetry."""
 
 import json
 
 import pytest
 
+from repro.obs.cli import sweep_view
+from repro.obs.live import LIVE_SCHEMA, LiveBus
 from repro.obs.log import iter_ndjson
-from repro.sweep import SweepSpec, SweepTelemetry, run_sweep
-from repro.sweep.live import SWEEP_LIVE_SCHEMA, SweepLiveWriter
+from repro.obs.validate import validate_live_dir
+from repro.sweep import SweepError, SweepSpec, SweepTelemetry, run_sweep
 
 
 def _spec(xs=(1, 2, 3), func="tests.sweep.points:square", **kwargs):
@@ -14,8 +16,8 @@ def _spec(xs=(1, 2, 3), func="tests.sweep.points:square", **kwargs):
 
 
 def _stream(live_dir):
-    records = list(iter_ndjson(live_dir / "sweep.ndjson"))
-    assert records[0] == {"schema": SWEEP_LIVE_SCHEMA}
+    records = list(iter_ndjson(live_dir / "events.ndjson"))
+    assert records[0] == {"schema": LIVE_SCHEMA}
     return records[1:]
 
 
@@ -25,32 +27,35 @@ def _stream(live_dir):
 def test_serial_run_streams_point_lifecycle(tmp_path):
     run_sweep(_spec(), live_dir=tmp_path / "live")
     records = _stream(tmp_path / "live")
-    assert [r["event"] for r in records] == [
+    assert [r["kind"] for r in records] == [
         "point_started", "point_completed",
         "point_started", "point_completed",
         "point_started", "point_completed",
         "sweep_done",
     ]
     assert [r.get("point_id") for r in records[:-1:2]] == ["x=1", "x=2", "x=3"]
+    assert all(r["sweep_id"] == "demo" for r in records)
     assert all("duration" in r for r in records
-               if r["event"] == "point_completed")
+               if r["kind"] == "point_completed")
     final = records[-1]["progress"]
     assert final["completed"] == 3 and final["in_flight"] == 0
     heartbeat = json.loads((tmp_path / "live" / "heartbeat.json").read_text())
     assert heartbeat["closed"] is True
-    assert heartbeat["in_flight"] == {}
-    assert heartbeat["progress"]["completed"] == 3
+    assert heartbeat["schema"] == LIVE_SCHEMA
+    assert sweep_view(records)[2] == {}
+    assert validate_live_dir(tmp_path / "live") == []
 
 
 def test_parallel_run_streams_every_point(tmp_path):
     run_sweep(_spec([1, 2, 3, 4]), workers=4, live_dir=tmp_path / "live")
     records = _stream(tmp_path / "live")
-    started = {r["point_id"] for r in records if r["event"] == "point_started"}
+    started = {r["point_id"] for r in records if r["kind"] == "point_started"}
     completed = {
-        r["point_id"] for r in records if r["event"] == "point_completed"
+        r["point_id"] for r in records if r["kind"] == "point_completed"
     }
     assert started == completed == {"x=1", "x=2", "x=3", "x=4"}
-    assert records[-1]["event"] == "sweep_done"
+    assert records[-1]["kind"] == "sweep_done"
+    assert validate_live_dir(tmp_path / "live") == []
 
 
 def test_failures_and_retries_are_streamed(tmp_path):
@@ -59,13 +64,33 @@ def test_failures_and_retries_are_streamed(tmp_path):
             _spec([1], func="tests.sweep.points:boom"),
             retries=1, live_dir=tmp_path / "live",
         )
-    events = [r["event"] for r in _stream(tmp_path / "live")]
+    events = [r["kind"] for r in _stream(tmp_path / "live")]
     assert "point_retry" in events
     assert "point_failed" in events
     failed = next(
-        r for r in _stream(tmp_path / "live") if r["event"] == "point_failed"
+        r for r in _stream(tmp_path / "live") if r["kind"] == "point_failed"
     )
     assert "boom" in failed["error"]
+
+
+def test_serial_and_parallel_stream_the_same_retry_records(tmp_path):
+    streams = []
+    for workers in (1, 2):
+        live = tmp_path / f"w{workers}"
+        with pytest.raises(SweepError):
+            run_sweep(
+                _spec([1], func="tests.sweep.points:boom"),
+                workers=workers, retries=1, live_dir=live,
+            )
+        records = _stream(live)
+        for record in records:
+            record.pop("ts")
+            assert isinstance(record.pop("duration", 0.0), float)
+        streams.append(records)
+    assert streams[0] == streams[1]
+    retry = next(r for r in streams[0] if r["kind"] == "point_retry")
+    assert retry["attempt"] == 1
+    assert "boom on 1" in retry["error"]
 
 
 def test_cached_points_are_streamed(tmp_path):
@@ -75,7 +100,7 @@ def test_cached_points_are_streamed(tmp_path):
     run_sweep(_spec(), cache=cache)
     run_sweep(_spec(), cache=cache, live_dir=tmp_path / "live")
     records = _stream(tmp_path / "live")
-    assert [r["event"] for r in records] == ["point_cached"] * 3 + ["sweep_done"]
+    assert [r["kind"] for r in records] == ["point_cached"] * 3 + ["sweep_done"]
     assert records[-1]["progress"]["cached"] == 3
 
 
@@ -115,37 +140,68 @@ def test_stats_schema_is_unchanged():
 
 
 # ----------------------------------------------------------------------
-# Writer unit behavior
+# Bus attached to the campaign telemetry
 # ----------------------------------------------------------------------
 def test_writer_tracks_in_flight_and_closes_once(tmp_path):
     telemetry = SweepTelemetry("demo")
     clock = iter(range(100)).__next__
-    writer = SweepLiveWriter(tmp_path, telemetry, clock=lambda: float(clock()))
-    writer.record("point_started", "x=1", attempt=1)
+    bus = telemetry.attach_bus(
+        LiveBus(tmp_path, flush_every=1, clock=lambda: float(clock()))
+    )
+    telemetry.record("point_started", "x=1", attempt=1)
     heartbeat = json.loads((tmp_path / "heartbeat.json").read_text())
-    assert heartbeat["in_flight"] == {"x=1": 0.0}
     assert heartbeat["closed"] is False
-    writer.record("point_completed", "x=1", duration=1.0)
-    writer.close()
-    writer.close()  # idempotent
-    writer.record("point_started", "x=2")  # ignored after close
+    assert sweep_view(_stream(tmp_path))[2] == {"x=1": 0.0}
+    telemetry.record("point_completed", "x=1", duration=1.0)
+    telemetry.record("sweep_done")
+    bus.close()
+    bus.close()  # idempotent
+    telemetry.record("point_started", "x=2")  # ignored after close
     heartbeat = json.loads((tmp_path / "heartbeat.json").read_text())
     assert heartbeat["closed"] is True
-    assert heartbeat["in_flight"] == {}
-    events = [r["event"] for r in _stream(tmp_path)]
+    assert heartbeat["sim_time"] is None  # a sweep has no simulated clock
+    assert sweep_view(_stream(tmp_path))[2] == {}
+    events = [r["kind"] for r in _stream(tmp_path)]
     assert events == ["point_started", "point_completed", "sweep_done"]
 
 
+def test_telemetry_rejects_a_second_open_bus(tmp_path):
+    telemetry = SweepTelemetry("demo")
+    first = telemetry.attach_bus(LiveBus(tmp_path / "a"))
+    with pytest.raises(ValueError, match="another live bus"):
+        telemetry.attach_bus(LiveBus(tmp_path / "b"))
+    first.close()
+    telemetry.attach_bus(LiveBus(tmp_path / "b"))  # a closed bus is replaced
+
+
 def test_sweep_cli_live_flag(tmp_path, capsys):
-    from repro.sweep.cli import main
+    from repro.experiments.cli import main
 
     code = main([
         "fig13", "--quick", "--no-cache",
         "--live", str(tmp_path / "live"),
+        "--stats-json", str(tmp_path / "stats.json"),
     ])
     assert code == 0
+    assert "[fig13: 12 points — 12 ran, 0 cached, 0 failed — " in (
+        capsys.readouterr().out
+    )
     live = tmp_path / "live" / "fig13"
     heartbeat = json.loads((live / "heartbeat.json").read_text())
     assert heartbeat["closed"] is True
-    assert heartbeat["progress"]["failed"] == 0
-    assert _stream(live)[-1]["event"] == "sweep_done"
+    records = _stream(live)
+    assert records[-1]["kind"] == "sweep_done"
+    assert records[-1]["progress"]["failed"] == 0
+    assert validate_live_dir(live) == []
+    stats = json.loads((tmp_path / "stats.json").read_text())["fig13"]
+    assert stats["counters"]["sweep.points_completed"] == 12
+
+
+def test_experiments_cli_lists_points(capsys):
+    from repro.experiments.cli import main
+
+    assert main(["table1", "fig13", "--quick", "--list-points"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("fig13 (12 points, version ")
+    assert lines[1] == "  fraction=0.0,n_chromosomes=6,system=cori"
+    assert len(lines) == 13  # table1 has no sweep spec: nothing listed

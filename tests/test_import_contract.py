@@ -83,6 +83,27 @@ def test_simulation_paths_need_neither_scipy_nor_networkx():
     assert proc.stdout.strip() == "ok"
 
 
+def test_sweep_without_live_dir_leaves_the_live_bus_unloaded():
+    tests_root = str(SRC.parent)  # makes tests.sweep.points importable
+    proc = run_blocked(
+        f"""
+        sys.path.insert(0, {tests_root!r})
+        """
+        + """
+        from repro.sweep import SweepSpec, run_sweep
+
+        spec = SweepSpec.cartesian(
+            "demo", "tests.sweep.points:square", axes={"x": [1, 2]}
+        )
+        assert run_sweep(spec).values() == {"x=1": 1, "x=2": 4}
+        assert "repro.obs.live" not in sys.modules
+        print("ok")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
 def test_emulated_trial_runs_and_imports_numpy():
     proc = run_blocked(
         """

@@ -100,6 +100,15 @@ def test_easy_unknown_estimate_only_extra_units():
     assert EasyBackfillPolicy().select(queue, 2, 0.0, running) == []
 
 
+def test_easy_unknown_shadow_blocks_estimate_backfill():
+    # The only release the head needs has no deadline, so its shadow is
+    # unknown: a short job cannot "finish before" it, and with no extra
+    # units at an unknown shadow nothing may backfill.
+    queue = _queue((4, 5.0), (1, 5.0))
+    running = [RunningGrant(2, deadline=UNKNOWN)]
+    assert EasyBackfillPolicy().select(queue, 2, 0.0, running) == []
+
+
 def test_easy_counts_every_release_at_a_shared_deadline():
     # Head of 3, nothing free, two grants released together at t=5:
     # every unit they free is there at the shadow time.
