@@ -11,11 +11,17 @@ import pytest
 
 
 def regenerate(benchmark, experiment_id: str):
-    """Benchmark one full regeneration of an experiment; return its result."""
+    """Benchmark one full regeneration of an experiment; return its result.
+
+    The SWarp run memo is cleared first, so a figure that shares runs
+    with an earlier benchmark (fig8 with fig11) is timed in full.
+    """
     from repro.experiments.cli import run_experiment
+    from repro.experiments.common import swarp_trial
 
     return benchmark.pedantic(
         lambda: run_experiment(experiment_id, quick=True),
+        setup=swarp_trial.cache_clear,
         rounds=1,
         iterations=1,
         warmup_rounds=0,

@@ -84,6 +84,12 @@ def render_point_profiles(obs_dir: Path) -> str:
     return "\n".join(lines)
 
 
+def takes_config(experiment_id: str) -> bool:
+    """Whether the experiment's ``run`` declares a ``config`` parameter."""
+    module = importlib.import_module(f"repro.experiments.{experiment_id}")
+    return "config" in inspect.signature(module.run).parameters
+
+
 def _with_config(func, kwargs: dict, config, experiment_id: str) -> dict:
     """``kwargs`` plus ``config=`` when one is given; ``func`` must take it."""
     if config is None:
@@ -162,7 +168,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = Config(network_allocator=args.network_allocator)
 
     requested = list(args.experiments)
-    if requested == ["all"]:
+    run_all = requested == ["all"]
+    if run_all:
         requested = list(ALL_EXPERIMENTS)
     unknown = [e for e in requested if e not in ALL_EXPERIMENTS]
     if unknown:
@@ -173,13 +180,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    if args.list_points:
-        try:
-            for experiment_id in requested:
-                list_points(experiment_id, args.quick, config)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
+    # A config flag reaches the experiments that take one; `all` runs
+    # the rest with their defaults, while naming one of the rest is an
+    # error found before anything runs.
+    configs = {e: config for e in requested}
+    if config is not None:
+        configs = {e: config if takes_config(e) else None for e in requested}
+        rejected = [e for e, c in configs.items() if c is None]
+        if rejected and not run_all:
+            takers = [e for e in ALL_EXPERIMENTS if takes_config(e)]
+            print(
+                f"error: --network-allocator applies only to "
+                f"{', '.join(takers)}, not to {', '.join(rejected)}",
+                file=sys.stderr,
+            )
             return 2
+
+    if args.list_points:
+        for experiment_id in requested:
+            list_points(experiment_id, args.quick, configs[experiment_id])
         return 0
 
     stats: dict[str, dict] = {}
@@ -200,7 +219,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         try:
             result = run_experiment(
-                experiment_id, quick=args.quick, sweep=sweep, config=config
+                experiment_id,
+                quick=args.quick,
+                sweep=sweep,
+                config=configs[experiment_id],
             )
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)

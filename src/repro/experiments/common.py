@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
+from repro.experiments.configs import CONFIGS_BY_LABEL
 from repro.model.equations import sequential_compute_time
 from repro.platform.presets import TABLE_I
 from repro.scenarios import run_swarp
@@ -91,6 +92,90 @@ def calibrate_swarp(system: str, cores: int = 32) -> CalibratedSwarp:
         combine_flops=sequential_compute_time(t_combine, cores, lambda_combine)
         * speed,
     )
+
+
+@dataclass(frozen=True)
+class SwarpTrial:
+    """What the SWarp figures read from one run, as plain floats.
+
+    ``stage_in`` is 0.0 for a run without a stage-in task; ``resample``
+    and ``combine`` are means over the run's pipelines.
+    """
+
+    makespan: float
+    stage_in: float
+    resample: float
+    combine: float
+
+
+def swarp_trial(
+    config: str,
+    seed: Optional[int],
+    *,
+    fraction: float = 1.0,
+    intermediates_in_bb: bool = True,
+    outputs_in_bb: bool = False,
+    pipelines: int = 1,
+    cores: int = 32,
+    stage_in: bool = False,
+) -> SwarpTrial:
+    """One SWarp run of the BB configuration labelled ``config``.
+
+    An integer ``seed`` is one emulated trial (the paper's "measured"
+    execution); ``None`` is the simple model calibrated by
+    :func:`calibrate_swarp` at ``cores`` cores (Figures 10 and 11's
+    "simulated" side).  Figures 4–8, 10 and 11 share many runs, so the
+    summary is memoized per process: a regeneration runs each distinct
+    configuration once and keeps no trace alive.
+    """
+    return _swarp_trial(
+        config, seed, fraction, intermediates_in_bb, outputs_in_bb,
+        pipelines, cores, stage_in,
+    )
+
+
+@lru_cache(maxsize=None)
+def _swarp_trial(
+    config: str,
+    seed: Optional[int],
+    fraction: float,
+    intermediates_in_bb: bool,
+    outputs_in_bb: bool,
+    pipelines: int,
+    cores: int,
+    stage_in: bool,
+) -> SwarpTrial:
+    bb = CONFIGS_BY_LABEL[config]
+    if seed is None:
+        calibration = calibrate_swarp(bb.system, cores)
+        model: dict[str, Any] = {
+            "emulated": False,
+            "resample_flops": calibration.resample_flops,
+            "combine_flops": calibration.combine_flops,
+        }
+    else:
+        model = {"emulated": True, "seed": seed}
+    result = run_swarp(
+        input_fraction=fraction,
+        intermediates_in_bb=intermediates_in_bb,
+        outputs_in_bb=outputs_in_bb,
+        n_pipelines=pipelines,
+        cores_per_task=cores,
+        include_stage_in=stage_in,
+        **model,
+        **bb.scenario_kwargs(),
+    )
+    return SwarpTrial(
+        makespan=result.makespan,
+        stage_in=(
+            result.trace.task_record("stage_in").duration if stage_in else 0.0
+        ),
+        resample=result.mean_duration("resample"),
+        combine=result.mean_duration("combine"),
+    )
+
+
+swarp_trial.cache_clear = _swarp_trial.cache_clear  # type: ignore[attr-defined]
 
 
 @dataclass

@@ -21,57 +21,20 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.emulation.trials import run_trials
-from repro.experiments.common import ExperimentResult, calibrate_swarp, sweep_values
-from repro.experiments.configs import (
-    ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
-    FRACTIONS,
-    N_TRIALS,
-    N_TRIALS_QUICK,
-)
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
+from repro.experiments.configs import ALL_CONFIGS, FRACTIONS, N_TRIALS, N_TRIALS_QUICK
 from repro.model import mean_relative_error
-from repro.scenarios import run_swarp
 from repro.sweep import SweepOptions, SweepSpec, point_id
-
-
-def measured_makespan(config, fraction: float, seed: int) -> float:
-    r = run_swarp(
-        input_fraction=fraction,
-        intermediates_in_bb=True,
-        n_pipelines=1,
-        cores_per_task=32,
-        include_stage_in=False,
-        emulated=True,
-        seed=seed,
-        **config.scenario_kwargs(),
-    )
-    return r.makespan
-
-
-def simulated_makespan(config, fraction: float) -> float:
-    calibration = calibrate_swarp(config.system)
-    r = run_swarp(
-        input_fraction=fraction,
-        intermediates_in_bb=True,
-        n_pipelines=1,
-        cores_per_task=32,
-        include_stage_in=False,
-        emulated=False,
-        resample_flops=calibration.resample_flops,
-        combine_flops=calibration.combine_flops,
-        **config.scenario_kwargs(),
-    )
-    return r.makespan
 
 
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: [measured mean, simulated] for (config, fraction)."""
-    config = CONFIGS_BY_LABEL[params["config"]]
+    config, fraction = params["config"], params["fraction"]
     stats = run_trials(
-        lambda seed: measured_makespan(config, params["fraction"], seed),
+        lambda seed: swarp_trial(config, seed, fraction=fraction).makespan,
         n_trials=params["n_trials"],
     )
-    return [stats.mean, simulated_makespan(config, params["fraction"])]
+    return [stats.mean, swarp_trial(config, None, fraction=fraction).makespan]
 
 
 def sweep_spec(quick: bool = False) -> SweepSpec:

@@ -26,59 +26,31 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.emulation.trials import run_trials
-from repro.experiments.common import ExperimentResult, calibrate_swarp, sweep_values
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
 from repro.experiments.configs import (
     ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
     N_TRIALS,
     N_TRIALS_QUICK,
     PIPELINE_COUNTS,
 )
 from repro.model import mean_relative_error, trend_agreement
-from repro.scenarios import run_swarp
 from repro.sweep import SweepOptions, SweepSpec, point_id
-
-
-def measured_makespan(config, n_pipelines: int, seed: int) -> float:
-    r = run_swarp(
-        input_fraction=1.0,
-        intermediates_in_bb=True,
-        outputs_in_bb=True,
-        n_pipelines=n_pipelines,
-        cores_per_task=1,
-        include_stage_in=False,
-        emulated=True,
-        seed=seed,
-        **config.scenario_kwargs(),
-    )
-    return r.makespan
-
-
-def simulated_makespan(config, n_pipelines: int) -> float:
-    calibration = calibrate_swarp(config.system, cores=1)
-    r = run_swarp(
-        input_fraction=1.0,
-        intermediates_in_bb=True,
-        outputs_in_bb=True,
-        n_pipelines=n_pipelines,
-        cores_per_task=1,
-        include_stage_in=False,
-        emulated=False,
-        resample_flops=calibration.resample_flops,
-        combine_flops=calibration.combine_flops,
-        **config.scenario_kwargs(),
-    )
-    return r.makespan
 
 
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: [measured mean, simulated] for (config, pipelines)."""
-    config = CONFIGS_BY_LABEL[params["config"]]
-    stats = run_trials(
-        lambda seed: measured_makespan(config, params["pipelines"], seed),
-        n_trials=params["n_trials"],
-    )
-    return [stats.mean, simulated_makespan(config, params["pipelines"])]
+
+    def makespan(seed: Optional[int]) -> float:
+        return swarp_trial(
+            params["config"],
+            seed,
+            outputs_in_bb=True,
+            pipelines=params["pipelines"],
+            cores=1,
+        ).makespan
+
+    stats = run_trials(makespan, n_trials=params["n_trials"])
+    return [stats.mean, makespan(None)]
 
 
 def _pipelines(quick: bool):

@@ -15,37 +15,17 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.emulation.trials import run_trials
-from repro.experiments.common import ExperimentResult, sweep_values
-from repro.experiments.configs import (
-    ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
-    FRACTIONS,
-    N_TRIALS,
-    N_TRIALS_QUICK,
-)
-from repro.scenarios import run_swarp
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
+from repro.experiments.configs import ALL_CONFIGS, FRACTIONS, N_TRIALS, N_TRIALS_QUICK
 from repro.sweep import SweepOptions, SweepSpec, point_id
-
-
-def stage_in_time(config, fraction: float, seed: int) -> float:
-    result = run_swarp(
-        input_fraction=fraction,
-        intermediates_in_bb=True,
-        n_pipelines=1,
-        cores_per_task=32,
-        include_stage_in=True,
-        emulated=True,
-        seed=seed,
-        **config.scenario_kwargs(),
-    )
-    return result.trace.task_record("stage_in").duration
 
 
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: stage-in trial statistics for (config, fraction)."""
-    config = CONFIGS_BY_LABEL[params["config"]]
     stats = run_trials(
-        lambda seed: stage_in_time(config, params["fraction"], seed),
+        lambda seed: swarp_trial(
+            params["config"], seed, fraction=params["fraction"], stage_in=True
+        ).stage_in,
         n_trials=params["n_trials"],
     )
     return [stats.mean, stats.std, stats.min, stats.max]

@@ -20,46 +20,26 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.experiments.common import ExperimentResult, sweep_values
-from repro.experiments.configs import (
-    ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
-    FRACTIONS,
-    N_TRIALS,
-    N_TRIALS_QUICK,
-)
-from repro.scenarios import run_swarp
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
+from repro.experiments.configs import ALL_CONFIGS, FRACTIONS, N_TRIALS, N_TRIALS_QUICK
 from repro.sweep import SweepOptions, SweepSpec, point_id
-
-
-def task_times(config, fraction, intermediates_in_bb, seed) -> tuple[float, float]:
-    result = run_swarp(
-        input_fraction=fraction,
-        intermediates_in_bb=intermediates_in_bb,
-        n_pipelines=1,
-        cores_per_task=32,
-        include_stage_in=False,
-        emulated=True,
-        seed=seed,
-        **config.scenario_kwargs(),
-    )
-    return (
-        result.mean_duration("resample"),
-        result.mean_duration("combine"),
-    )
 
 
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: mean resample/combine times over the trial seeds."""
-    config = CONFIGS_BY_LABEL[params["config"]]
     n_trials = params["n_trials"]
-    samples = [
-        task_times(config, params["fraction"], params["intermediates_in_bb"], seed)
+    trials = [
+        swarp_trial(
+            params["config"],
+            seed,
+            fraction=params["fraction"],
+            intermediates_in_bb=params["intermediates_in_bb"],
+        )
         for seed in range(n_trials)
     ]
     return [
-        sum(s[0] for s in samples) / n_trials,
-        sum(s[1] for s in samples) / n_trials,
+        sum(t.resample for t in trials) / n_trials,
+        sum(t.combine for t in trials) / n_trials,
     ]
 
 

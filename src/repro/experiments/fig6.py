@@ -15,38 +15,21 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.experiments.common import ExperimentResult, sweep_values
-from repro.experiments.configs import (
-    ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
-    CORE_COUNTS,
-    N_TRIALS,
-    N_TRIALS_QUICK,
-)
-from repro.scenarios import run_swarp
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
+from repro.experiments.configs import ALL_CONFIGS, CORE_COUNTS, N_TRIALS, N_TRIALS_QUICK
 from repro.sweep import SweepOptions, SweepSpec, point_id
 
 
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: mean resample/combine times for (config, cores)."""
-    config = CONFIGS_BY_LABEL[params["config"]]
     n_trials = params["n_trials"]
-    samples = []
-    for seed in range(n_trials):
-        r = run_swarp(
-            input_fraction=1.0,
-            intermediates_in_bb=True,
-            n_pipelines=1,
-            cores_per_task=params["cores"],
-            include_stage_in=False,
-            emulated=True,
-            seed=seed,
-            **config.scenario_kwargs(),
-        )
-        samples.append((r.mean_duration("resample"), r.mean_duration("combine")))
+    trials = [
+        swarp_trial(params["config"], seed, cores=params["cores"])
+        for seed in range(n_trials)
+    ]
     return [
-        sum(s[0] for s in samples) / n_trials,
-        sum(s[1] for s in samples) / n_trials,
+        sum(t.resample for t in trials) / n_trials,
+        sum(t.combine for t in trials) / n_trials,
     ]
 
 

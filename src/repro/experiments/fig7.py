@@ -14,46 +14,34 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.experiments.common import ExperimentResult, sweep_values
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
 from repro.experiments.configs import (
     ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
     N_TRIALS,
     N_TRIALS_QUICK,
     PIPELINE_COUNTS,
 )
-from repro.scenarios import run_swarp
 from repro.sweep import SweepOptions, SweepSpec, point_id
 
 
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: mean task times for (config, pipelines)."""
-    config = CONFIGS_BY_LABEL[params["config"]]
     n_trials = params["n_trials"]
-    samples = []
-    for seed in range(n_trials):
-        r = run_swarp(
-            input_fraction=1.0,
-            intermediates_in_bb=True,
+    trials = [
+        swarp_trial(
+            params["config"],
+            seed,
             outputs_in_bb=True,
-            n_pipelines=params["pipelines"],
-            cores_per_task=1,
-            include_stage_in=True,
-            emulated=True,
-            seed=seed,
-            **config.scenario_kwargs(),
+            pipelines=params["pipelines"],
+            cores=1,
+            stage_in=True,
         )
-        samples.append(
-            (
-                r.trace.task_record("stage_in").duration,
-                r.mean_duration("resample"),
-                r.mean_duration("combine"),
-            )
-        )
+        for seed in range(n_trials)
+    ]
     return [
-        sum(s[0] for s in samples) / n_trials,
-        sum(s[1] for s in samples) / n_trials,
-        sum(s[2] for s in samples) / n_trials,
+        sum(t.stage_in for t in trials) / n_trials,
+        sum(t.resample for t in trials) / n_trials,
+        sum(t.combine for t in trials) / n_trials,
     ]
 
 

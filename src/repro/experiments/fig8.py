@@ -14,39 +14,23 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.emulation.trials import run_trials
-from repro.experiments.common import ExperimentResult, sweep_values
-from repro.experiments.configs import (
-    ALL_CONFIGS,
-    CONFIGS_BY_LABEL,
-    N_TRIALS,
-    N_TRIALS_QUICK,
-)
-from repro.scenarios import run_swarp
+from repro.experiments.common import ExperimentResult, swarp_trial, sweep_values
+from repro.experiments.configs import ALL_CONFIGS, N_TRIALS, N_TRIALS_QUICK
 from repro.sweep import SweepOptions, SweepSpec, point_id
 
 PIPELINES = (1, 4, 16, 32)
 
 
-def resample_time(config, n_pipelines: int, seed: int) -> float:
-    r = run_swarp(
-        input_fraction=1.0,
-        intermediates_in_bb=True,
-        outputs_in_bb=True,
-        n_pipelines=n_pipelines,
-        cores_per_task=1,
-        include_stage_in=False,
-        emulated=True,
-        seed=seed,
-        **config.scenario_kwargs(),
-    )
-    return r.mean_duration("resample")
-
-
 def compute_point(params: dict[str, Any]) -> list[float]:
     """One sweep point: resample variability stats for (config, pipelines)."""
-    config = CONFIGS_BY_LABEL[params["config"]]
     stats = run_trials(
-        lambda seed: resample_time(config, params["pipelines"], seed),
+        lambda seed: swarp_trial(
+            params["config"],
+            seed,
+            outputs_in_bb=True,
+            pipelines=params["pipelines"],
+            cores=1,
+        ).resample,
         n_trials=params["n_trials"],
     )
     return [stats.mean, stats.std, stats.cv, stats.spread]

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from repro.obs.log import iter_ndjson
+from repro.obs.probes import quantile
 from repro.obs.validate import error_path, validate_obs_dir
 
 #: Heartbeat age (s) past which a live run is flagged as possibly stalled.
@@ -102,15 +103,6 @@ def sweep_view(
         else:
             in_flight.pop(pid, None)
     return sweep_id, progress, dict(sorted(in_flight.items()))
-
-
-def quantile(samples: "list[float]", q: float) -> Optional[float]:
-    """Nearest-rank quantile of raw samples (``None`` when empty)."""
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def sweep_eta(

@@ -106,6 +106,15 @@ class TimeSeries:
         return f"<TimeSeries {self.name}: {len(self)} samples>"
 
 
+def quantile(samples: Sequence[float], q: float) -> Optional[float]:
+    """Nearest-rank quantile of raw samples (``None`` when empty)."""
+    if not samples:
+        return None
+    ordered = sorted(samples)
+    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[index]
+
+
 #: Default histogram bucket upper bounds, in seconds: tuned for the
 #: wall times of sweep points (sub-second micro points up to ten-minute
 #: full-scale simulations).  The implicit final bucket is +inf.
@@ -144,20 +153,6 @@ class Histogram:
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.counts[i] += 1
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the ``q``-th observation); ``None`` when empty, and the
-        last finite bound when the quantile lands in the +inf bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return None
-        rank = q * self.count
-        for bound, cumulative in zip(self.bounds, self.counts):
-            if cumulative >= rank:
-                return bound
-        return self.bounds[-1]
 
     def snapshot(self) -> dict:
         """JSON-ready view: cumulative ``(le, count)`` pairs plus totals."""

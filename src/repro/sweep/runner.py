@@ -367,7 +367,7 @@ class _Attempts:
         """
         t = self.telemetry
         t.in_flight.set(t.in_flight.value - 1)
-        t.point_seconds.observe(duration)
+        t.observe_point(duration)
         attempt = self.count[pid]
         if tag == "ok":
             t.completed.inc()

@@ -13,7 +13,8 @@ it publishes directly into a :class:`~repro.obs.probes.MetricRegistry`:
 * ``sweep.points_in_flight`` (gauge) — point attempts currently
   executing in a worker (or in-process, on the serial path);
 * ``sweep.point_seconds`` (histogram) — per-point attempt wall times,
-  bucketed so ``repro-obs watch`` gets p50/p99 without keeping samples;
+  bucketed for the export; :meth:`point_latency` takes its quantiles
+  from the raw durations, as ``repro-obs watch``/``report`` do;
 * ``sweep.wall_time_s`` (gauge) — harness wall time for the campaign.
 
 A :class:`~repro.obs.live.LiveBus` attached with :meth:`attach_bus`
@@ -28,7 +29,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.obs.probes import MetricRegistry
+from repro.obs.probes import MetricRegistry, quantile
 
 if TYPE_CHECKING:  # pragma: no cover - loaded only for a live directory
     from repro.obs.live import LiveBus
@@ -50,6 +51,7 @@ class SweepTelemetry:
         self.total = self.registry.gauge("sweep.points_total")
         self.in_flight = self.registry.gauge("sweep.points_in_flight")
         self.point_seconds = self.registry.histogram("sweep.point_seconds")
+        self.point_durations: list[float] = []
         self.wall_time = self.registry.gauge("sweep.wall_time_s")
         self._bus: Optional["LiveBus"] = None
 
@@ -94,9 +96,14 @@ class SweepTelemetry:
         total = self.total.value
         return self.cached.value / total if total else 0.0
 
+    def observe_point(self, duration: float) -> None:
+        """Book one settled point attempt's wall time (seconds)."""
+        self.point_durations.append(duration)
+        self.point_seconds.observe(duration)
+
     def point_latency(self, q: float) -> Optional[float]:
-        """Bucket-resolution quantile of per-point wall time (seconds)."""
-        return self.point_seconds.quantile(q)
+        """Nearest-rank quantile of per-point attempt wall times (seconds)."""
+        return quantile(self.point_durations, q)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready view of the campaign's counters and gauges."""

@@ -1,9 +1,16 @@
-"""Tests for experiment infrastructure: results, calibration, CLI."""
+"""Tests for experiment infrastructure: results, calibration, the shared
+SWarp run helper, CLI."""
+
+import dataclasses
 
 import pytest
 
+import repro.experiments.common as common
 from repro.experiments import ALL_EXPERIMENTS, ExperimentResult, calibrate_swarp
 from repro.experiments.cli import main, run_experiment
+from repro.experiments.common import SwarpTrial, swarp_trial
+from repro.scenarios import run_swarp
+from repro.storage import BBMode
 from repro.model import observed_time
 from repro.platform.presets import TABLE_I
 
@@ -81,6 +88,91 @@ def test_calibration_per_core_count_differs():
 
 
 # ----------------------------------------------------------------------
+# swarp_trial: one memoized SWarp run shared by figures 4-8, 10 and 11
+# ----------------------------------------------------------------------
+def test_swarp_trial_matches_a_direct_stage_in_run():
+    direct = run_swarp(
+        system="cori", bb_mode=BBMode.STRIPED, input_fraction=0.5,
+        intermediates_in_bb=True, outputs_in_bb=True, n_pipelines=2,
+        cores_per_task=1, include_stage_in=True, emulated=True, seed=3,
+    )
+    trial = swarp_trial(
+        "striped", 3, fraction=0.5, outputs_in_bb=True, pipelines=2,
+        cores=1, stage_in=True,
+    )
+    assert trial == SwarpTrial(
+        makespan=direct.makespan,
+        stage_in=direct.trace.task_record("stage_in").duration,
+        resample=direct.mean_duration("resample"),
+        combine=direct.mean_duration("combine"),
+    )
+
+
+def test_swarp_trial_matches_a_direct_run_without_stage_in():
+    direct = run_swarp(
+        system="summit", input_fraction=0.25, intermediates_in_bb=False,
+        n_pipelines=1, cores_per_task=8, include_stage_in=False,
+        emulated=True, seed=1,
+    )
+    trial = swarp_trial(
+        "on-node", 1, fraction=0.25, intermediates_in_bb=False, cores=8
+    )
+    assert trial == SwarpTrial(
+        makespan=direct.makespan,
+        stage_in=0.0,
+        resample=direct.mean_duration("resample"),
+        combine=direct.mean_duration("combine"),
+    )
+
+
+def test_swarp_trial_without_seed_is_the_calibrated_simple_model():
+    calibration = calibrate_swarp("cori", 1)
+    direct = run_swarp(
+        system="cori", bb_mode=BBMode.PRIVATE, input_fraction=1.0,
+        intermediates_in_bb=True, outputs_in_bb=True, n_pipelines=4,
+        cores_per_task=1, include_stage_in=False, emulated=False,
+        resample_flops=calibration.resample_flops,
+        combine_flops=calibration.combine_flops,
+    )
+    trial = swarp_trial(
+        "private", None, outputs_in_bb=True, pipelines=4, cores=1
+    )
+    assert trial.makespan == direct.makespan
+    assert trial.resample == direct.mean_duration("resample")
+    assert trial.combine == direct.mean_duration("combine")
+
+
+def test_swarp_trial_caches_only_floats():
+    trial = swarp_trial("private", 0, fraction=0.0)
+    assert swarp_trial("private", 0, fraction=0.0) is trial
+    assert all(
+        type(getattr(trial, f.name)) is float
+        for f in dataclasses.fields(trial)
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trial.makespan = 0.0
+
+
+def test_fig8_after_fig11_runs_no_simulation(monkeypatch):
+    """fig8's runs are a subset of fig11's measured runs."""
+    from repro.experiments import fig8, fig11
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return run_swarp(*args, **kwargs)
+
+    monkeypatch.setattr(common, "run_swarp", counting)
+    swarp_trial.cache_clear()
+    fig11.run(quick=True)
+    assert calls, "fig11 ran no simulation"
+    calls.clear()
+    fig8.run(quick=True)
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def test_run_experiment_unknown_id():
@@ -103,6 +195,23 @@ def test_cli_runs_table1(capsys):
 
 def test_cli_rejects_unknown(capsys):
     assert main(["nope"]) == 2
+
+
+def test_cli_all_takes_a_config_flag(capsys):
+    """`all` gives the config to fig13/fig14 and runs the rest as is."""
+    argv = ["all", "--quick", "--list-points", "--network-allocator", "equal-split"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "fig4 (15 points" in out
+    assert "network_allocator=equal-split,system=cori" in out
+
+
+def test_cli_rejects_a_config_for_a_named_experiment_up_front(capsys):
+    argv = ["fig13", "fig4", "--list-points", "--network-allocator", "equal-split"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before fig13 was listed
+    assert "fig13, fig14" in captured.err and "fig4" in captured.err
 
 
 def test_cli_quick_flag(capsys):

@@ -1,8 +1,9 @@
-"""Acceptance tests: serial vs. parallel bit-identity on a real figure.
+"""Acceptance tests: serial vs. parallel bit-identity on real figures.
 
-These run the actual fig13 point function (1000Genomes simulation) on a
-reduced spec — small enough for CI, real enough to exercise pickling,
-per-process calibration caches, and float round-tripping.
+These run the actual fig13 point function (1000Genomes simulation) and
+fig8's (emulated SWarp) on reduced specs — small enough for CI, real
+enough to exercise pickling, per-process calibration and run caches,
+and float round-tripping.
 """
 
 import json
@@ -40,6 +41,26 @@ def test_serial_and_parallel_runs_are_bit_identical():
         full = values[f"fraction=1.0,n_chromosomes=2,system={system}"]
         none = values[f"fraction=0.0,n_chromosomes=2,system={system}"]
         assert full < none
+
+
+def test_emulated_figure_memo_keeps_serial_and_parallel_identical():
+    """A reduced fig8 spec whose serial side reads runs memoized by a
+    fig11 point equals a 4-worker run where every process starts cold."""
+    from repro.experiments import fig11
+
+    fig11.compute_point({"config": "striped", "pipelines": 2, "n_trials": 2})
+    spec = SweepSpec.cartesian(
+        "fig8-small",
+        "repro.experiments.fig8:compute_point",
+        axes={"config": ["private", "striped", "on-node"], "pipelines": [1, 2]},
+        constants={"n_trials": 2},
+    )
+    serial = run_sweep(spec, workers=1)
+    parallel = run_sweep(spec, workers=4)
+    assert serial.count("completed") == parallel.count("completed") == 6
+    assert json.dumps(serial.values(), sort_keys=True) == json.dumps(
+        parallel.values(), sort_keys=True
+    )
 
 
 def test_cached_rerun_invokes_no_simulation(tmp_path, monkeypatch):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.obs.cli import sweep_view
+from repro.obs.cli import point_durations, sweep_view
 from repro.obs.live import LIVE_SCHEMA, LiveBus
 from repro.obs.log import iter_ndjson
+from repro.obs.probes import quantile
 from repro.obs.validate import validate_live_dir
 from repro.sweep import SweepError, SweepSpec, SweepTelemetry, run_sweep
 
@@ -129,6 +130,24 @@ def test_in_flight_gauge_returns_to_zero_parallel():
     run_sweep(_spec([1, 2, 3, 4]), workers=2, telemetry=telemetry)
     assert telemetry.in_flight.value == 0.0
     assert telemetry.point_seconds.count == 4
+
+
+def test_point_latency_is_nearest_rank_of_raw_durations():
+    telemetry = SweepTelemetry("demo")
+    for duration in (0.6, 0.8, 0.7):
+        telemetry.observe_point(duration)
+    assert telemetry.point_latency(0.5) == 0.7
+    assert telemetry.snapshot()["point_latency"] == {"p50": 0.7, "p99": 0.8}
+
+
+def test_stats_p50_equals_the_live_stream_p50(tmp_path):
+    """``--stats-json`` and ``repro-obs watch`` report one p50."""
+    telemetry = SweepTelemetry("demo")
+    run_sweep(_spec([1, 2, 3, 4, 5]), live_dir=tmp_path / "live",
+              telemetry=telemetry)
+    durations = point_durations(_stream(tmp_path / "live"))
+    assert len(durations) == 5
+    assert telemetry.snapshot()["point_latency"]["p50"] == quantile(durations, 0.5)
 
 
 def test_stats_schema_is_unchanged():
