@@ -164,7 +164,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = None
     if args.network_allocator:
         from repro.config import Config
+        from repro.network import allocator_names
 
+        if args.network_allocator not in allocator_names():
+            print(
+                f"error: unknown --network-allocator {args.network_allocator!r}; "
+                f"choose from {', '.join(allocator_names())}",
+                file=sys.stderr,
+            )
+            return 2
         config = Config(network_allocator=args.network_allocator)
 
     requested = list(args.experiments)

@@ -24,7 +24,7 @@ rationale and examples: ``docs/LINT.md``.
 """
 
 from repro.lint.baseline import Baseline, write_baseline
-from repro.lint.checker import PARSE_ERROR_ID, Checker, RunStats
+from repro.lint.checker import PARSE_ERROR_ID, Checker
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.pragmas import UNKNOWN_PRAGMA_RULE_ID
@@ -37,7 +37,6 @@ __all__ = [
     "LintConfig",
     "PARSE_ERROR_ID",
     "Rule",
-    "RunStats",
     "Severity",
     "UNKNOWN_PRAGMA_RULE_ID",
     "all_rules",

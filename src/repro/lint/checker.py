@@ -2,32 +2,25 @@
 
 One run:
 
-1. find the files (sorted), then read and hash each one once;
-2. files whose hash matches their cache record are *unchanged*; every
-   other file is parsed once — one ``ast.parse``, one
-   :class:`~repro.lint.semantic.symbols.ModuleSymbols`, one pragma scan;
-3. the module graph comes from those symbols' imports (from the cache
-   for unchanged files); the re-analysis set is the changed files plus
-   their reverse-dependency closure, which are parsed too;
-4. the per-file rules run on each re-analyzed file's context, and the
+1. find the files (sorted), then read and parse each one once — one
+   ``ast.parse``, one ``ast.walk`` into the node list every per-file rule
+   reads, one :class:`~repro.lint.semantic.symbols.ModuleSymbols`;
+2. the per-file rules run on each file's context, and the
    interprocedural fixpoint (taint + dimension summaries) runs over the
-   same trees, seeded with cached summaries for everything else;
-5. every finding passes the file's pragmas once; unknown pragma ids
+   same trees;
+3. every finding passes the file's pragmas once; unknown pragma ids
    become SIM998 and an unreadable or unparseable file yields exactly
-   one SIM999;
-6. the remaining files replay their cached findings, and the cache is
-   written back.
+   one SIM999.
 
-Every rule runs on every re-analyzed file, so a cache record is
-complete whatever was selected; the selection only filters what is
+Every rule runs on every file; the selection only filters what is
 reported.  Diagnostics are sorted on (path, line, col, rule, message)
 and carry the propagation chain, so output is byte-identical across
-repeated runs and warm/cold cache states.
+repeated runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -35,14 +28,8 @@ from repro.lint.context import FileContext
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.pragmas import UNKNOWN_PRAGMA_RULE_ID, Pragmas
 from repro.lint.rules import all_rules
-from repro.lint.semantic.cache import AnalysisCache, FileRecord
 from repro.lint.semantic.dimensions import DimSummary, analyze_function_dims, signature_dims
-from repro.lint.semantic.modgraph import (
-    ModuleGraph,
-    collect_python_files,
-    content_hash,
-    module_name_for,
-)
+from repro.lint.semantic.modgraph import collect_python_files, module_name_for
 from repro.lint.semantic.symbols import SymbolTable
 from repro.lint.semantic.taint import TaintSummary, analyze_function
 
@@ -60,23 +47,9 @@ def _sort_key(diag: Diagnostic) -> tuple:
 
 
 @dataclass
-class RunStats:
-    """What the last :meth:`Checker.check_paths` run did (``--stats``)."""
-
-    files: int = 0
-    #: files parsed and checked this run (changed + reverse closure)
-    analyzed: list[str] = field(default_factory=list)
-    #: files whose findings were replayed from the cache
-    from_cache: list[str] = field(default_factory=list)
-    functions: int = 0
-
-
-@dataclass
 class _File:
-    path: str                       # as given (diagnostics + cache key)
+    path: str                       # as given (for diagnostics)
     module: str
-    sha: str = ""                   # "" = unreadable, never cached
-    source: Optional[str] = None
     ctx: Optional[FileContext] = None
     error: Optional[Diagnostic] = None  # the file's one SIM999
 
@@ -92,15 +65,29 @@ def _parse_error(path: str, line: int, col: int, message: str) -> Diagnostic:
     )
 
 
-def _read(path: Path) -> _File:
-    file = _File(path=str(path), module=module_name_for(path))
+def _parse(path: str, module: str, source: str) -> _File:
     try:
-        data = path.read_bytes()
-        file.sha = content_hash(data)
-        file.source = data.decode("utf-8")
+        return _File(path, module, ctx=FileContext.parse(path, source, module))
+    except SyntaxError as error:
+        return _File(
+            path,
+            module,
+            error=_parse_error(
+                path, error.lineno or 1, (error.offset or 0) + 1, f"syntax error: {error.msg}"
+            ),
+        )
+
+
+def _read(path: Path) -> _File:
+    try:
+        source = path.read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as error:
-        file.error = _parse_error(file.path, 1, 1, f"cannot read file: {error}")
-    return file
+        return _File(
+            str(path),
+            module_name_for(path),
+            error=_parse_error(str(path), 1, 1, f"cannot read file: {error}"),
+        )
+    return _parse(str(path), module_name_for(path), source)
 
 
 class Checker:
@@ -111,7 +98,6 @@ class Checker:
         self,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        cache_dir: "str | Path | None" = None,
     ) -> None:
         self._registry = all_rules()
         ignored = set(ignore or ())
@@ -129,143 +115,54 @@ class Checker:
         #: ids pragmas may legitimately name: every registered rule (not
         #: just the selected subset) plus the pseudo-rules.
         self._known_ids = frozenset(self._registry) | _PSEUDO_RULE_IDS
-        self.cache = AnalysisCache(cache_dir)
-        self.stats = RunStats()
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def check_paths(
-        self,
-        paths: Sequence["str | Path"],
-        restrict_to: Optional[Iterable["str | Path"]] = None,
-    ) -> list[Diagnostic]:
-        """Lint files and directory trees; returns sorted diagnostics.
-
-        ``restrict_to`` (e.g. the files changed since a git ref) limits
-        *reporting* to those files plus every file that transitively
-        imports one; the analyses still see all of ``paths``.
-        """
-        files = [_read(path) for path in collect_python_files(paths)]
-        return self._run(files, restrict_to)
+    def check_paths(self, paths: Sequence["str | Path"]) -> list[Diagnostic]:
+        """Lint files and directory trees; returns sorted diagnostics."""
+        return self._run([_read(path) for path in collect_python_files(paths)])
 
     def check_file(self, path: "str | Path") -> list[Diagnostic]:
         return self.check_paths([path])
 
     def check_source(self, source: str, path: str = "<string>") -> list[Diagnostic]:
         """Lint one source string (used by tests and editor integrations)."""
-        file = _File(
-            path=path,
-            module=module_name_for(Path(path)),
-            sha=content_hash(source.encode("utf-8")),
-            source=source,
-        )
-        return self._run([file], None)
+        return self._run([_parse(path, module_name_for(Path(path)), source)])
 
     # ------------------------------------------------------------------
     # The run
     # ------------------------------------------------------------------
-    def _run(
-        self, files: list[_File], restrict_to: Optional[Iterable["str | Path"]]
-    ) -> list[Diagnostic]:
-        self.cache.load()
-        cached: dict[str, FileRecord] = {}
+    def _run(self, files: list[_File]) -> list[Diagnostic]:
+        table = SymbolTable(file.module for file in files)
         for file in files:
-            record = self.cache.lookup(file.path, file.sha) if file.sha else None
-            if record is None:
-                self._parse(file)
-            else:
-                cached[file.path] = record
-
-        graph = ModuleGraph.build(
-            {
-                file.module: cached[file.path].raw_imports
-                if file.path in cached
-                else (file.ctx.imports.imported if file.ctx else ())
-                for file in files
-            }
-        )
-        closure = graph.reverse_closure(f.module for f in files if f.path not in cached)
-        fresh = [f for f in files if f.path not in cached or f.module in closure]
-        for file in fresh:
-            self._parse(file)
-
-        table = SymbolTable(graph)
-        for file in fresh:
             if file.ctx is not None:
                 table.add(file.ctx.imports)
-        fresh_paths = {f.path for f in fresh}
-        taint, dims = self._summaries(
-            table, [r for path, r in cached.items() if path not in fresh_paths]
-        )
-        findings = self._findings(fresh, table, taint, dims)
+        taint, dims = self._summaries(table)
+        findings = self._findings(files, table, taint, dims)
 
         diagnostics: list[Diagnostic] = []
-        stats = RunStats(files=len(files), functions=len(table.functions))
         for file in files:
-            if file.path not in fresh_paths:
-                stats.from_cache.append(file.path)
-                file_findings = cached[file.path].findings
-            else:
-                stats.analyzed.append(file.path)
-                file_findings = (
-                    [file.error]
-                    if file.error is not None
-                    else self._apply_pragmas(file, findings.get(file.path, []))
-                )
-                if file.sha:
-                    self.cache.store(
-                        file.path, self._record(file, table, taint, dims, file_findings)
-                    )
-            diagnostics.extend(d for d in file_findings if d.rule_id in self._reported)
-        self.cache.flush()
-        self.stats = stats
-
-        if restrict_to is not None:
-            wanted = {Path(p).resolve() for p in restrict_to}
-            allowed = graph.reverse_closure(
-                f.module for f in files if Path(f.path).resolve() in wanted
+            file_findings = (
+                [file.error]
+                if file.error is not None
+                else self._apply_pragmas(file, findings.get(file.path, []))
             )
-            module_of = {f.path: f.module for f in files}
-            diagnostics = [d for d in diagnostics if module_of[d.path] in allowed]
+            diagnostics.extend(d for d in file_findings if d.rule_id in self._reported)
         return sorted(diagnostics, key=_sort_key)
 
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
     @staticmethod
-    def _parse(file: _File) -> None:
-        if file.ctx is not None or file.error is not None:
-            return
-        try:
-            file.ctx = FileContext.parse(file.path, file.source, file.module)
-        except SyntaxError as error:
-            file.error = _parse_error(
-                file.path,
-                error.lineno or 1,
-                (error.offset or 0) + 1,
-                f"syntax error: {error.msg}",
-            )
-
-    @staticmethod
     def _summaries(
-        table: SymbolTable, records: list[FileRecord]
+        table: SymbolTable,
     ) -> tuple[dict[str, TaintSummary], dict[str, DimSummary]]:
-        """Cached summaries for out-of-closure modules, fresh ones for
-        the rest, iterated to a fixpoint."""
-        taint: dict[str, TaintSummary] = {}
-        dims: dict[str, DimSummary] = {}
-        for record in records:
-            for qname, returns_taint in record.taint.items():
-                taint[qname] = TaintSummary(returns_taint=returns_taint)
-            dims.update(record.dims)
+        """Every function's taint and dimension summary, iterated to a
+        fixpoint."""
         funcs = list(table.iter_functions())
-        for func in funcs:
-            taint.setdefault(func.qname, TaintSummary())
-            dims.setdefault(
-                func.qname,
-                DimSummary(param_dims=signature_dims(func), params=tuple(func.params)),
-            )
+        taint = {func.qname: TaintSummary() for func in funcs}
+        dims = {func.qname: DimSummary(param_dims=signature_dims(func)) for func in funcs}
         for _ in range(_FIXPOINT_CAP):
             changed = False
             for func in funcs:
@@ -286,14 +183,14 @@ class Checker:
 
     def _findings(
         self,
-        fresh: list[_File],
+        files: list[_File],
         table: SymbolTable,
         taint: dict[str, TaintSummary],
         dims: dict[str, DimSummary],
     ) -> dict[str, list[Diagnostic]]:
         """Per-file rule findings plus the analyses' collect pass, by path."""
         by_path: dict[str, list[Diagnostic]] = {}
-        for file in fresh:
+        for file in files:
             if file.ctx is None:
                 continue
             found = by_path.setdefault(file.path, [])
@@ -316,7 +213,7 @@ class Checker:
         return by_path
 
     def _apply_pragmas(self, file: _File, found: list[Diagnostic]) -> list[Diagnostic]:
-        pragmas = Pragmas.scan(file.source)
+        pragmas = Pragmas.scan(file.ctx.source)
         kept = [d for d in found if not pragmas.suppresses(d.rule_id, d.line)]
         kept.extend(
             Diagnostic(
@@ -335,25 +232,3 @@ class Checker:
             if not pragmas.suppresses(UNKNOWN_PRAGMA_RULE_ID, line)
         )
         return sorted(kept, key=_sort_key)
-
-    @staticmethod
-    def _record(
-        file: _File,
-        table: SymbolTable,
-        taint: dict[str, TaintSummary],
-        dims: dict[str, DimSummary],
-        findings: list[Diagnostic],
-    ) -> FileRecord:
-        syms = file.ctx.imports if file.ctx is not None else None
-        qnames = sorted(syms.functions) if syms is not None else []
-        return FileRecord(
-            sha=file.sha,
-            raw_imports=sorted(syms.imported) if syms is not None else [],
-            taint={
-                q: taint[q].returns_taint
-                for q in qnames
-                if q in taint and taint[q].returns_taint is not None
-            },
-            dims={q: dims[q] for q in qnames if q in dims},
-            findings=findings,
-        )

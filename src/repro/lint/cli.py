@@ -4,10 +4,8 @@ Exit codes: 0 = clean, 1 = diagnostics reported, 2 = usage error.
 
 One :class:`Checker` pass runs every selected rule: the per-file rules
 (SIM0xx) and the whole-program analyses (SIM1xx/SIM2xx) over the same
-parse.  Supporting machinery: ``--baseline`` grandfathers existing
-findings, ``--changed BASE`` reports only edited files plus their
-reverse-dependency closure, ``--cache-dir`` enables the incremental
-cache, and ``--format sarif`` emits code-scanning-ready output.
+parse of every file.  ``--baseline`` grandfathers existing findings and
+``--format sarif`` emits code-scanning-ready output.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.lint.baseline import Baseline, write_baseline
@@ -79,17 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="incremental cache directory (warm runs re-check only changed "
-        "files plus their reverse-dependency closure)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print run statistics to stderr",
-    )
     adoption = parser.add_argument_group("incremental adoption")
     adoption.add_argument(
         "--baseline",
@@ -101,35 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write all current findings to FILE as a baseline and exit 0",
     )
-    adoption.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        metavar="BASE",
-        help="report only files changed vs BASE (default HEAD) plus their "
-        "reverse-dependency closure",
-    )
     return parser
-
-
-def _changed_files(base: str) -> "Optional[list[Path]]":
-    """Files changed vs ``base``, or None (with a warning) to lint everything."""
-    from repro.lint.semantic import changed
-
-    repo_root = changed.git_repo_root()
-    if repo_root is None:
-        print(
-            "warning: --changed requires a git checkout; linting everything",
-            file=sys.stderr,
-        )
-        return None
-    files = changed.changed_python_files(base, repo_root)
-    if files is None:
-        print(
-            f"warning: cannot diff against {base!r}; linting everything",
-            file=sys.stderr,
-        )
-    return files
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -145,28 +103,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ignore = _split_ids(args.ignore) or config.ignore
 
     try:
-        checker = Checker(
-            select=select, ignore=ignore, cache_dir=args.cache_dir or config.cache_dir
-        )
+        checker = Checker(select=select, ignore=ignore)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    restrict = None
-    if args.changed is not None:
-        try:
-            restrict = _changed_files(args.changed)
-        except Exception as error:  # git plumbing should never abort a lint
-            print(f"warning: --changed failed ({error}); linting everything", file=sys.stderr)
-
-    diagnostics = checker.check_paths(list(args.paths) or config.paths, restrict_to=restrict)
-    if args.stats:
-        stats = checker.stats
-        print(
-            f"lint: {stats.files} file(s), {len(stats.analyzed)} analyzed, "
-            f"{len(stats.from_cache)} from cache, {stats.functions} function(s)",
-            file=sys.stderr,
-        )
+    diagnostics = checker.check_paths(list(args.paths) or config.paths)
 
     if args.write_baseline:
         count = write_baseline(diagnostics, args.write_baseline)

@@ -7,7 +7,6 @@ Recognized keys (all optional)::
     select = ["SIM001"]        # run only these rules
     ignore = ["SIM010"]        # never run these rules
     baseline = ".repro-lint-baseline"   # grandfathered-findings file
-    cache_dir = ".repro-lint-cache"     # incremental cache
 
 CLI flags override the file; ``--select`` and ``--ignore`` replace the
 corresponding config lists entirely.
@@ -31,7 +30,6 @@ class LintConfig:
     select: Optional[list[str]] = None
     ignore: Optional[list[str]] = None
     baseline: Optional[str] = None
-    cache_dir: Optional[str] = None
 
     @classmethod
     def load(cls, start: "str | Path | None" = None) -> "LintConfig":
@@ -53,8 +51,6 @@ class LintConfig:
             config.ignore = [str(r) for r in table["ignore"]]
         if isinstance(table.get("baseline"), str):
             config.baseline = table["baseline"]
-        if isinstance(table.get("cache_dir"), str):
-            config.cache_dir = table["cache_dir"]
         return config
 
 

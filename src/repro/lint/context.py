@@ -1,8 +1,9 @@
 """Per-file analysis context shared by all rules.
 
 A :class:`FileContext` is built once per file by the checker and handed
-to every rule: the parsed AST, the raw source lines, the module's
-symbols — whose alias map resolves local names back to their
+to every rule: the parsed AST and its nodes from one ``ast.walk`` (rules
+iterate :attr:`FileContext.nodes` rather than walking the tree again),
+the module's symbols — whose alias map resolves local names back to their
 fully-qualified origins (so ``from time import time as clock; clock()``
 is still recognized as ``time.time``), the same resolver the
 whole-program analyses use — and the file's path *inside* the ``repro``
@@ -12,7 +13,7 @@ package (so rules can scope themselves to ``wms/``, ``des/``, etc.).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePath
 from typing import Optional
 
@@ -26,6 +27,8 @@ class FileContext:
     path: str                       # path as given (for diagnostics)
     source: str
     tree: ast.Module
+    #: every node of ``tree`` in ``ast.walk`` order, walked once
+    nodes: list[ast.AST]
     #: resolver for names (``ctx.imports.resolve(node)``) and the
     #: whole-program analyses' view of this module
     imports: ModuleSymbols
@@ -33,18 +36,18 @@ class FileContext:
     #: or None when the file is not inside a ``repro`` package (e.g.
     #: test fixtures) — scoped rules treat None as "in scope".
     package_relpath: Optional[str] = None
-    lines: list[str] = field(default_factory=list)
 
     @classmethod
     def parse(cls, path: str, source: str, module: str) -> "FileContext":
         tree = ast.parse(source, filename=path)
+        nodes = list(ast.walk(tree))
         return cls(
             path=path,
             source=source,
             tree=tree,
-            imports=ModuleSymbols.build(module, path, tree),
+            nodes=nodes,
+            imports=ModuleSymbols.build(module, path, tree, nodes),
             package_relpath=package_relpath(path),
-            lines=source.splitlines(),
         )
 
     def in_package_dir(self, *prefixes: str) -> bool:
@@ -74,9 +77,9 @@ def package_relpath(path: str) -> Optional[str]:
     return None
 
 
-def iter_function_defs(tree: ast.Module):
+def iter_function_defs(ctx: FileContext):
     """Yield every function/method definition in the module."""
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 

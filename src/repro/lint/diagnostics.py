@@ -66,17 +66,3 @@ class Diagnostic:
         if self.chain:
             doc["chain"] = list(self.chain)
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (the incremental cache's format)."""
-        return cls(
-            path=doc["path"],
-            line=doc["line"],
-            col=doc["col"],
-            rule_id=doc["rule"],
-            message=doc["message"],
-            severity=Severity(doc["severity"]),
-            fix_hint=doc["fix_hint"],
-            chain=tuple(doc.get("chain", ())),
-        )

@@ -19,15 +19,15 @@ Rule families (see ``docs/LINT.md`` for the full catalogue):
 * ``SIM01x`` — unit consistency (raw magnitudes, decimal/binary mixing)
 * ``SIM02x`` — DES process hygiene (generators, blocking calls, ``now``)
 * ``SIM03x`` — API hygiene (mutable defaults)
-* ``SIM04x`` — observability (bare ``print()`` in library code)
+* ``SIM04x`` — observability (bare ``print()`` in library code; no
+  ad-hoc logging/stderr output at all in simulator subsystems, whose
+  diagnostics go through ``repro.obs.log``)
 * ``SIM05x`` — parallelism (worker processes outside ``repro.sweep``)
 * ``SIM06x`` — performance API (direct fair-share solver calls outside
   ``repro.network``; per-event container allocation in
   ``# lint: hot-path`` modules)
 * ``SIM07x`` — profiling hooks (wait causes must come from the closed
   ``WaitCause`` enum)
-* ``SIM08x`` — structured logging (no ad-hoc logging/stderr output in
-  simulator subsystems; diagnostics go through ``repro.obs.log``)
 * ``SIM1xx`` — whole-program determinism taint (see
   :mod:`repro.lint.semantic`)
 * ``SIM2xx`` — whole-program unit/dimension dataflow

@@ -30,7 +30,7 @@ class NoMutableDefaults(Rule):
     fix_hint = "default to None and create the container inside the function"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for func in iter_function_defs(ctx.tree):
+        for func in iter_function_defs(ctx):
             defaults = list(func.args.defaults) + [
                 d for d in func.args.kw_defaults if d is not None
             ]

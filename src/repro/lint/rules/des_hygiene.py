@@ -44,11 +44,11 @@ BLOCKING_CALLS = frozenset(
 
 
 def _local_function_index(
-    tree: ast.Module,
+    ctx: FileContext,
 ) -> dict[str, "list[ast.FunctionDef | ast.AsyncFunctionDef]"]:
     """Bare name -> definitions in this module (any nesting level)."""
     index: dict[str, list] = {}
-    for func in iter_function_defs(tree):
+    for func in iter_function_defs(ctx):
         index.setdefault(func.name, []).append(func)
     return index
 
@@ -69,8 +69,8 @@ class ProcessNeedsGenerator(Rule):
     fix_hint = "make the function a generator (yield events), or pass gen() not gen"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        index = _local_function_index(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        index = _local_function_index(ctx)
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if not (
@@ -146,7 +146,7 @@ class NoBlockingInProcess(Rule):
     fix_hint = "yield env.timeout(delay) / an event; hoist real I/O out of the process"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for func in iter_function_defs(ctx.tree):
+        for func in iter_function_defs(ctx):
             if not is_generator(func):
                 continue
             for node in walk_shallow(func):
@@ -184,15 +184,16 @@ class NoExactTimeEquality(Rule):
     fix_hint = "compare with <=/>= or math.isclose(a, b, abs_tol=...)"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for func in iter_function_defs(ctx.tree):
+        for func in iter_function_defs(ctx):
+            body = list(walk_shallow(func))
             tainted = {
                 target.id
-                for node in walk_shallow(func)
+                for node in body
                 if isinstance(node, ast.Assign) and _mentions_now(node.value)
                 for target in node.targets
                 if isinstance(target, ast.Name)
             }
-            for node in walk_shallow(func):
+            for node in body:
                 if not isinstance(node, ast.Compare):
                     continue
                 if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):

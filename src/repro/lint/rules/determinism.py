@@ -39,7 +39,7 @@ class NoWallClock(Rule):
         return ctx.outside_package_dir("emulation/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.imports.resolve(node.func)
@@ -67,7 +67,7 @@ class NoGlobalRandom(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.imports.resolve(node.func)
@@ -111,7 +111,7 @@ class NoUnorderedIteration(Rule):
         return ctx.in_package_dir("wms/", "des/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if is_set_expr(node.iter):
                     yield self.diagnostic(

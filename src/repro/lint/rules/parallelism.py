@@ -48,7 +48,7 @@ class NoNakedProcessPool(Rule):
         return ctx.outside_package_dir("sweep/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "multiprocessing":

@@ -64,7 +64,7 @@ class NoDirectFairShareCalls(Rule):
         return ctx.outside_package_dir("network/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ImportFrom):
                 if node.module and not node.level and (
                     node.module in ("repro.network", "repro.network.fairshare")

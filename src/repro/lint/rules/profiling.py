@@ -67,7 +67,7 @@ class WaitCauseClosedEnum(Rule):
         return ctx.outside_package_dir("obs/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -134,7 +134,7 @@ class QueuePolicySelectPurity(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if not self._is_policy_class(node):

@@ -79,7 +79,7 @@ class RawQuantityLiteral(Rule):
         return ctx.in_package_dir("platform/", "storage/", "network/")
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             for target_name, value in _quantity_bindings(node):
                 if not QUANTITY_NAME.search(target_name):
                     continue
@@ -140,7 +140,7 @@ class MixedUnitFamilies(Rule):
     fix_hint = "convert one operand so both sides share a unit family"
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.BinOp):
                 continue
             if not isinstance(node.op, (ast.Add, ast.Sub)):

@@ -1,8 +1,8 @@
 """repro.lint.semantic — the whole-program analyses.
 
 Where a per-file rule sees one AST, these see the project: the
-:class:`~repro.lint.checker.Checker` builds one module graph, symbol
-table and call graph from the trees it already parsed, and runs two
+:class:`~repro.lint.checker.Checker` builds one symbol table and call
+graph from the trees it already parsed, and runs two
 interprocedural analyses over them to a fixpoint:
 
 * **determinism taint** (SIM100-series) — nondeterminism sources
@@ -18,7 +18,5 @@ interprocedural analyses over them to a fixpoint:
   dimension addition/comparison and bare magnitudes flowing into
   dimension-typed parameters are flagged.
 
-Also here: the module graph (:mod:`.modgraph`), the incremental cache
-(:mod:`.cache`) and the git plumbing behind ``--changed``
-(:mod:`.changed`).
+Also here: file discovery and module naming (:mod:`.modgraph`).
 """

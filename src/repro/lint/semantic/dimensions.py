@@ -182,16 +182,10 @@ def dim_from_name(name: str) -> Optional[Dim]:
 
 @dataclass
 class DimSummary:
-    """Interprocedural facts: parameter and return dimensions.
-
-    ``params`` preserves positional order so call sites can be checked
-    against a cached summary when the callee itself is out of the
-    incremental re-analysis closure.
-    """
+    """Interprocedural facts: parameter and return dimensions."""
 
     param_dims: dict[str, Dim]
     return_dim: Optional[Dim] = None
-    params: tuple[str, ...] = ()
 
 
 def signature_dims(func: FunctionInfo) -> dict[str, Dim]:
@@ -218,11 +212,7 @@ class FunctionDimAnalysis(FunctionAnalysis):
         self.exec_block(self.func.node.body)
         known = {d for d in self.return_dims if d is not None}
         return_dim = known.pop() if len(known) == 1 and None not in self.return_dims else None
-        return DimSummary(
-            param_dims=signature_dims(self.func),
-            return_dim=return_dim,
-            params=tuple(self.func.params),
-        )
+        return DimSummary(param_dims=signature_dims(self.func), return_dim=return_dim)
 
     # -- expression dimension -------------------------------------------
     def dim_of(self, node: Optional[ast.AST]) -> Optional[Dim]:
@@ -328,30 +318,20 @@ class FunctionDimAnalysis(FunctionAnalysis):
         for kw in node.keywords:
             self.dim_of(kw.value)
         target = self.table.resolve_call(self.syms, node, self.func.class_name)
-        dotted = self.syms.resolve(node.func)
-        if target is not None:
-            summary = self.summaries.get(target.qname)
-            params = target.params
-            qname = target.qname
-        elif dotted is not None and dotted in self.summaries:
-            # out-of-closure project callee on a warm incremental run:
-            # the cached summary carries the positional parameter order
-            summary = self.summaries[dotted]
-            params = summary.params
-            qname = dotted
-        else:
-            if dotted in ("float", "int", "abs", "round"):
+        if target is None:
+            if self.syms.resolve(node.func) in ("float", "int", "abs", "round"):
                 return self.dim_of(node.args[0]) if node.args else None
             return None
+        summary = self.summaries.get(target.qname)
         param_dims = summary.param_dims if summary is not None else signature_dims(target)
-        self._check_call_args(node, qname, params, param_dims)
+        self._check_call_args(node, target.qname, target.params, param_dims)
         return summary.return_dim if summary is not None else None
 
     def _check_call_args(
         self,
         node: ast.Call,
         qname: str,
-        params: "tuple[str, ...] | list[str]",
+        params: tuple[str, ...],
         param_dims: dict[str, Dim],
     ) -> None:
         """SIM202 + SIM201 at call boundaries."""

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.semantic.modgraph import ModuleGraph
+from repro.lint.semantic.modgraph import longest_known_prefix
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -55,30 +55,29 @@ class ModuleSymbols:
     #: local name -> absolute dotted target (imports + top-level defs);
     #: the one import resolver, for the per-file rules too
     aliases: dict[str, str] = field(default_factory=dict)
-    #: every dotted name imported (absolute form) — the module-graph edges
-    imported: frozenset[str] = frozenset()
     #: qname -> FunctionInfo for every def in this module
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name -> set of method names (for self.x() resolution)
     classes: dict[str, frozenset[str]] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, module: str, path: str, tree: ast.Module) -> "ModuleSymbols":
+    def build(
+        cls, module: str, path: str, tree: ast.Module, nodes: list[ast.AST]
+    ) -> "ModuleSymbols":
+        """Symbols of ``tree``; ``nodes`` is its ``ast.walk`` order."""
         syms = cls(module=module, path=path, tree=tree)
-        syms._scan_imports()
+        syms._scan_imports(nodes)
         syms._scan_defs()
         return syms
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _scan_imports(self) -> None:
+    def _scan_imports(self, nodes: list[ast.AST]) -> None:
         package_parts = self.module.split(".")[:-1]
-        imported: set[str] = set()
-        for node in ast.walk(self.tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    imported.add(alias.name)
                     if alias.asname:
                         self.aliases[alias.asname] = alias.name
                     else:
@@ -92,12 +91,9 @@ class ModuleSymbols:
                     base = node.module or ""
                 if not base:
                     continue
-                imported.add(base)
                 for alias in node.names:
                     local = alias.asname or alias.name
                     self.aliases[local] = f"{base}.{alias.name}"
-                    imported.add(f"{base}.{alias.name}")
-        self.imported = frozenset(imported)
 
     def _scan_defs(self) -> None:
         for stmt in self.tree.body:
@@ -154,8 +150,10 @@ class ModuleSymbols:
 class SymbolTable:
     """All modules' symbols plus cross-module call-target resolution."""
 
-    def __init__(self, graph: ModuleGraph) -> None:
-        self.graph = graph
+    def __init__(self, modules: Iterable[str]) -> None:
+        #: every project module, parsed or not — call targets resolve
+        #: against the longest of these prefixes
+        self.modules = frozenset(modules)
         self.by_module: dict[str, ModuleSymbols] = {}
         self.functions: dict[str, FunctionInfo] = {}
 
@@ -211,7 +209,7 @@ class SymbolTable:
         init = self.functions.get(f"{dotted}.__init__")
         if init is not None:
             return init
-        module = self.graph.resolve_module(dotted)
+        module = longest_known_prefix(dotted, self.modules)
         if module is None or module == dotted:
             return None
         rest = dotted[len(module) + 1 :].split(".")

@@ -312,17 +312,10 @@ class FunctionTaintAnalysis(FunctionAnalysis):
         # Project calls ------------------------------------------------
         target = self.table.resolve_call(self.syms, node, self.func.class_name)
         taint = any_arg
-        callee_qname: Optional[str] = None
         if target is not None:
-            callee_qname = target.qname
-        elif resolved is not None and resolved in self.summaries:
-            # out-of-closure project callee on a warm incremental run:
-            # the cached summary stands in for the unparsed function
-            callee_qname = resolved
-        if callee_qname is not None:
-            summary = self.summaries.get(callee_qname)
+            summary = self.summaries.get(target.qname)
             if summary is not None and summary.returns_taint is not None:
-                taint = summary.returns_taint.via_call(callee_qname, self.path, node.lineno)
+                taint = summary.returns_taint.via_call(target.qname, self.path, node.lineno)
 
         # Sinks: only tainted *arguments* flowing in count (a tainted
         # call result is the caller's problem, reported where it lands).
@@ -360,13 +353,8 @@ class FunctionTaintAnalysis(FunctionAnalysis):
         if callee_module in SINK_MODULES:
             return SINK_MODULES[callee_module]
         # method-name heuristic only for calls that are not project
-        # functions (resolved project callees were handled above and
-        # must behave the same whether or not they are in the closure)
-        if (
-            target is None
-            and (resolved is None or resolved not in self.summaries)
-            and isinstance(node.func, ast.Attribute)
-        ):
+        # functions (resolved project callees were handled above)
+        if target is None and isinstance(node.func, ast.Attribute):
             return SINK_METHODS.get(node.func.attr)
         return None
 

@@ -1,7 +1,7 @@
 """The structured event log: ``repro.obs.log/1``.
 
 Simulator subsystems never write ad-hoc text to stdout/stderr (lint
-rules SIM040/SIM080 reject it); anything worth telling a human or a
+rule SIM040 rejects it); anything worth telling a human or a
 tailing tool is a *structured event* published through the observer::
 
     obs.log_event("storage", "insufficient_storage",
@@ -39,7 +39,7 @@ from typing import Any, Iterator, Optional
 LOG_SCHEMA = "repro.obs.log/1"
 
 #: The components sanctioned to emit events (mirrors the subsystems
-#: lint rule SIM080 covers, plus the observability layer itself).
+#: lint rule SIM040 covers, plus the observability layer itself).
 COMPONENTS = ("des", "network", "storage", "compute", "wms", "sweep", "obs")
 
 

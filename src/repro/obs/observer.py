@@ -35,7 +35,7 @@ Beyond metrics, the observer carries three further channels:
 
 * **structured events** (:meth:`log_event`): the ``repro.obs.log/1``
   record stream subsystems publish instead of printing (lint rule
-  SIM080), collected in :attr:`events` and exported deterministically;
+  SIM040), collected in :attr:`events` and exported deterministically;
 * **live bus** (``Observer(bus=LiveBus(...))``): events, span closes
   and wait transitions stream to ``<obs-dir>/live/`` while the run
   executes (see :mod:`repro.obs.live`);

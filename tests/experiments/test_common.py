@@ -214,6 +214,17 @@ def test_cli_rejects_a_config_for_a_named_experiment_up_front(capsys):
     assert "fig13, fig14" in captured.err and "fig4" in captured.err
 
 
+def test_cli_rejects_an_unknown_allocator_before_anything_runs(capsys):
+    from repro.network import allocator_names
+
+    argv = ["fig13", "--quick", "--list-points", "--network-allocator", "bogus"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no fig13 spec was listed
+    assert "'bogus'" in captured.err
+    assert all(name in captured.err for name in allocator_names())
+
+
 def test_cli_quick_flag(capsys):
     assert main(["fig4", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -1,12 +1,7 @@
-"""Known-good: output via logging/return values, prints only in main()."""
-
-import logging
-
-logger = logging.getLogger(__name__)
+"""Known-good: output via return values, prints only in main()."""
 
 
 def allocate(host, cores):
-    logger.debug("allocating %d cores on %s", cores, host)
     return cores
 
 

@@ -3,9 +3,9 @@ and the SIM101/102/103 syntactic companions."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +46,24 @@ def test_taint_chain_names_every_hop():
 
 def diags_render(diag):
     return diag.render()
+
+
+def test_deleted_source_module_leaves_no_stale_finding(tmp_path, monkeypatch, capsys):
+    """A second CLI run over the same project sees the file deleted
+    between the runs; a stale ``cache_dir`` key in pyproject is ignored."""
+    from repro.lint.cli import main
+
+    shutil.copytree(FIXTURES / "taintpkg", tmp_path / "taintpkg")
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro-lint]\npaths = ["taintpkg"]\ncache_dir = ".c"\n'
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(["--select", "SIM100"]) == 1
+    assert "SIM100" in capsys.readouterr().out
+
+    (tmp_path / "taintpkg" / "collectors.py").unlink()
+    assert main(["--select", "SIM100"]) == 0
+    assert "SIM100" not in capsys.readouterr().out
 
 
 def test_sorted_launders_taint():
