@@ -23,7 +23,7 @@ def main() -> None:
     # Defaults: striped shared burst buffer, everything staged in.
     result = repro.simulate(platform, workflow)
     print(f"striped (defaults):        makespan {result.makespan:7.2f}s  "
-          f"{len(result.trace.events)} events")
+          f"{len(result.trace.records)} tasks")
 
     # Any repro.Config field can be given as a plain mapping; string
     # forms are accepted ("private" instead of BBMode.PRIVATE).

@@ -138,8 +138,7 @@ class Checker:
         for file in files:
             if file.ctx is not None:
                 table.add(file.ctx.imports)
-        taint, dims = self._summaries(table)
-        findings = self._findings(files, table, taint, dims)
+        findings = self._findings(files, self._analyses(table))
 
         diagnostics: list[Diagnostic] = []
         for file in files:
@@ -155,40 +154,44 @@ class Checker:
     # Phases
     # ------------------------------------------------------------------
     @staticmethod
-    def _summaries(
-        table: SymbolTable,
-    ) -> tuple[dict[str, TaintSummary], dict[str, DimSummary]]:
-        """Every function's taint and dimension summary, iterated to a
-        fixpoint."""
+    def _analyses(table: SymbolTable) -> list[Diagnostic]:
+        """Every function's taint and dimension findings.
+
+        The interprocedural fixpoint iterates every function's summaries
+        until a round changes none.  In that round every function saw
+        the final summaries, so its findings are the answer.  If
+        ``_FIXPOINT_CAP`` rounds all change something, one more round
+        only collects, with the summaries left as they are.
+        """
         funcs = list(table.iter_functions())
         taint = {func.qname: TaintSummary() for func in funcs}
         dims = {func.qname: DimSummary(param_dims=signature_dims(func)) for func in funcs}
-        for _ in range(_FIXPOINT_CAP):
+        for round_ in range(_FIXPOINT_CAP + 1):
+            settling = round_ < _FIXPOINT_CAP
             changed = False
+            found: list[Diagnostic] = []
             for func in funcs:
                 syms = table.by_module[func.module]
-                new_taint, _ = analyze_function(func, syms, table, taint)
+                new_taint, taint_findings = analyze_function(func, syms, table, taint)
                 old_taint = taint[func.qname].returns_taint
                 new_chain = new_taint.returns_taint and new_taint.returns_taint.chain
-                if new_chain != (old_taint and old_taint.chain):
+                if settling and new_chain != (old_taint and old_taint.chain):
                     taint[func.qname] = new_taint
                     changed = True
-                new_dims, _ = analyze_function_dims(func, syms, table, dims)
-                if new_dims.return_dim != dims[func.qname].return_dim:
+                new_dims, dim_findings = analyze_function_dims(func, syms, table, dims)
+                if settling and new_dims.return_dim != dims[func.qname].return_dim:
                     dims[func.qname] = new_dims
                     changed = True
+                found.extend(taint_findings)
+                found.extend(dim_findings)
             if not changed:
                 break
-        return taint, dims
+        return found
 
     def _findings(
-        self,
-        files: list[_File],
-        table: SymbolTable,
-        taint: dict[str, TaintSummary],
-        dims: dict[str, DimSummary],
+        self, files: list[_File], analyses: list[Diagnostic]
     ) -> dict[str, list[Diagnostic]]:
-        """Per-file rule findings plus the analyses' collect pass, by path."""
+        """Per-file rule findings plus the analyses' findings, by path."""
         by_path: dict[str, list[Diagnostic]] = {}
         for file in files:
             if file.ctx is None:
@@ -198,18 +201,14 @@ class Checker:
                 if rule.applies_to(file.ctx):
                     found.extend(rule.check(file.ctx))
         seen: set[tuple] = set()  # loop bodies are analyzed twice
-        for func in table.iter_functions():
-            syms = table.by_module[func.module]
-            _, taint_findings = analyze_function(func, syms, table, taint, collect=True)
-            _, dim_findings = analyze_function_dims(func, syms, table, dims, collect=True)
-            for diag in (*taint_findings, *dim_findings):
-                if _sort_key(diag) in seen:
-                    continue
-                seen.add(_sort_key(diag))
-                rule = self._registry[diag.rule_id]
-                by_path.setdefault(func.path, []).append(
-                    replace(diag, severity=rule.severity, fix_hint=rule.fix_hint)
-                )
+        for diag in analyses:
+            if _sort_key(diag) in seen:
+                continue
+            seen.add(_sort_key(diag))
+            rule = self._registry[diag.rule_id]
+            by_path.setdefault(diag.path, []).append(
+                replace(diag, severity=rule.severity, fix_hint=rule.fix_hint)
+            )
         return by_path
 
     def _apply_pragmas(self, file: _File, found: list[Diagnostic]) -> list[Diagnostic]:

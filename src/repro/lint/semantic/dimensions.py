@@ -466,7 +466,6 @@ def analyze_function_dims(
     syms: ModuleSymbols,
     table: SymbolTable,
     summaries: dict[str, DimSummary],
-    collect: bool = False,
 ) -> tuple[DimSummary, list[Diagnostic]]:
-    analysis = FunctionDimAnalysis(func, syms, table, summaries, collect)
+    analysis = FunctionDimAnalysis(func, syms, table, summaries)
     return analysis.run(), analysis.findings

@@ -223,11 +223,9 @@ class SymbolTable:
 
 
 class FunctionAnalysis:
-    """State shared by the single-function analysis passes.
-
-    ``collect=False`` passes only compute the summary (used during the
-    interprocedural fixpoint); the final ``collect=True`` pass also
-    records findings with complete chains.
+    """State shared by the single-function analysis passes: the summary
+    being built and the findings recorded on the way (the checker keeps
+    those of the fixpoint round that changed no summary).
     """
 
     def __init__(
@@ -236,27 +234,24 @@ class FunctionAnalysis:
         syms: ModuleSymbols,
         table: SymbolTable,
         summaries: dict,
-        collect: bool,
     ) -> None:
         self.func = func
         self.syms = syms
         self.table = table
         self.summaries = summaries
-        self.collect = collect
         self.path = func.path
         self.findings: list[Diagnostic] = []
 
     def _finding(
         self, node: ast.AST, rule_id: str, message: str, chain: tuple[str, ...] = ()
     ) -> None:
-        if self.collect:
-            self.findings.append(
-                Diagnostic(
-                    path=self.path,
-                    line=getattr(node, "lineno", self.func.lineno),
-                    col=getattr(node, "col_offset", 0) + 1,
-                    rule_id=rule_id,
-                    message=message,
-                    chain=chain,
-                )
+        self.findings.append(
+            Diagnostic(
+                path=self.path,
+                line=getattr(node, "lineno", self.func.lineno),
+                col=getattr(node, "col_offset", 0) + 1,
+                rule_id=rule_id,
+                message=message,
+                chain=chain,
             )
+        )

@@ -527,10 +527,9 @@ def analyze_function(
     syms: ModuleSymbols,
     table: SymbolTable,
     summaries: dict[str, TaintSummary],
-    collect: bool = False,
 ) -> tuple[TaintSummary, list[Diagnostic]]:
-    """Run the local analysis; returns (summary, findings-if-collecting).
+    """Run the local analysis; returns (summary, findings).
 
     Findings may repeat (loop bodies run twice); the checker dedupes."""
-    analysis = FunctionTaintAnalysis(func, syms, table, summaries, collect)
+    analysis = FunctionTaintAnalysis(func, syms, table, summaries)
     return analysis.run(), analysis.findings

@@ -449,7 +449,6 @@ def run_contended(
             allocation.release()
             lease.release()
         end = env.now
-        trace.log(end, "task_end", job.name)
         trace.add_record(
             TaskRecord(
                 name=job.name,

@@ -1,4 +1,5 @@
-"""Execution traces: timestamped events and derived statistics."""
+"""Execution traces: per-task records, I/O operations, ready and staging
+events, and derived statistics."""
 
 from repro.traces.events import ExecutionTrace, IOOperation, TaskRecord, TraceEvent
 from repro.traces.bandwidth import achieved_bandwidths, mean_achieved_bandwidth

@@ -1,8 +1,12 @@
-"""Timestamped event traces (the simulator's primary output).
+"""Execution traces (the simulator's primary output).
 
 The paper: "the simulator simulates the execution of the workflow and
 outputs a time-stamped event trace.  The date of the last event, which
 corresponds to the last task completion, gives the overall makespan."
+Here each task's time stamps (start, phase ends, end) live once, on its
+:class:`TaskRecord`, so the makespan is the latest task end.  The event
+log keeps only what no record holds: when each task became ready and
+when each staging copy started and ended.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ class TraceEvent:
     """One timestamped event."""
 
     time: float
-    kind: str          # e.g. "task_start", "read_end", "stage_copy"
+    kind: str          # "task_ready" or a "stage_copy_*"/"stage_out_*" kind
     task: str = ""
     detail: str = ""
 
@@ -108,7 +112,8 @@ class TaskRecord:
 
 
 class ExecutionTrace:
-    """Event log plus per-task records for one workflow execution."""
+    """Per-task records, per-file I/O operations and the ready/staging
+    event log of one workflow execution."""
 
     def __init__(self, workflow_name: str = "") -> None:
         self.workflow_name = workflow_name
@@ -146,11 +151,10 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
-        """Date of the last event (last task completion).
+        """The latest task end (last task completion).
 
-        Falls back to the latest task-record end when the event log is
-        sparse (e.g. a trace re-loaded from a records-only export), so
-        a trace with finished tasks never reports a 0.0 makespan.
+        An event logged after it (never done by the engine, whose events
+        all fall inside a task's life) extends the makespan.
         """
         from_events = max((e.time for e in self.events), default=0.0)
         from_records = max((r.end for r in self.records.values()), default=0.0)
@@ -174,9 +178,6 @@ class ExecutionTrace:
             raise KeyError(f"no tasks in group {group!r}")
         return sum(r.duration for r in records) / len(records)
 
-    def events_of_kind(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -193,15 +194,10 @@ class ExecutionTrace:
                     "cores": r.cores,
                     "start": r.start,
                     "end": r.end,
-                    # Raw phase timestamps (lossless round trip) ...
                     "read_start": r.read_start,
                     "read_end": r.read_end,
                     "compute_end": r.compute_end,
                     "write_end": r.write_end,
-                    # ... plus the derived durations older consumers use.
-                    "read_time": r.read_time,
-                    "compute_time": r.compute_time,
-                    "write_time": r.write_time,
                 }
                 for r in sorted(self.records.values(), key=lambda r: r.start)
             ],
@@ -220,7 +216,9 @@ class ExecutionTrace:
         Events, task records, and I/O operations all round-trip; task
         documents written before raw phase timestamps were exported are
         reconstructed from the derived durations (phases are contiguous
-        from ``start``, which is how the engine records them).
+        from ``start``, which is how the engine records them).  Older
+        documents whose event log also repeats the records' stamps
+        (``task_start`` ... ``task_end``) load those events as written.
         """
         doc = json.loads(source) if isinstance(source, str) else source
         trace = cls(doc.get("workflow", ""))
@@ -270,6 +268,3 @@ class ExecutionTrace:
     def from_json_file(cls, path: "str | Path") -> "ExecutionTrace":
         """Re-load a trace from a file written by :meth:`to_json`."""
         return cls.from_json(Path(path).read_text())
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -274,7 +274,6 @@ class WorkflowEngine:
 
         record.end = self.env.now
         self.trace.add_record(record)
-        self.trace.log(self.env.now, "task_end", task.name)
         obs = self.env.obs
         if obs is not None:
             obs.on_task_complete(record, task.category.value)
@@ -288,7 +287,6 @@ class WorkflowEngine:
     def _mark_start(self, task: Task, record: TaskRecord) -> None:
         """Stamp a task's actual start (cores granted, ready → running)."""
         record.start = self.env.now
-        self.trace.log(self.env.now, "task_start", task.name)
         self._ready_depth -= 1
         obs = self.env.obs
         if obs is not None:
@@ -399,7 +397,6 @@ class WorkflowEngine:
             if reads:
                 yield self._all(reads)
             record.read_end = self.env.now
-            self.trace.log(self.env.now, "read_end", task.name)
 
             # --- compute phase -------------------------------------------
             if self.config.use_amdahl_alpha:
@@ -408,7 +405,6 @@ class WorkflowEngine:
             if duration > 0:
                 yield self.env.timeout(duration)
             record.compute_end = self.env.now
-            self.trace.log(self.env.now, "compute_end", task.name)
 
             # --- write phase (all outputs concurrently) -------------------
             writes = []
@@ -421,7 +417,6 @@ class WorkflowEngine:
             if writes:
                 yield self._all(writes)
             record.write_end = self.env.now
-            self.trace.log(self.env.now, "write_end", task.name)
         finally:
             allocation.release()
             if memory_request is not None:

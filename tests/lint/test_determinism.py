@@ -29,6 +29,7 @@ def test_same_seed_same_trace():
     first = _run_once(seed=7)
     second = _run_once(seed=7)
     assert first.makespan == second.makespan
+    assert first.trace.records == second.trace.records
     assert len(first.trace.events) == len(second.trace.events)
     assert [
         (e.time, e.kind, e.task) for e in first.trace.events

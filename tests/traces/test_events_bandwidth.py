@@ -93,14 +93,6 @@ def test_trace_record_queries():
         trace.group_mean_duration("ghost")
 
 
-def test_trace_events_of_kind():
-    trace = ExecutionTrace()
-    trace.log(1.0, "x", "a")
-    trace.log(2.0, "y", "b")
-    trace.log(3.0, "x", "c")
-    assert [e.task for e in trace.events_of_kind("x")] == ["a", "c"]
-
-
 def test_trace_json_roundtrippable(tmp_path):
     trace = ExecutionTrace("wf")
     trace.log(1.0, "task_start", "a", "detail")
@@ -114,7 +106,9 @@ def test_trace_json_roundtrippable(tmp_path):
     assert doc["makespan"] == 10.0
     assert doc["events"][0]["kind"] == "task_start"
     assert doc["tasks"][0]["name"] == "a"
-    assert doc["tasks"][0]["read_time"] == 2.0
+    # Each task fact is written once: raw stamps, no derived durations.
+    assert doc["tasks"][0]["read_end"] == 2.0
+    assert not {"read_time", "compute_time", "write_time"} & set(doc["tasks"][0])
 
 
 def test_trace_from_json_roundtrips_everything(tmp_path):
@@ -176,13 +170,6 @@ def test_trace_event_to_dict():
     assert e.to_dict() == {
         "time": 1.5, "kind": "kind", "task": "task", "detail": "detail"
     }
-
-
-def test_trace_len_counts_events():
-    trace = ExecutionTrace()
-    trace.log(0.0, "a")
-    trace.log(1.0, "b")
-    assert len(trace) == 2
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.platform.units import MB
 from repro.storage import BBMode, ParallelFileSystem, SharedBurstBuffer
 from repro.wms import AllBB, AllPFS, EngineConfig, FractionPlacement, WorkflowEngine
 from repro.workflow import File, Task, TaskCategory, Workflow
+from repro.workflow.swarp import make_swarp
 
 SPEED = TABLE_I["cori"]["core_speed"]
 
@@ -216,10 +217,34 @@ def test_eviction_frees_bb_space():
 
 
 def test_trace_events_emitted():
-    engine = build(simple_chain())
-    trace = engine.run()
-    kinds = {e.kind for e in trace.events}
-    assert {"task_ready", "task_start", "read_end", "compute_end", "task_end"} <= kinds
+    # The event log holds only what no TaskRecord does: one task_ready
+    # per task and the start/end of each staging copy.
+    workflow = make_swarp(n_pipelines=1, cores_per_task=4, include_stage_out=True)
+    trace = build(workflow, placement=AllBB()).run()
+    ready = [e.task for e in trace.events if e.kind == "task_ready"]
+    assert sorted(ready) == sorted(workflow.tasks)
+
+    staged = {
+        "stage_copy_start": TaskCategory.STAGE_IN,
+        "stage_copy_end": TaskCategory.STAGE_IN,
+        "stage_out_start": TaskCategory.STAGE_OUT,
+        "stage_out_end": TaskCategory.STAGE_OUT,
+    }
+    copies = [e for e in trace.events if e.kind != "task_ready"]
+    assert {e.kind for e in copies} == set(staged)
+    for e in copies:
+        task = workflow.task(e.task)
+        assert task.category == staged[e.kind]
+        moved = task.outputs if task.category == TaskCategory.STAGE_IN else task.inputs
+        assert e.detail in {f.name for f in moved}
+    starts = sorted((e.task, e.detail) for e in copies if e.kind.endswith("_start"))
+    ends = sorted((e.task, e.detail) for e in copies if e.kind.endswith("_end"))
+    assert starts == ends
+
+    assert not {"task_start", "read_end", "compute_end", "write_end", "task_end"} & {
+        e.kind for e in trace.events
+    }
+    assert trace.makespan == max(r.end for r in trace.records.values())
 
 
 def test_empty_workflow_completes_immediately():
