@@ -131,11 +131,6 @@ class CoreAllocator:
             obs = self.env.obs
             if obs is not None:
                 obs.on_task_blocked(task, WaitCause.CORES, detail=self.label)
-                obs.log_event(
-                    "compute", "cores_queued",
-                    host=self.label, task=task, cores=cores,
-                    free=self._free, queue=len(self._queue),
-                )
         return event
 
     def claim(
@@ -154,12 +149,6 @@ class CoreAllocator:
         if self._queue or cores > self._free:
             return None
         allocation = self._granted(cores, task, estimate)
-        obs = self.env.obs
-        if obs is not None:
-            obs.log_event(
-                "compute", "cores_granted",
-                host=self.label, task=task, cores=cores, free=self._free,
-            )
         self._notify()
         return allocation
 
@@ -199,11 +188,6 @@ class CoreAllocator:
                 # queued; a same-instant grant never opened one, and the
                 # observer ignores unmatched unblocks.
                 obs.on_task_unblocked(request.tag, WaitCause.CORES)
-                obs.log_event(
-                    "compute", "cores_granted",
-                    host=self.label, task=request.tag, cores=request.amount,
-                    free=self._free,
-                )
             request.event.succeed(allocation)
 
     def _granted(

@@ -324,11 +324,6 @@ class FlowNetwork:
             # The flow is already out of (or never entered) _flows, so
             # the count reflects concurrency after this completion.
             obs.on_flow_finished(flow, len(self._flows))
-            obs.log_event(
-                "network", "flow_completed",
-                label=flow.label, size=flow.size,
-                elapsed=flow.elapsed, active=len(self._flows),
-            )
         # The event carries the flow as its value, so the flow lets go of
         # the event: a finished flow and its event form no cycle.
         done, flow.done_event = flow.done_event, None

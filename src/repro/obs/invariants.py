@@ -91,7 +91,7 @@ class InvariantMonitor:
         observer.log_event("obs", "invariant_violation",
                            invariant=self.name, detail=detail, **fields)
         observer.registry.counter("invariants.violations").inc()
-        raise InvariantViolation(self.name, detail, list(observer.recent_events))
+        raise InvariantViolation(self.name, detail, observer.recent_events)
 
     # Hook surface (all optional) ---------------------------------------
     def on_storage_occupancy(

@@ -46,7 +46,6 @@ Beyond metrics, the observer carries three further channels:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from repro.obs.invariants import InvariantMonitor, standard_monitors
@@ -64,8 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: The metric groups an observer can collect, in documentation order.
 METRIC_GROUPS = ("storage", "network", "compute", "engine", "des")
 
-#: How many recent event records an observer retains for the violation
-#: chain (:attr:`Observer.recent_events`).
+#: How many of the latest event records :attr:`Observer.recent_events`
+#: returns as the violation chain.
 RECENT_EVENT_WINDOW = 64
 
 
@@ -106,17 +105,12 @@ class Observer:
         self.waits: list[WaitInterval] = []
         #: Still-open blocked intervals: (task, cause) -> (start, detail).
         self._open_waits: dict[tuple[str, WaitCause], tuple[float, str]] = {}
-        #: Completed-flow records (label, size, interval) — the
-        #: profiler's raw material for contention analysis.
+        #: Completed-flow records (label, size, start, end, max_rate),
+        #: one per finished flow, in completion order.
         self.flows: list[dict] = []
         #: Structured event records (``repro.obs.log/1``), in emission
         #: order, wall-clock free (``ts`` is ``None``).
         self.events: list[dict[str, Any]] = []
-        #: Sliding window of the most recent events — the violation
-        #: chain invariant monitors attach to their failures.
-        self.recent_events: deque[dict[str, Any]] = deque(
-            maxlen=RECENT_EVENT_WINDOW
-        )
         self.env: Optional["Environment"] = None
         # Group flags are plain attributes so enabled-path hooks pay one
         # attribute test, not a set lookup.
@@ -214,6 +208,12 @@ class Observer:
     def bus(self) -> Optional["LiveBus"]:
         return self._bus
 
+    @property
+    def recent_events(self) -> list[dict[str, Any]]:
+        """The last :data:`RECENT_EVENT_WINDOW` records of :attr:`events`
+        — the chain invariant monitors attach to their failures."""
+        return self.events[-RECENT_EVENT_WINDOW:]
+
     def log_event(self, component: str, event: str, **fields: Any) -> dict:
         """Publish one structured event record (``repro.obs.log/1``).
 
@@ -224,7 +224,6 @@ class Observer:
         sim_time = self.env.now if self.env is not None else 0.0
         record = make_event(sim_time, component, event, fields)
         self.events.append(record)
-        self.recent_events.append(record)
         bus = self._bus
         if bus is not None:
             bus.push({"kind": "event", **record})

@@ -203,7 +203,7 @@ class ExecutionTrace:
             ],
             "io_operations": [op.to_dict() for op in self.io_operations],
         }
-        text = json.dumps(doc, indent=2)
+        text = json.dumps(doc)
         if path is not None:
             Path(path).write_text(text)
         return text

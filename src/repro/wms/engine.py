@@ -260,10 +260,6 @@ class WorkflowEngine:
         obs = self.env.obs
         if obs is not None:
             obs.on_ready_depth(self._ready_depth)
-            obs.log_event(
-                "wms", "task_ready",
-                task=task.name, host=host, depth=self._ready_depth,
-            )
 
         if task.category == TaskCategory.STAGE_IN:
             yield from self._run_stage_in(task, host, record)
@@ -277,29 +273,20 @@ class WorkflowEngine:
         obs = self.env.obs
         if obs is not None:
             obs.on_task_complete(record, task.category.value)
-            obs.log_event(
-                "wms", "task_end",
-                task=task.name, host=host,
-                duration=record.end - record.start,
-            )
         self._task_done[task.name].succeed(task.name)
 
-    def _mark_start(self, task: Task, record: TaskRecord) -> None:
+    def _mark_start(self, record: TaskRecord) -> None:
         """Stamp a task's actual start (cores granted, ready → running)."""
         record.start = self.env.now
         self._ready_depth -= 1
         obs = self.env.obs
         if obs is not None:
             obs.on_ready_depth(self._ready_depth)
-            obs.log_event(
-                "wms", "task_start",
-                task=task.name, host=record.host, cores=record.cores,
-            )
 
     def _run_stage_in(self, task: Task, host: str, record: TaskRecord):
         """Sequential PFS→BB copies for BB-bound inputs."""
         allocation = yield self.compute.acquire_cores(host, 1, task=task.name)
-        self._mark_start(task, record)
+        self._mark_start(record)
         record.read_start = self.env.now
         try:
             staged = set(self.placement.staged_input_names(self.workflow))
@@ -341,7 +328,7 @@ class WorkflowEngine:
         describes).  Files already on the PFS cost nothing.
         """
         allocation = yield self.compute.acquire_cores(host, 1, task=task.name)
-        self._mark_start(task, record)
+        self._mark_start(record)
         record.read_start = self.env.now
         try:
             for f in sorted(task.inputs, key=lambda f: f.name):
@@ -382,7 +369,7 @@ class WorkflowEngine:
             obs = self.env.obs
             if obs is not None:
                 obs.on_task_unblocked(task.name, WaitCause.MEMORY)
-        self._mark_start(task, record)
+        self._mark_start(record)
         try:
             # --- read phase (all inputs concurrently) ---------------------
             record.read_start = self.env.now

@@ -1,13 +1,15 @@
 """Structured event log (``repro.obs.log/1``): schema, emission, export."""
 
+import collections
 import json
 
 import pytest
 
 from repro.obs import (
-    COMPONENTS,
     LOG_SCHEMA,
+    LiveBus,
     Observer,
+    WaitCause,
     export_run,
     iter_ndjson,
     make_event,
@@ -72,7 +74,7 @@ def test_log_event_stamps_sim_time():
     env = des.Environment()
     obs = Observer().attach(env)
     env._now = 4.25
-    record = obs.log_event("compute", "cores_granted", host="cn0", cores=8)
+    record = obs.log_event("storage", "file_added", service="bb", size=8)
     assert record["sim_time"] == 4.25
     assert record["ts"] is None
     assert obs.events == [record]
@@ -83,18 +85,64 @@ def test_recent_event_window_is_bounded():
     for i in range(3 * RECENT_EVENT_WINDOW):
         obs.log_event("obs", "tick", i=i)
     assert len(obs.events) == 3 * RECENT_EVENT_WINDOW
+    assert obs.recent_events == obs.events[-RECENT_EVENT_WINDOW:]
     assert len(obs.recent_events) == RECENT_EVENT_WINDOW
-    assert obs.recent_events[-1]["fields"]["i"] == 3 * RECENT_EVENT_WINDOW - 1
 
 
-def test_scenario_emits_events_across_subsystems():
+#: Kinds no longer logged: a TaskRecord (and its spans), a CORES wait
+#: interval or an ``Observer.flows`` entry holds each of these facts.
+REMOVED_KINDS = {
+    "task_ready", "task_start", "task_end",
+    "cores_queued", "cores_granted", "flow_completed",
+}
+
+
+def test_scenario_logs_only_facts_no_other_record_holds():
     obs = Observer()
     run_swarp(n_pipelines=2, observer=obs)
-    components = {e["component"] for e in obs.events}
-    assert {"network", "storage", "compute", "wms"} <= components
-    assert all(e["component"] in COMPONENTS for e in obs.events)
     names = {e["event"] for e in obs.events}
-    assert {"flow_completed", "task_start", "task_end", "cores_granted"} <= names
+    assert not REMOVED_KINDS & names
+    assert "file_added" in names
+    assert {e["component"] for e in obs.events} == {"storage"}
+
+
+def test_removed_facts_stay_readable_and_stream_once(tmp_path):
+    bus = LiveBus(tmp_path / "live", flush_every=64)
+    obs = Observer(bus=bus)
+    trace = run_swarp(n_pipelines=2, observer=obs).trace
+    bus.close()
+
+    # Each task's start, end, host and cores: its task span.
+    task_spans = {s.name: s for s in obs.spans if s.name in trace.records}
+    for record in trace.records.values():
+        span = task_spans[record.name]
+        assert (span.track, span.start, span.end, span.args["cores"]) == (
+            record.host, record.start, record.end, record.cores,
+        )
+    # Each core wait ends when its task is granted cores and starts.
+    core_waits = [w for w in obs.waits if w.cause is WaitCause.CORES]
+    assert core_waits
+    for wait in core_waits:
+        assert wait.end == trace.records[wait.task].start
+        assert wait.detail == trace.records[wait.task].host
+    # Each task read or write: its flow (one per file on a private BB).
+    flows = {(f["label"], f["size"]): f for f in obs.flows}
+    for op in trace.io_operations:
+        flow = flows[(f"{op.service}:{op.kind}:{op.file}", op.size)]
+        assert op.start <= flow["start"] <= flow["end"] <= op.end
+
+    records = [r for r in iter_ndjson(tmp_path / "live" / "events.ndjson")
+               if "schema" not in r]
+    assert bus.dropped == 0
+    kinds = collections.Counter(r["kind"] for r in records)
+    assert kinds["event"] == len(obs.events)
+    assert kinds["span_close"] == len(obs.spans)
+    assert kinds["wait_close"] >= len(obs.waits)
+    assert len(records) == (
+        len(obs.events) + kinds["span_close"]
+        + kinds["wait_open"] + kinds["wait_close"]
+    )
+    assert not REMOVED_KINDS & {r["event"] for r in records if r["kind"] == "event"}
 
 
 def test_event_log_export_is_deterministic(tmp_path):

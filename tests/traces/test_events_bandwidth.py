@@ -111,6 +111,16 @@ def test_trace_json_roundtrippable(tmp_path):
     assert not {"read_time", "compute_time", "write_time"} & set(doc["tasks"][0])
 
 
+def test_trace_json_is_one_line_and_indented_documents_load():
+    trace = ExecutionTrace("wf")
+    trace.log(1.0, "task_ready", "a")
+    trace.add_record(make_record(name="a"))
+    text = trace.to_json()
+    assert "\n" not in text
+    indented = json.dumps(json.loads(text), indent=2)
+    assert ExecutionTrace.from_json(indented).to_json() == text
+
+
 def test_trace_from_json_roundtrips_everything(tmp_path):
     trace = ExecutionTrace("wf")
     trace.log(1.0, "task_start", "a", "detail")
