@@ -30,7 +30,7 @@ The quickest entry point is the top-level facade::
     print(result.makespan)
 
 with :func:`repro.scenarios.run_swarp` / ``run_genomes`` for the paper's
-prebuilt scenarios and :class:`repro.Simulator` for finer control.
+prebuilt scenarios.
 """
 
 import importlib
@@ -68,7 +68,6 @@ _API = {
     "simulate": "repro.api",
     "Result": "repro.api",
     "Config": "repro.config",
-    "Simulator": "repro.simulator",
     "BBMode": "repro.storage",
     "build_profile": "repro.profile",
     "diff_profiles": "repro.profile",

@@ -12,8 +12,8 @@ that front door::
 
 ``platform`` and ``workflow`` accept either in-memory objects
 (:class:`~repro.platform.PlatformSpec`, :class:`~repro.workflow.Workflow`)
-or paths to JSON descriptions (platform JSON / WfCommons trace), exactly
-like :class:`~repro.simulator.Simulator` — which does the actual work.
+or paths to JSON descriptions (platform JSON / WfCommons trace).  The
+run itself is :func:`repro.simulator._execute`, the one run path.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.config import Config
-from repro.platform import PlatformSpec
-from repro.simulator import Simulator
+from repro.platform import PlatformSpec, platform_from_json
+from repro.simulator import _execute, _host_roles
 from repro.traces.events import ExecutionTrace
 from repro.workflow.model import Workflow
+from repro.workflow.wfformat import workflow_from_wfformat
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs import Observer
@@ -36,7 +37,8 @@ class Result:
 
     Thin, read-only view over the run's artifacts: the execution
     ``trace`` (per-task records), the ``makespan``, and — when the run
-    was observed — the collected ``telemetry``.
+    was observed — the collected ``telemetry``.  ``spec`` and
+    ``workflow`` are the run's loaded inputs.
     """
 
     def __init__(
@@ -44,12 +46,14 @@ class Result:
         trace: ExecutionTrace,
         config: Config,
         observer: "Observer | None",
-        _simulator: Simulator,
+        spec: PlatformSpec,
+        workflow: Workflow,
     ) -> None:
         self.trace = trace
         self.config = config
         self.observer = observer
-        self._simulator = _simulator
+        self.spec = spec
+        self.workflow = workflow
         self._profile = None
 
     @property
@@ -101,12 +105,24 @@ class Result:
     def export_telemetry(self, directory: "str | Path") -> Path:
         """Write manifest + Perfetto trace + metric CSVs to ``directory``.
 
-        Requires the run to have been observed.  Once :meth:`profile`
-        has been built, it is written too (``profile.json``,
-        ``profile.folded`` and the Perfetto critical-path lane).
+        Requires the run to have been observed (``ValueError``
+        otherwise).  Once :meth:`profile` has been built, it is written
+        too (``profile.json``, ``profile.folded`` and the Perfetto
+        critical-path lane).
         """
-        return self._simulator.export_telemetry(
-            directory, trace=self.trace, profile=self._profile
+        from repro.obs import build_manifest, export_run
+
+        if self.observer is None:
+            raise ValueError("the run was made without an observer")
+        manifest = build_manifest(
+            config=self.config,
+            platform=self.spec,
+            workflow=self.workflow,
+            trace=self.trace,
+            observer=self.observer,
+        )
+        return export_run(
+            self.observer, directory, manifest=manifest, profile=self._profile
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -131,7 +147,8 @@ def simulate(
     ----------
     platform:
         A :class:`~repro.platform.PlatformSpec` or a path to a platform
-        JSON description.
+        JSON description.  Every host must declare a role; a
+        ``ValueError`` names each one that does not.
     workflow:
         A :class:`~repro.workflow.Workflow` or a path to a WfCommons
         JSON trace.
@@ -149,14 +166,18 @@ def simulate(
         ``live_dir``, ...).  A live bus is closed when the run ends.
     """
     cfg = Config.from_any(config)
+    if not isinstance(platform, PlatformSpec):
+        platform = platform_from_json(platform)
+    if not isinstance(workflow, Workflow):
+        workflow = workflow_from_wfformat(workflow)
+    _host_roles(platform)  # reject a bad platform before opening a bus
     if observer is True or (
         observer in (None, False) and cfg.wants_observer()
     ):
         observer = cfg.replace(observe=True).make_observer()
     elif observer is False:
         observer = None
-    simulator = Simulator(platform, workflow, config=cfg, observer=observer)
-    trace = simulator.run()
+    trace = _execute(platform, workflow, cfg, observer=observer).trace
     if observer is not None and observer.bus is not None:
         observer.bus.close()
-    return Result(trace, simulator.config, observer, simulator)
+    return Result(trace, cfg, observer, platform, workflow)

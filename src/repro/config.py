@@ -12,10 +12,10 @@
 :meth:`Config.from_any` is the single coercion path: it accepts a
 ``Config``, a plain mapping (``simulate(config={...})``), a path to a
 JSON file, or ``None``, and always returns a :class:`Config`.
-:class:`~repro.simulator.Simulator`, ``repro.simulate()``,
-``repro-simulate`` and the experiment modules all take one, so a
-configuration written once works everywhere.  String ``bb_mode`` values
-are coerced to :class:`~repro.storage.BBMode`.
+``repro.simulate()``, ``repro-simulate`` and the experiment modules
+all take one, so a configuration written once works everywhere.
+String ``bb_mode`` values are coerced to
+:class:`~repro.storage.BBMode`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.network import DEFAULT_ALLOCATOR
+from repro.network import DEFAULT_ALLOCATOR, resolve_allocator
 from repro.storage import BBMode
 from repro.wms.policies import DEFAULT_POLICY, policy_names, resolve_policy
 
@@ -49,8 +49,8 @@ class Config:
     #: Honor per-task Amdahl alphas instead of Eq. (4)'s perfect speedup.
     use_amdahl_alpha: bool = False
     #: Named bandwidth-sharing discipline for the flow network (see
-    #: :func:`repro.network.allocator_names`); ``"incremental"`` and
-    #: ``"vectorized"`` are aliases of ``"max-min"``.
+    #: :func:`repro.network.allocator_names`), or a rate-allocator
+    #: callable.
     network_allocator: str = DEFAULT_ALLOCATOR
     #: Named queueing discipline for the core allocators (and, in the
     #: contended scenarios, the BB provisioner) — see
@@ -75,6 +75,7 @@ class Config:
 
     def __post_init__(self) -> None:
         self.bb_mode = BBMode(self.bb_mode)
+        resolve_allocator(self.network_allocator)  # raises with the choices
         if self.queue_policy not in policy_names():
             resolve_policy(self.queue_policy)  # raises with the choices
         if self.metrics is not None:

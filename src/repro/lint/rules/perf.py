@@ -49,8 +49,8 @@ class NoDirectFairShareCalls(Rule):
         "equal-split or another allocator from a Config, "
         "a sweep point, or --network-allocator, and the call is "
         "invisible to the network.solver_calls telemetry.  Rates belong "
-        "to FlowNetwork; solver choice belongs to the allocator "
-        "registry."
+        "to FlowNetwork; solver choice belongs to the constant allocator "
+        "table behind resolve_allocator."
     )
     severity = Severity.ERROR
     fix_hint = (

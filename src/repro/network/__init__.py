@@ -19,7 +19,6 @@ from repro.network.allocators import (
     DEFAULT_ALLOCATOR,
     RateAllocator,
     allocator_names,
-    register_allocator,
     resolve_allocator,
 )
 from repro.network.flownet import Flow, FlowNetwork
@@ -37,6 +36,5 @@ __all__ = [
     "allocator_names",
     "equal_split_rates",
     "max_min_fair_rates",
-    "register_allocator",
     "resolve_allocator",
 ]

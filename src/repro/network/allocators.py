@@ -1,37 +1,34 @@
-"""The rate-allocator registry: named bandwidth-sharing disciplines.
+"""The rate-allocator table: named bandwidth-sharing disciplines.
 
 :class:`~repro.network.FlowNetwork` used to take a bare function for its
 ``allocator`` knob, which made the choice impossible to express in a
 :class:`~repro.config.Config`, a sweep point, or a CLI flag.  This module gives the
 knob a name: an allocator is any callable satisfying the
-:class:`RateAllocator` protocol, registered under a short string id that
+:class:`RateAllocator` protocol, named by a short string id that
 configs and CLIs can carry.
 
-Built-in allocators:
+Allocators:
 
 ================  =====================================================
 name              allocator
 ================  =====================================================
 ``max-min``       :func:`~repro.network.fairshare.max_min_fair_rates` —
                   progressive filling, the paper's model and the default
-``incremental``   alias of ``max-min``
-``vectorized``    alias of ``max-min``
 ``equal-split``   :func:`~repro.network.fairshare.equal_split_rates` —
                   the ablation baseline (feasible, not work-conserving)
 ================  =====================================================
 
-``incremental`` and ``vectorized`` once selected separate event loops
-in :class:`~repro.network.FlowNetwork`.  There is one loop now, used for
-every allocator, so both names resolve to the max-min solver and saved
-configs and CLI flags that carry them keep working.
+The table is constant.  A caller with another discipline passes the
+callable itself, wherever a name is accepted.
 
 Direct calls to ``max_min_fair_rates`` outside ``repro.network`` are
-rejected by lint rule SIM060 — resolve through this
-registry instead.
+rejected by lint rule SIM060 — resolve a name through
+:func:`resolve_allocator` instead.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Hashable, Mapping, Protocol, Sequence
 
 from repro.network.fairshare import equal_split_rates, max_min_fair_rates
@@ -60,32 +57,24 @@ class RateAllocator(Protocol):
     ) -> list[float]: ...
 
 
-#: Registry of named allocators. Mutate through :func:`register_allocator`.
-_ALLOCATORS: dict[str, RateAllocator] = {}
-
 #: The default allocator name (the paper's sharing model).
 DEFAULT_ALLOCATOR = "max-min"
 
-
-def register_allocator(name: str, allocator: RateAllocator) -> RateAllocator:
-    """Register ``allocator`` under ``name`` (idempotent re-registration
-    of the same callable is allowed; rebinding a name is an error)."""
-    existing = _ALLOCATORS.get(name)
-    if existing is not None and existing is not allocator:
-        raise ValueError(f"allocator name {name!r} is already registered")
-    _ALLOCATORS[name] = allocator
-    return allocator
+#: The named allocators (read-only).
+_ALLOCATORS: Mapping[str, RateAllocator] = MappingProxyType(
+    {"max-min": max_min_fair_rates, "equal-split": equal_split_rates}
+)
 
 
 def allocator_names() -> list[str]:
-    """All registered allocator names."""
+    """All allocator names."""
     return sorted(_ALLOCATORS)
 
 
 def resolve_allocator(
     spec: "str | RateAllocator | None",
 ) -> RateAllocator:
-    """Resolve a registry name, callable, or ``None`` to an allocator.
+    """Resolve a name, callable, or ``None`` to an allocator.
 
     ``None`` resolves to the default (``max-min``); callables pass
     through unchanged (the historical ``FlowNetwork(allocator=fn)``
@@ -100,11 +89,6 @@ def resolve_allocator(
     except KeyError:
         raise ValueError(
             f"unknown allocator {spec!r} (choose from "
-            f"{', '.join(sorted(_ALLOCATORS))})"
+            f"{', '.join(allocator_names())})"
         ) from None
 
-
-register_allocator("max-min", max_min_fair_rates)
-register_allocator("equal-split", equal_split_rates)
-register_allocator("incremental", max_min_fair_rates)
-register_allocator("vectorized", max_min_fair_rates)

@@ -146,12 +146,19 @@ class LinkCapacityMonitor(InvariantMonitor):
         for name in sorted(loads):
             capacity = links[name].effective_bandwidth(users[name])
             if loads[name] > capacity * (1 + _REL_TOL):
+                # The flows in flight on the link say which transfers
+                # (and so which tasks and files) led up to the failure.
+                labels = sorted(
+                    flow.label
+                    for flow in flows
+                    if any(link.name == name for link in flow.links)
+                )
                 self.fail(
                     f"link {name!r} carries {loads[name]:.6e} B/s over "
                     f"effective capacity {capacity:.6e} B/s "
-                    f"({users[name]} flows)",
+                    f"({users[name]} flows: {', '.join(labels)})",
                     link=name, load=loads[name], capacity=capacity,
-                    flows=users[name],
+                    flows=users[name], flow_labels=labels,
                 )
         self.passed()
 

@@ -1,6 +1,6 @@
 """The structured event log: ``repro.obs.log/1``.
 
-Simulator subsystems never write ad-hoc text to stdout/stderr (lint
+Simulation subsystems never write ad-hoc text to stdout/stderr (lint
 rule SIM040 rejects it); anything worth telling a human or a
 tailing tool is a *structured event* published through the observer::
 

@@ -181,7 +181,7 @@ class Observer:
         This breaks the observer <-> environment reference cycle, so a
         finished run and its telemetry are freed as soon as the caller
         drops them, not at CPython's next full collection.  The run
-        entry points (:mod:`repro.scenarios`, :class:`repro.Simulator`)
+        entry points (:mod:`repro.scenarios`, :func:`repro.simulate`)
         call it when their run ends.
         """
         if self.env is not None:

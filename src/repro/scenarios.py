@@ -37,7 +37,7 @@ from repro.platform.presets import compute_node_names, cori_spec, summit_spec
 from repro.simulator import _execute
 from repro.storage import BBMode
 from repro.traces.events import ExecutionTrace
-from repro.wms import EngineConfig, WorkflowEngine
+from repro.wms import WorkflowEngine
 from repro.workflow.genomes import make_1000genomes
 from repro.workflow.model import Workflow
 from repro.workflow.swarp import make_swarp
@@ -223,7 +223,7 @@ def run_swarp(
         spec,
         workflow,
         config,
-        EngineConfig(stage_in_external=not emulated),
+        stage_in_external=not emulated,
         observer=observer,
         effects=effects,
         noise=noise,
@@ -307,7 +307,6 @@ def run_genomes(
         spec,
         workflow,
         config,
-        EngineConfig(prestage_inputs=True),
         observer=observer,
         effects=effects,
         noise=noise,

@@ -5,19 +5,18 @@ description of a workflow and a description of an execution platform ...
 the simulator simulates the execution of the workflow and outputs a
 time-stamped event trace."
 
-:class:`Simulator` is exactly that entry point: give it a platform
+:func:`repro.simulate` is exactly that entry point: give it a platform
 description (a :class:`~repro.platform.PlatformSpec` or a JSON file)
 and a workflow (a :class:`~repro.workflow.Workflow` or a WfCommons JSON
-trace), pick a burst-buffer configuration, and run.  The CLI wrapper is
-``repro-simulate``.  Most callers want the one-call
-:func:`repro.simulate` facade instead of instantiating this class.
+trace), pick a burst-buffer configuration, and run.  This module holds
+the run path behind it and its CLI wrapper, ``repro-simulate``.
 
 Storage roles come from each host's explicit
 :class:`~repro.platform.HostRole` (``compute``, ``shared_bb``,
 ``local_bb``, ``pfs``); a platform with a role-less host is rejected.
 The run is configured by one :class:`~repro.config.Config`.
 
-Every workflow run, :class:`Simulator`'s and the paper scenarios'
+Every workflow run, :func:`repro.simulate`'s and the paper scenarios'
 (:mod:`repro.scenarios`) alike, goes through :func:`_execute`, which
 builds the services from the host roles and runs the engine.
 """
@@ -42,7 +41,7 @@ from repro.config import Config
 from repro.emulation.calibration import TierEffects, tier_latencies
 from repro.emulation.compute import EmulatedComputeService
 from repro.network import DEFAULT_ALLOCATOR, allocator_names
-from repro.platform import HostRole, Platform, PlatformSpec, platform_from_json
+from repro.platform import HostRole, Platform, PlatformSpec
 from repro.storage import (
     BBMode,
     OnNodeBurstBuffer,
@@ -50,11 +49,9 @@ from repro.storage import (
     SharedBurstBuffer,
     StorageService,
 )
-from repro.traces.events import ExecutionTrace
-from repro.wms import EngineConfig, FractionPlacement, WorkflowEngine
+from repro.wms import FractionPlacement, WorkflowEngine
 from repro.wms.policies import DEFAULT_POLICY, policy_names
 from repro.workflow.model import Workflow
-from repro.workflow.wfformat import workflow_from_wfformat
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.emulation.calibration import EmulationEffects
@@ -114,7 +111,7 @@ def _execute(
     spec: PlatformSpec,
     workflow: Workflow,
     config: Config,
-    engine_config: EngineConfig,
+    stage_in_external: bool = False,
     observer: Optional[Observer] = None,
     effects: Optional[EmulationEffects] = None,
     noise: Optional[Callable[[float], float]] = None,
@@ -129,7 +126,8 @@ def _execute(
     host, or the host's own ``local_bb`` node.  Private and on-node
     instances are built when a host first uses one.  ``config`` gives
     the mode, the staged fractions (the placement), the allocator and
-    the queue policy.
+    the queue policy.  ``stage_in_external`` is the engine's keyword of
+    that name.
 
     ``effects`` swaps in the emulated tiers and compute model, with
     ``noise`` (one trial's interference draw) applied per service as it
@@ -184,6 +182,7 @@ def _execute(
         )
 
     striped = None
+    stage_extra_latency = 0.0
     if roles.shared_bb and config.bb_mode == BBMode.STRIPED:
         striped = shared(BBMode.STRIPED)
         if (
@@ -194,15 +193,11 @@ def _execute(
         ):
             # The reproducible Figure 4 anomaly: staging into a striped
             # allocation degrades in this fraction band.
-            engine_config = replace(
-                engine_config,
-                stage_extra_latency=(
-                    striped.latencies.write
-                    + striped.metadata_service_time
-                    + striped.per_stripe_latency
-                )
-                * (effects.striped_anomaly_factor - 1.0),
-            )
+            stage_extra_latency = (
+                striped.latencies.write
+                + striped.metadata_service_time
+                + striped.per_stripe_latency
+            ) * (effects.striped_anomaly_factor - 1.0)
 
     bb_services: dict[str, StorageService] = {}
 
@@ -255,78 +250,13 @@ def _execute(
             intermediate_fraction=config.intermediate_fraction,
             output_fraction=config.output_fraction,
         ),
-        config=engine_config,
+        stage_in_external=stage_in_external,
+        stage_extra_latency=stage_extra_latency,
     )
     engine.run()
     if observer is not None:
         observer.end_run()
     return engine
-
-
-class Simulator:
-    """One-shot workflow simulation on a described platform."""
-
-    def __init__(
-        self,
-        platform: "PlatformSpec | str | Path",
-        workflow: "Workflow | str | Path",
-        config: "Config | Mapping[str, Any] | str | Path | None" = None,
-        observer: Optional[Observer] = None,
-    ) -> None:
-        if not isinstance(platform, PlatformSpec):
-            platform = platform_from_json(platform)
-        if not isinstance(workflow, Workflow):
-            workflow = workflow_from_wfformat(workflow)
-        _host_roles(platform)  # reject a bad platform here, not at run()
-        self.spec = platform
-        self.workflow = workflow
-        #: The run's configuration; the model knobs are read off it and
-        #: the manifest records it whole.
-        self.config = Config.from_any(config)
-        #: Optional telemetry sink; attached to the run's environment
-        #: before any service is built, so every sample is captured.
-        self.observer = observer
-
-    def run(self) -> ExecutionTrace:
-        """Simulate the workflow execution; returns the event trace."""
-        engine = _execute(
-            self.spec,
-            self.workflow,
-            self.config,
-            EngineConfig(use_amdahl_alpha=self.config.use_amdahl_alpha),
-            observer=self.observer,
-        )
-        return engine.trace
-
-    def export_telemetry(
-        self,
-        directory: "str | Path",
-        trace: Optional[ExecutionTrace] = None,
-        profile=None,
-    ) -> Path:
-        """Write this run's telemetry (manifest, Chrome trace, CSVs).
-
-        Requires the simulator to have been constructed with an
-        :class:`~repro.obs.Observer` and :meth:`run` to have completed;
-        ``trace`` enriches the manifest with result figures.  ``profile``
-        (a :class:`~repro.profile.Profile`) additionally writes
-        ``profile.json``/``profile.folded`` and annotates the Perfetto
-        trace with the critical-path lane.
-        """
-        from repro.obs import build_manifest, export_run
-
-        if self.observer is None:
-            raise ValueError("simulator was constructed without an observer")
-        manifest = build_manifest(
-            config=self.config,
-            platform=self.spec,
-            workflow=self.workflow,
-            trace=trace,
-            observer=self.observer,
-        )
-        return export_run(
-            self.observer, directory, manifest=manifest, profile=profile
-        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -353,8 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--network-allocator",
         choices=allocator_names(),
         default=DEFAULT_ALLOCATOR,
-        help="bandwidth-sharing discipline for the flow network "
-        "(incremental and vectorized are aliases of max-min)",
+        help="bandwidth-sharing discipline for the flow network",
     )
     parser.add_argument(
         "--queue-policy",

@@ -17,7 +17,7 @@ from repro.wms.placement import (
     PlacementPolicy,
     SizeThresholdPlacement,
 )
-from repro.wms.engine import EngineConfig, WorkflowEngine
+from repro.wms.engine import WorkflowEngine
 from repro.wms.heft import heft_assignment
 from repro.wms.scheduling import (
     DataLocalityScheduler,
@@ -46,7 +46,6 @@ from repro.wms.policies import (
     QueuedRequest,
     RunningGrant,
     policy_names,
-    register_policy,
     resolve_policy,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "DataLocalityScheduler",
     "EasyBackfillPolicy",
-    "EngineConfig",
     "ExplicitPlacement",
     "FifoPolicy",
     "FractionPlacement",
@@ -82,7 +80,6 @@ __all__ = [
     "evaluate_policies",
     "heft_assignment",
     "policy_names",
-    "register_policy",
     "resolve_policy",
     "workflow_candidates",
 ]

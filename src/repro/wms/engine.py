@@ -21,15 +21,15 @@ Stage-in tasks (``TaskCategory.STAGE_IN``) are executed as *sequential*
 PFS→BB copies of the external input files the placement policy sends to
 the BB (the paper: "the stage-in task is always sequential").
 
-Workflows without an explicit stage-in task can opt into *prestaging*:
-BB-bound inputs appear on the BB at t = 0 at no cost, matching the
-paper's 1000Genomes case study where staging happens before the
-measured execution.
+Workflows without an explicit stage-in task are *prestaged*: BB-bound
+inputs appear on the BB at t = 0 at no cost, matching the paper's
+1000Genomes case study where staging happens before the measured
+execution.  A placement that stages no inputs (``input_fraction=0``)
+prestages nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -43,30 +43,6 @@ from repro.storage.staging import stage_file
 from repro.traces.events import ExecutionTrace, IOOperation, TaskRecord
 from repro.wms.placement import PlacementPolicy, Tier
 from repro.workflow.model import File, Task, TaskCategory, Workflow
-
-
-@dataclass
-class EngineConfig:
-    """Tunable engine behaviour."""
-
-    #: Stage BB-bound inputs instantly at t=0 when the workflow has no
-    #: stage-in task (1000Genomes case-study semantics).
-    prestage_inputs: bool = True
-    #: Honor per-task Amdahl alphas (False = the paper's headline
-    #: perfect-speedup assumption, Eq. 4).
-    use_amdahl_alpha: bool = False
-    #: Delete intermediate files from the BB once all consumers finished
-    #: (keeps capacity accounting honest on long workflows).
-    evict_consumed_intermediates: bool = False
-    #: Extra latency added to every stage-in copy (emulation hook for the
-    #: striped-mode staging anomaly of Figure 4).
-    stage_extra_latency: float = 0.0
-    #: Stage-in ingests from an infinitely fast external source (charging
-    #: only the BB ingest path) instead of copying disk-to-disk from the
-    #: PFS.  The paper's simple simulator behaves this way — it is what
-    #: makes its makespan *decrease* with the staged fraction while the
-    #: measured one increases (the Figure 10a trend inversion).
-    stage_in_external: bool = False
 
 
 class WorkflowEngine:
@@ -94,6 +70,16 @@ class WorkflowEngine:
         pipeline-friendly grouping (tasks sharing a name suffix after the
         last ``_`` tend to co-locate); pass an explicit callable for full
         control.
+    stage_in_external:
+        Stage-in ingests from an infinitely fast external source
+        (charging only the BB ingest path) instead of copying
+        disk-to-disk from the PFS.  The paper's simple simulator behaves
+        this way — it is what makes its makespan *decrease* with the
+        staged fraction while the measured one increases (the Figure 10a
+        trend inversion).
+    stage_extra_latency:
+        Extra latency added to every stage-in copy (the emulated
+        striped-mode staging anomaly of Figure 4).
     """
 
     def __init__(
@@ -105,7 +91,9 @@ class WorkflowEngine:
         bb_for_host: "Optional[Callable[[str], StorageService]]" = None,
         placement: Optional[PlacementPolicy] = None,
         host_assignment: Optional[Callable[[Task], str]] = None,
-        config: Optional[EngineConfig] = None,
+        *,
+        stage_in_external: bool = False,
+        stage_extra_latency: float = 0.0,
     ) -> None:
         from repro.wms.placement import AllPFS
 
@@ -116,7 +104,8 @@ class WorkflowEngine:
         self.pfs = pfs
         self.bb_for_host = bb_for_host
         self.placement = (placement or AllPFS()).bind(workflow)
-        self.config = config or EngineConfig()
+        self.stage_in_external = stage_in_external
+        self.stage_extra_latency = stage_extra_latency
         self.registry = FileRegistry()
         self.trace = ExecutionTrace(workflow.name)
         self._assignment = host_assignment or self._default_assignment()
@@ -130,7 +119,6 @@ class WorkflowEngine:
         self._task_done: dict[str, Event] = {}
         #: Task name → parents not yet finished, for tasks not yet ready.
         self._unfinished_parents: dict[str, int] = {}
-        self._pending_consumers: dict[str, set[str]] = {}
         self._started = False
         #: Dependency-satisfied tasks that have not yet started (waiting
         #: on cores/memory) — the engine's ready-queue depth signal.
@@ -161,7 +149,8 @@ class WorkflowEngine:
         return host
 
     def _initialize_files(self) -> None:
-        """Populate the PFS with external inputs; prestage if configured."""
+        """Populate the PFS with external inputs and prestage the
+        BB-bound ones when the workflow has no stage-in task."""
         has_stage_in = any(
             t.category == TaskCategory.STAGE_IN for t in self.workflow
         )
@@ -176,16 +165,12 @@ class WorkflowEngine:
         for f in self.workflow.external_input_files():
             self.pfs.add_file(f)
             self.registry.register(f, self.pfs)
-            if not has_stage_in and self.config.prestage_inputs and f.name in staged:
+            if not has_stage_in and f.name in staged:
                 bb = self._bb_service(hosts[prestage_index % len(hosts)])
                 prestage_index += 1
                 if bb is not None:
                     bb.add_file(f)
                     self.registry.register(f, bb)
-        for name in self.workflow.files:
-            self._pending_consumers[name] = {
-                t.name for t in self.workflow.consumers_of(name)
-            }
 
     # ------------------------------------------------------------------
     # Execution
@@ -301,7 +286,7 @@ class WorkflowEngine:
                 if bb is None:
                     continue
                 self.trace.log(self.env.now, "stage_copy_start", task.name, f.name)
-                if self.config.stage_in_external:
+                if self.stage_in_external:
                     yield bb.write(f, host)
                     self.registry.register(f, bb)
                 else:
@@ -310,7 +295,7 @@ class WorkflowEngine:
                         self.pfs,
                         bb,
                         registry=self.registry,
-                        extra_latency=self.config.stage_extra_latency,
+                        extra_latency=self.stage_extra_latency,
                     )
                 self.trace.log(self.env.now, "stage_copy_end", task.name, f.name)
         finally:
@@ -386,8 +371,6 @@ class WorkflowEngine:
             record.read_end = self.env.now
 
             # --- compute phase -------------------------------------------
-            if self.config.use_amdahl_alpha:
-                self.compute.use_amdahl_alpha = True
             duration = self.compute.compute_time(task, host, allocation.cores)
             if duration > 0:
                 yield self.env.timeout(duration)
@@ -408,9 +391,6 @@ class WorkflowEngine:
             allocation.release()
             if memory_request is not None:
                 self.compute.release_memory(host, task.memory)
-
-        if self.config.evict_consumed_intermediates:
-            self._evict_after(task)
 
     def _logged_io(
         self, task: Task, f: File, service: StorageService, kind: str, transfer: Event
@@ -465,17 +445,3 @@ class WorkflowEngine:
                 if not _accessible(bb, consumer_host):
                     return self.pfs
         return bb
-
-    def _evict_after(self, task: Task) -> None:
-        """Drop files whose consumers have all completed from the BB."""
-        for f in task.inputs:
-            pending = self._pending_consumers.get(f.name)
-            if pending is None:
-                continue
-            pending.discard(task.name)
-            if pending:
-                continue
-            for service in self.registry.locations(f):
-                if service is not self.pfs:
-                    service.delete(f)
-                    self.registry.unregister(f, service)

@@ -1,14 +1,15 @@
-"""The queue-policy registry: named queueing disciplines for allocators.
+"""The queue-policy table: named queueing disciplines for allocators.
 
 PR 5's :class:`~repro.storage.provisioning.BBProvisioner` and the
 :class:`~repro.compute.allocator.CoreAllocator` both hard-coded strict
 FIFO over their request queues, so every contended scenario inherited
 one queueing discipline.  This module gives the discipline a name —
-mirroring the :mod:`repro.network.allocators` registry — so configs,
+mirroring the :mod:`repro.network.allocators` table — so configs,
 sweeps, and CLIs can carry it (``Config.queue_policy``,
 ``repro-simulate --queue-policy``).
 
-Built-in policies:
+Policies (a constant table; a caller with another discipline passes
+the :class:`QueuePolicy` instance itself):
 
 ``fifo``
     Strict FIFO, the default: grant the longest queue prefix that fits.
@@ -45,7 +46,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from repro.des import Environment, Event
 from repro.obs.waits import WaitCause
@@ -333,32 +335,29 @@ class PlanPolicy(ConservativeBackfillPolicy):
 
 
 # ----------------------------------------------------------------------
-# Registry (mirrors repro.network.allocators)
+# Named policies (mirrors repro.network.allocators)
 # ----------------------------------------------------------------------
-#: Registry of named policies. Mutate through :func:`register_policy`.
-_POLICIES: dict[str, QueuePolicy] = {}
-
 #: The default policy name (the historical hard-coded behaviour).
 DEFAULT_POLICY = "fifo"
 
-
-def register_policy(name: str, policy: QueuePolicy) -> QueuePolicy:
-    """Register ``policy`` under ``name`` (idempotent re-registration
-    of the same object is allowed; rebinding a name is an error)."""
-    existing = _POLICIES.get(name)
-    if existing is not None and existing is not policy:
-        raise ValueError(f"queue policy name {name!r} is already registered")
-    _POLICIES[name] = policy
-    return policy
+#: The named policies (read-only).
+_POLICIES: Mapping[str, QueuePolicy] = MappingProxyType(
+    {
+        "fifo": FifoPolicy(),
+        "easy-backfill": EasyBackfillPolicy(),
+        "conservative-backfill": ConservativeBackfillPolicy(),
+        "plan": PlanPolicy(),
+    }
+)
 
 
 def policy_names() -> list[str]:
-    """All registered policy names."""
+    """All policy names."""
     return sorted(_POLICIES)
 
 
 def resolve_policy(spec: "str | QueuePolicy | None") -> QueuePolicy:
-    """Resolve a registry name, policy object, or ``None`` to a policy.
+    """Resolve a name, policy object, or ``None`` to a policy.
 
     ``None`` resolves to the default (``fifo``); :class:`QueuePolicy`
     instances pass through unchanged.
@@ -375,11 +374,6 @@ def resolve_policy(spec: "str | QueuePolicy | None") -> QueuePolicy:
             f"{', '.join(sorted(_POLICIES))})"
         ) from None
 
-
-register_policy("fifo", FifoPolicy())
-register_policy("easy-backfill", EasyBackfillPolicy())
-register_policy("conservative-backfill", ConservativeBackfillPolicy())
-register_policy("plan", PlanPolicy())
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the named rate-allocator registry."""
+"""Tests for the named rate-allocator table."""
 
 import pytest
 
@@ -7,9 +7,9 @@ from repro.network import (
     allocator_names,
     equal_split_rates,
     max_min_fair_rates,
-    register_allocator,
     resolve_allocator,
 )
+from repro.network.allocators import _ALLOCATORS
 
 
 def test_default_resolves_to_max_min():
@@ -34,19 +34,18 @@ def test_unknown_name_lists_choices():
         resolve_allocator("nope")
 
 
-def test_engine_names_are_aliases_of_max_min():
-    names = allocator_names()
-    assert names == ["equal-split", "incremental", "max-min", "vectorized"]
-    # One event loop serves every allocator; the names that once picked
-    # another loop still resolve, to the same solver.
-    assert resolve_allocator("incremental") is max_min_fair_rates
-    assert resolve_allocator("vectorized") is max_min_fair_rates
-
-
-def test_reregistering_same_callable_is_idempotent():
-    register_allocator("max-min", max_min_fair_rates)  # no error
+def test_removed_engine_names_are_rejected():
+    # The names that once picked another event loop are gone; the error
+    # names the two allocators there are.
+    assert allocator_names() == ["equal-split", "max-min"]
+    for name in ("incremental", "vectorized"):
+        with pytest.raises(
+            ValueError, match=r"\(choose from equal-split, max-min\)"
+        ):
+            resolve_allocator(name)
 
 
 def test_rebinding_name_is_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_allocator("max-min", equal_split_rates)
+    with pytest.raises(TypeError):
+        _ALLOCATORS["max-min"] = equal_split_rates  # the table is constant
+    assert resolve_allocator("max-min") is max_min_fair_rates

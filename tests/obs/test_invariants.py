@@ -112,6 +112,12 @@ def test_oversubscribing_allocator_is_caught_with_event_chain():
     assert _violations(obs) == 1
     # The formatted message carries the chain for the failure report.
     assert "recent event chain" in str(violation)
+    # The detail names the transfers in flight on the offending link
+    # (the chain alone holds only storage events).
+    labels = violation.chain[-1]["fields"]["flow_labels"]
+    assert labels and labels == sorted(labels)
+    assert ".fits" in violation.detail
+    assert all(label in violation.detail for label in labels)
 
 
 def test_monitors_run_even_with_restricted_metric_groups():

@@ -26,7 +26,7 @@ from repro.obs import (
 )
 from repro.platform.presets import cori_spec
 from repro.scenarios import run_genomes, run_swarp
-from repro.simulator import Simulator
+from repro.api import simulate
 from repro.storage import BBMode
 from repro.workflow.swarp import make_swarp
 from repro.workflow.synthetic import make_fork_join
@@ -82,14 +82,14 @@ def test_scenario_trace_exports_valid(observed_run, tmp_path_factory):
 
 def test_simulator_export_telemetry_roundtrips_config(tmp_path):
     config = Config(bb_mode=BBMode.PRIVATE, output_fraction=1.0)
-    simulator = Simulator(
+    result = simulate(
         cori_spec(n_compute=1, n_bb_nodes=2),
         make_swarp(n_pipelines=1),
-        config,
+        config=config,
         observer=Observer(),
     )
-    trace = simulator.run()
-    out = simulator.export_telemetry(tmp_path / "telemetry", trace=trace)
+    trace = result.trace
+    out = result.export_telemetry(tmp_path / "telemetry")
     assert validate_obs_dir(out) == []
     doc = json.loads((out / "manifest.json").read_text())
     assert config_from_manifest(doc) == config
@@ -98,10 +98,9 @@ def test_simulator_export_telemetry_roundtrips_config(tmp_path):
 
 
 def test_simulator_without_observer_cannot_export(tmp_path):
-    simulator = Simulator(cori_spec(), make_swarp())
-    simulator.run()
+    result = simulate(cori_spec(), make_swarp())
     with pytest.raises(ValueError):
-        simulator.export_telemetry(tmp_path)
+        result.export_telemetry(tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import random
 
 from repro import des
-from repro.network import FlowNetwork, Link
+from repro.network import FlowNetwork, Link, max_min_fair_rates
 from repro.obs import Observer
 
 from tests.network.oracle_flownet import OracleFlowNetwork
@@ -53,7 +53,7 @@ def _run_random_sim(make_net, seed: int, n_flows: int = 60):
 def test_incremental_matches_default_on_random_sims():
     for seed in (1, 7, 23):
         reference = _run_random_sim(OracleFlowNetwork, seed)
-        for allocator in ("max-min", "incremental", "vectorized"):
+        for allocator in ("max-min", max_min_fair_rates):
             got = _run_random_sim(
                 lambda env: FlowNetwork(env, allocator=allocator), seed
             )

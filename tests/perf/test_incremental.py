@@ -8,8 +8,8 @@ The contract (see ``docs/PERF.md``):
   the graph is one connected component, and equal to within 1e-9
   relative when several components exist (filling them together splits
   the increments into more, smaller steps);
-* the ``incremental`` allocator name, an alias kept for saved configs,
-  resolves to the production solver and drives the same engine.
+* the ``max-min`` allocator name resolves to the production solver and
+  drives the same engine.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def changed_rates(classes) -> dict:
     return {fid: cls.rate for cls in classes for fid in cls.members}
 
 
-def make_engine(capacities, allocator="incremental"):
+def make_engine(capacities, allocator="max-min"):
     return ComponentSolver(
         static_capacity(capacities), resolve_allocator(allocator)
     )
@@ -171,10 +171,10 @@ def test_full_solve_counted_only_when_component_spans_graph():
 
 
 # ----------------------------------------------------------------------
-# The registered "incremental" allocator (an alias of max-min)
+# The named "max-min" allocator
 # ----------------------------------------------------------------------
 def test_wrapper_matches_oracle_validation():
-    incremental = resolve_allocator("incremental")
+    incremental = resolve_allocator("max-min")
     with pytest.raises(ValueError, match="non-positive capacity"):
         incremental([["l"]], {"l": 0.0})
     with pytest.raises(ValueError, match="unknown link"):
@@ -187,7 +187,7 @@ def test_wrapper_matches_oracle_rates():
     flow_links = [["a"], ["a", "b"], ["c"], []]
     capacities = {"a": 100.0, "b": 20.0, "c": 70.0}
     caps = [float("inf"), float("inf"), 10.0, 5.0]
-    got = resolve_allocator("incremental")(flow_links, capacities, caps)
+    got = resolve_allocator("max-min")(flow_links, capacities, caps)
     assert got == textbook_max_min_rates(flow_links, capacities, caps)
 
 
@@ -221,7 +221,7 @@ def flow_graphs(draw):
 @given(problem=flow_graphs())
 def test_wrapper_differential_random_graphs(problem):
     flow_links, capacities, caps = problem
-    got = resolve_allocator("incremental")(flow_links, capacities, caps)
+    got = resolve_allocator("max-min")(flow_links, capacities, caps)
     assert got == textbook_max_min_rates(flow_links, capacities, caps)
 
 

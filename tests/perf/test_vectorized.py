@@ -1,4 +1,4 @@
-"""Grouped filling and the ``vectorized`` alias against the oracle.
+"""Grouped filling against the oracle.
 
 The production solver fills identical-constraint classes as weighted
 entries (see ``docs/PERF.md``).  Its contract:
@@ -8,10 +8,10 @@ entries (see ``docs/PERF.md``).  Its contract:
   passed one by one or grouped into weighted classes, across capacities
   spanning 1e-12..1e6, flow caps, single-flow links, and arbitrary
   admit/drain interleavings;
-* the ``vectorized`` allocator name, an alias kept for saved configs,
-  resolves to the production solver, drives the same engine, and leaves
-  end-to-end runs bit-identical (two runs, and a serial-vs-parallel
-  sweep, must agree exactly).
+* the ``max-min`` allocator name resolves to the production solver,
+  drives the same engine, and leaves end-to-end runs bit-identical (two
+  runs, naming the solver or passing it, and a serial-vs-parallel sweep
+  must agree exactly).
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ def changed_rates(classes) -> dict:
 
 def make_engine(capacities):
     return ComponentSolver(
-        static_capacity(capacities), resolve_allocator("vectorized")
+        static_capacity(capacities), resolve_allocator("max-min")
     )
 
 
-vectorized = resolve_allocator("vectorized")
+vectorized = resolve_allocator("max-min")
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_wide_problem_matches_oracle():
 
 
 # ----------------------------------------------------------------------
-# Stateful engine under the "vectorized" name
+# Stateful engine under the "max-min" name
 # ----------------------------------------------------------------------
 def test_admit_drain_bookkeeping():
     engine = make_engine({"l": 100.0})
@@ -227,10 +227,10 @@ def flow_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(problem=flow_graphs())
 def test_three_way_differential_random_graphs(problem):
-    """Oracle, ``incremental`` and ``vectorized`` names: the same floats."""
+    """Oracle, the ``max-min`` name and the solver itself: the same floats."""
     flow_links, capacities, caps = problem
     oracle = textbook_max_min_rates(flow_links, capacities, caps)
-    assert resolve_allocator("incremental")(flow_links, capacities, caps) == oracle
+    assert max_min_fair_rates(flow_links, capacities, caps) == oracle
     assert vectorized(flow_links, capacities, caps) == oracle
 
 
@@ -311,7 +311,7 @@ def test_zero_byte_transfer_completes_under_vectorized():
     from repro.network import FlowNetwork, Link
 
     env = Environment()
-    net = FlowNetwork(env, allocator="vectorized")
+    net = FlowNetwork(env, allocator="max-min")
     done = net.transfer(0.0, [Link("l", bandwidth=100.0)])
     env.run(until=done)
     assert done.processed
@@ -333,11 +333,10 @@ def _tiny_genomes(allocator):
 
 
 def test_vectorized_run_is_deterministic_and_matches_other_allocators():
-    first = _tiny_genomes("vectorized")
-    second = _tiny_genomes("vectorized")
+    first = _tiny_genomes("max-min")
+    second = _tiny_genomes("max-min")
     assert first == second  # bit-identical event stream across runs
-    assert first == _tiny_genomes("incremental")
-    assert first == _tiny_genomes("max-min")
+    assert first == _tiny_genomes(max_min_fair_rates)
 
 
 def test_vectorized_sweep_identical_serial_and_parallel():
@@ -350,7 +349,7 @@ def test_vectorized_sweep_identical_serial_and_parallel():
         constants={
             "system": "cori",
             "n_chromosomes": 2,
-            "network_allocator": "vectorized",
+            "network_allocator": "max-min",
         },
     )
     serial = run_sweep(spec, workers=1)

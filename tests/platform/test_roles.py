@@ -56,14 +56,14 @@ def test_hosts_with_role_and_has_roles():
 def test_infer_host_roles_rejects_uninferrable_names():
     """Every role-less host is named in the error, including one whose
     name looks like a compute node's."""
-    from repro.simulator import Simulator
+    from repro.api import simulate
     from repro.workflow.swarp import make_swarp
 
     spec = PlatformSpec(
         "p", hosts=[host("login1"), host("cn0"), host("pfs", role="pfs")]
     )
     with pytest.raises(ValueError, match="without a role: login1, cn0;"):
-        Simulator(spec, make_swarp())
+        simulate(spec, make_swarp())
 
 
 # ----------------------------------------------------------------------

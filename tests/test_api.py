@@ -23,10 +23,10 @@ def test_top_level_reexports():
     assert repro.simulate is repro.api.simulate
     assert repro.Result is repro.api.Result
     from repro.config import Config
-    from repro.simulator import Simulator
 
-    assert repro.Simulator is Simulator
     assert repro.Config is Config
+    with pytest.raises(AttributeError):
+        repro.Simulator  # removed: repro.simulate is the one front door
     from repro.storage import BBMode
 
     assert repro.BBMode is BBMode
@@ -52,9 +52,9 @@ def test_simulate_accepts_config_mapping(platform, workflow):
     result = repro.simulate(
         platform,
         workflow,
-        config={"network_allocator": "incremental", "input_fraction": 1.0},
+        config={"network_allocator": "max-min", "input_fraction": 1.0},
     )
-    assert result.config.network_allocator == "incremental"
+    assert result.config.network_allocator == "max-min"
     assert result.makespan == default.makespan
 
 

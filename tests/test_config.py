@@ -63,7 +63,7 @@ def test_from_any_mapping_mixes_model_and_obs_keys():
 
 def test_from_any_rejects_unknown_keys():
     with pytest.raises(TypeError, match="unknown config keys: allocator"):
-        Config.from_any({"allocator": "vectorized"})
+        Config.from_any({"allocator": "equal-split"})
 
 
 def test_from_any_rejects_unsupported_types():
@@ -73,9 +73,9 @@ def test_from_any_rejects_unsupported_types():
 
 def test_from_any_reads_json_file(tmp_path):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"network_allocator": "vectorized"}))
+    path.write_text(json.dumps({"network_allocator": "equal-split"}))
     cfg = Config.from_any(path)
-    assert cfg.network_allocator == "vectorized"
+    assert cfg.network_allocator == "equal-split"
     # str paths work too (the CLI hands them over untouched).
     assert Config.from_any(str(path)) == cfg
 
@@ -99,10 +99,25 @@ def test_config_rejects_unknown_queue_policy():
         Config(queue_policy="not-a-policy")
 
 
+def test_config_rejects_unknown_allocator_when_built():
+    with pytest.raises(ValueError, match="unknown allocator 'bogus'"):
+        Config(network_allocator="bogus")
+    # The removed engine names fail the same way, naming what is left.
+    with pytest.raises(
+        ValueError, match=r"'vectorized' \(choose from equal-split, max-min\)"
+    ):
+        Config(network_allocator="vectorized")
+
+    def custom(flow_links, capacities, flow_caps=None):
+        return [0.0] * len(flow_links)
+
+    assert Config(network_allocator=custom).network_allocator is custom
+
+
 def test_replace_returns_modified_copy():
     base = Config()
-    changed = base.replace(network_allocator="vectorized")
-    assert changed.network_allocator == "vectorized"
+    changed = base.replace(network_allocator="equal-split")
+    assert changed.network_allocator == "equal-split"
     assert base.network_allocator == DEFAULT_ALLOCATOR
     assert changed is not base
 
@@ -114,7 +129,7 @@ def test_to_doc_from_doc_round_trip():
     cfg = Config(
         bb_mode=BBMode.PRIVATE,
         input_fraction=0.5,
-        network_allocator="vectorized",
+        network_allocator="equal-split",
         metrics=("network", "des"),
         monitors=True,
         obs_dir="/tmp/obs",
@@ -160,13 +175,13 @@ def test_make_observer_builds_observer_with_bus(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# simulate() and Simulator integration
+# simulate() integration
 # ----------------------------------------------------------------------
 def test_simulate_accepts_config_v2(platform, workflow):
     result = repro.simulate(
-        platform, workflow, config=Config(network_allocator="vectorized")
+        platform, workflow, config=Config(network_allocator="equal-split")
     )
-    assert result.config.network_allocator == "vectorized"
+    assert result.config.network_allocator == "equal-split"
     assert result.makespan > 0
 
 
@@ -178,12 +193,9 @@ def test_simulate_config_observability_switches_imply_observer(
 
 
 def test_simulator_accepts_config_v2(platform, workflow):
-    from repro.simulator import Simulator
-
     cfg = Config(bb_mode=BBMode.PRIVATE)
-    sim = Simulator(platform, workflow, cfg)
-    assert sim.config is cfg
-    mapped = Simulator(platform, workflow, {"bb_mode": "private"})
+    assert repro.simulate(platform, workflow, config=cfg).config is cfg
+    mapped = repro.simulate(platform, workflow, config={"bb_mode": "private"})
     assert mapped.config == cfg
 
 
@@ -271,16 +283,16 @@ def test_non_default_allocator_changes_the_cache_key():
 
     default_spec = sweep_spec(quick=False)
     vec_spec = sweep_spec(
-        quick=False, config=Config(network_allocator="vectorized")
+        quick=False, config=Config(network_allocator="equal-split")
     )
     base = {"system": "cori", "fraction": 0.5, "n_chromosomes": 6}
     assert all(
         "network_allocator" not in params for params in default_spec.points
     )
     assert all(
-        params["network_allocator"] == "vectorized"
+        params["network_allocator"] == "equal-split"
         for params in vec_spec.points
     )
     assert point_key(default_spec, base) != point_key(
-        vec_spec, {**base, "network_allocator": "vectorized"}
+        vec_spec, {**base, "network_allocator": "equal-split"}
     )

@@ -1,8 +1,8 @@
-"""Smoke tests: the API examples run cleanly as scripts.
+"""Smoke tests: every example runs cleanly as a script.
 
 Each example runs in a fresh interpreter with ``DeprecationWarning``
 raised as an error, so an example that drifts onto a deprecated path
-fails here.
+fails here.  Each must also print its headline.
 """
 
 import os
@@ -14,8 +14,27 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: Example script -> text its output must contain.
+HEADLINES = {
+    "batch_interference.py": "slowdown",
+    "calibration_workflow.py": "Calibration (Eq. 4)",
+    "custom_platform.py": "makespan",
+    "genomes_at_scale.py": "speedup(cori)",
+    "placement_search.py": "makespan",
+    "quickstart.py": "makespan",
+    "simulate_api.py": "makespan",
+    "swarp_characterization.py": "stage-in",
+    "trace_analysis.py": "makespan",
+}
 
-@pytest.mark.parametrize("script", ["simulate_api.py", "custom_platform.py"])
+
+def test_every_example_is_run():
+    assert sorted(HEADLINES) == sorted(
+        p.name for p in (ROOT / "examples").glob("*.py")
+    )
+
+
+@pytest.mark.parametrize("script", sorted(HEADLINES))
 def test_example_runs_without_deprecations(script):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
@@ -30,4 +49,4 @@ def test_example_runs_without_deprecations(script):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "makespan" in proc.stdout
+    assert HEADLINES[script] in proc.stdout

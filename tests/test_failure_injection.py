@@ -17,13 +17,13 @@ from repro.storage import (
     ParallelFileSystem,
     SharedBurstBuffer,
 )
-from repro.wms import AllBB, EngineConfig, WorkflowEngine
+from repro.wms import AllBB, WorkflowEngine
 from repro.workflow import File, Task, Workflow
 
 SPEED = TABLE_I["cori"]["core_speed"]
 
 
-def build(workflow, bb_capacity=None, config=None):
+def build(workflow, bb_capacity=None):
     env = des.Environment()
     plat = Platform(env, cori_spec(n_compute=1, n_bb_nodes=1))
     bb = SharedBurstBuffer(plat, ["bb0"], BBMode.PRIVATE, owner_host="cn0")
@@ -37,7 +37,6 @@ def build(workflow, bb_capacity=None, config=None):
         bb_for_host=lambda h: bb,
         placement=AllBB(),
         host_assignment=lambda t: "cn0",
-        config=config,
     )
     return engine
 
@@ -57,33 +56,6 @@ def test_bb_overflow_mid_workflow_raises():
     engine = build(Workflow("overflow", tasks), bb_capacity=1 * GB)
     with pytest.raises(InsufficientStorage, match="cannot store"):
         engine.run()
-
-
-def test_eviction_rescues_tight_capacity():
-    """With eviction enabled, consumed intermediates leave the BB and a
-    chain fits in a buffer smaller than its total data."""
-    previous = File("c0", 600 * MB)
-    tasks = [Task("t0", flops=SPEED, outputs=(previous,), cores=1)]
-    for i in range(1, 4):
-        out = File(f"c{i}", 600 * MB)
-        tasks.append(
-            Task(f"t{i}", flops=SPEED, inputs=(previous,), outputs=(out,), cores=1)
-        )
-        previous = out
-    wf = Workflow("chain", tasks)
-
-    # Without eviction: 4 × 600 MB > 1.4 GB → overflow.
-    with pytest.raises(InsufficientStorage):
-        build(wf, bb_capacity=1.4 * GB).run()
-
-    # With eviction the same buffer suffices (≤ 2 files alive at once).
-    engine = build(
-        wf,
-        bb_capacity=1.4 * GB,
-        config=EngineConfig(evict_consumed_intermediates=True),
-    )
-    trace = engine.run()
-    assert len(trace.records) == 4
 
 
 def test_missing_route_raises_key_error():

@@ -16,7 +16,7 @@ from repro.obs import config_from_manifest
 from repro.platform import platform_from_json, platform_to_json
 from repro.platform.presets import cori_spec, summit_spec
 from repro.platform.topologies import build_dragonfly, build_fat_tree
-from repro.simulator import Simulator, main
+from repro.simulator import main
 from repro.workflow.swarp import make_swarp
 from repro.workflow.wfformat import workflow_to_wfformat
 
@@ -53,7 +53,7 @@ def test_simulate_on_presets_with_mapping_config(preset):
 def test_simulator_on_generated_topologies(build):
     spec = build(2, 2)
     with deprecations_fail():
-        trace = Simulator(spec, make_swarp(n_pipelines=2)).run()
+        trace = repro.simulate(spec, make_swarp(n_pipelines=2)).trace
     assert trace.makespan > 0
 
 
@@ -100,6 +100,6 @@ def test_roleless_platform_json_is_rejected_naming_the_hosts(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = platform_from_json(path)
     with pytest.raises(ValueError, match="without a role") as info:
-        Simulator(loaded, make_swarp())
+        repro.simulate(loaded, make_swarp())
     for host in spec.hosts:
         assert host.name in str(info.value)

@@ -31,7 +31,7 @@ from repro.obs.invariants import InvariantMonitor, standard_monitors
 from repro.platform.presets import cori_spec, summit_spec
 from repro.platform.topologies import build_dragonfly, build_fat_tree
 from repro.profile import build_profile
-from repro.simulator import Simulator
+from repro.api import simulate
 from repro.storage import BBMode
 from repro.wms.policies import policy_names
 from repro.workflow.synthetic import make_chain, make_fork_join, make_random_dag
@@ -103,7 +103,7 @@ def _run(scenario):
     )
     recorder = OccupancyRecorder()
     observer = Observer(monitors=[*standard_monitors(), recorder])
-    trace = Simulator(spec, workflow, config, observer=observer).run()
+    trace = simulate(spec, workflow, config=config, observer=observer).trace
     return workflow, trace, observer, recorder
 
 

@@ -1,4 +1,5 @@
-"""Tests for the WRENCH-style Simulator facade and its CLI."""
+"""Tests for the WRENCH-style files-in/trace-out run (``repro.simulate``)
+and its CLI."""
 
 import json
 import os
@@ -14,7 +15,8 @@ from repro.platform import HostRole, platform_to_json
 from repro.platform.presets import BB_DISK, cori_spec, summit_spec
 from repro.platform.units import GB
 from repro.config import Config
-from repro.simulator import Simulator, main
+from repro.api import simulate
+from repro.simulator import main
 from repro.storage import BBMode
 from repro.storage.base import InsufficientStorage
 from repro.workflow.genomes import make_1000genomes
@@ -35,13 +37,13 @@ def files(tmp_path):
 
 def test_simulator_runs_from_files(files):
     platform_path, workflow_path = files
-    trace = Simulator(platform_path, workflow_path).run()
+    trace = simulate(platform_path, workflow_path).trace
     assert trace.makespan > 0
     assert len(trace.records) == 5
 
 
 def test_simulator_accepts_objects():
-    trace = Simulator(cori_spec(), make_swarp()).run()
+    trace = simulate(cori_spec(), make_swarp()).trace
     assert trace.makespan > 0
 
 
@@ -50,17 +52,13 @@ def test_simulator_modes_differ():
     executions (flows touch different disk channels)."""
     spec = cori_spec(n_compute=1, n_bb_nodes=2)
     wf = make_swarp(n_pipelines=1)
-    private = Simulator(
-        spec, wf, Config(bb_mode=BBMode.PRIVATE)
-    ).run()
-    striped = Simulator(
-        spec, wf, Config(bb_mode=BBMode.STRIPED)
-    ).run()
+    private = simulate(spec, wf, config=Config(bb_mode=BBMode.PRIVATE)).trace
+    striped = simulate(spec, wf, config=Config(bb_mode=BBMode.STRIPED)).trace
     assert private.makespan > 0 and striped.makespan > 0
 
 
 def test_simulator_on_summit_uses_local_bbs():
-    trace = Simulator(summit_spec(n_compute=1), make_swarp()).run()
+    trace = simulate(summit_spec(n_compute=1), make_swarp()).trace
     assert trace.makespan > 0
 
 
@@ -88,7 +86,7 @@ def test_striped_bb_is_one_namespace_shared_by_every_host():
     spec = _with_bb_capacity(cori_spec(n_compute=8, n_bb_nodes=1), 2 * GB)
     config = Config(input_fraction=1.0, intermediate_fraction=1.0)
     with pytest.raises(InsufficientStorage, match="bb-striped"):
-        Simulator(spec, make_1000genomes(n_chromosomes=2), config).run()
+        simulate(spec, make_1000genomes(n_chromosomes=2), config=config)
 
 
 def test_private_bb_placement_ignores_the_string_hash_seed():
@@ -129,8 +127,8 @@ def test_simulator_fraction_zero_keeps_pfs_only():
     config = Config(
         input_fraction=0.0, intermediate_fraction=0.0, output_fraction=0.0
     )
-    bb = Simulator(cori_spec(), make_swarp(), Config()).run()
-    pfs_only = Simulator(cori_spec(), make_swarp(), config).run()
+    bb = simulate(cori_spec(), make_swarp(), config=Config()).trace
+    pfs_only = simulate(cori_spec(), make_swarp(), config=config).trace
     # Intermediates over the 100 MB/s PFS are much slower than the BB.
     assert pfs_only.makespan > bb.makespan
 
@@ -151,7 +149,7 @@ def test_simulator_requires_compute_hosts():
         ),
     )
     with pytest.raises(ValueError, match="compute hosts"):
-        Simulator(spec, make_swarp())
+        simulate(spec, make_swarp())
 
 
 def test_simulator_requires_pfs_host():
@@ -162,7 +160,7 @@ def test_simulator_requires_pfs_host():
         hosts=(HostSpec(name="cn0", cores=4, core_speed=1e9, role="compute"),),
     )
     with pytest.raises(ValueError, match="pfs"):
-        Simulator(spec, make_swarp())
+        simulate(spec, make_swarp())
 
 
 def test_cli_end_to_end(files, tmp_path, capsys):
@@ -235,11 +233,11 @@ def test_cli_gantt(files, capsys):
 
 
 def test_simulator_on_generated_fat_tree(tmp_path):
-    """The facade runs on a topology-generated platform (BB-less)."""
+    """simulate runs on a topology-generated platform (BB-less)."""
     from repro.platform.topologies import build_fat_tree
 
     spec = build_fat_tree(pods=2, nodes_per_pod=2)
-    trace = Simulator(spec, make_swarp(n_pipelines=2)).run()
+    trace = simulate(spec, make_swarp(n_pipelines=2)).trace
     assert trace.makespan > 0
     hosts = {r.host for r in trace.records.values()}
     assert hosts <= {"cn0", "cn1", "cn2", "cn3"}
@@ -249,7 +247,7 @@ def test_simulator_on_generated_dragonfly():
     from repro.platform.topologies import build_dragonfly
 
     spec = build_dragonfly(groups=2, nodes_per_group=2)
-    trace = Simulator(spec, make_swarp(n_pipelines=2)).run()
+    trace = simulate(spec, make_swarp(n_pipelines=2)).trace
     assert trace.makespan > 0
 
 
@@ -261,14 +259,14 @@ def test_cli_manifest_records_the_config_main_built(files, tmp_path, monkeypatch
     from repro.obs import config_from_manifest, validate_obs_dir
 
     built = []
+    execute = repro.api._execute
 
-    class Recording(Simulator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self.config)
+    def recording(spec, workflow, config, *args, **kwargs):
+        built.append(config)
+        return execute(spec, workflow, config, *args, **kwargs)
 
-    # main runs through repro.simulate, which builds the Simulator.
-    monkeypatch.setattr(repro.api, "Simulator", Recording)
+    # main runs through repro.simulate, which runs _execute.
+    monkeypatch.setattr(repro.api, "_execute", recording)
     platform_path, workflow_path = files
     obs_dir = tmp_path / "obs"
     assert main(

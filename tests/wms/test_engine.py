@@ -8,15 +8,15 @@ from repro.platform import Platform
 from repro.platform.presets import TABLE_I, cori_spec
 from repro.platform.units import MB
 from repro.storage import BBMode, ParallelFileSystem, SharedBurstBuffer
-from repro.wms import AllBB, AllPFS, EngineConfig, FractionPlacement, WorkflowEngine
+from repro.wms import AllBB, AllPFS, FractionPlacement, WorkflowEngine
 from repro.workflow import File, Task, TaskCategory, Workflow
 from repro.workflow.swarp import make_swarp
 
 SPEED = TABLE_I["cori"]["core_speed"]
 
 
-def build(workflow, n_bb=1, placement=None, config=None, n_compute=1,
-          host_assignment=None, bb=True):
+def build(workflow, n_bb=1, placement=None, n_compute=1,
+          host_assignment=None, bb=True, **engine_kwargs):
     env = des.Environment()
     plat = Platform(env, cori_spec(n_compute=n_compute, n_bb_nodes=n_bb))
     hosts = [f"cn{i}" for i in range(n_compute)]
@@ -36,7 +36,7 @@ def build(workflow, n_bb=1, placement=None, config=None, n_compute=1,
         bb_for_host=bb_for_host,
         placement=placement or AllPFS(),
         host_assignment=host_assignment,
-        config=config,
+        **engine_kwargs,
     )
     return engine
 
@@ -119,10 +119,10 @@ def test_prestage_places_inputs_in_bb_at_no_cost():
 
 
 def test_prestage_disabled():
+    # Prestaging follows the placement: no staged inputs, no prestage.
     engine = build(
         simple_chain(),
-        placement=FractionPlacement(input_fraction=1.0),
-        config=EngineConfig(prestage_inputs=False),
+        placement=FractionPlacement(input_fraction=0.0),
     )
     trace = engine.run()
     record = trace.task_record("a")
@@ -153,7 +153,7 @@ def test_stage_in_external_mode_charges_bb_ingest_only():
     engine = build(
         wf,
         placement=FractionPlacement(input_fraction=1.0),
-        config=EngineConfig(stage_in_external=True),
+        stage_in_external=True,
     )
     trace = engine.run()
     # 800 MB over the 800 MB/s BB uplink, no PFS read charge → 1 s.
@@ -202,18 +202,6 @@ def test_engine_is_single_use():
     engine.run()
     with pytest.raises(RuntimeError, match="single-use"):
         engine.run()
-
-
-def test_eviction_frees_bb_space():
-    engine = build(
-        simple_chain(),
-        placement=AllBB(),
-        config=EngineConfig(evict_consumed_intermediates=True),
-    )
-    engine.run()
-    bb = engine._bb_service("cn0")
-    assert not bb.contains(File("mid", 100 * MB))  # consumed by b, evicted
-    assert bb.contains(File("out", 100 * MB))      # never consumed, kept
 
 
 def test_trace_events_emitted():

@@ -22,8 +22,8 @@ from repro.wms.policies import (
     QueuePolicy,
     QueuedRequest,
     RunningGrant,
+    _POLICIES,
     policy_names,
-    register_policy,
     resolve_policy,
 )
 
@@ -59,11 +59,11 @@ def test_resolve_passthrough_and_unknown():
         resolve_policy("shortest-job-first")
 
 
-def test_register_idempotent_rebind_rejected():
+def test_policy_table_rejects_rebinding():
     policy = resolve_policy("fifo")
-    assert register_policy("fifo", policy) is policy  # same object: ok
-    with pytest.raises(ValueError, match="already registered"):
-        register_policy("fifo", FifoPolicy())  # different object: no
+    with pytest.raises(TypeError):
+        _POLICIES["fifo"] = FifoPolicy()  # the table is constant
+    assert resolve_policy("fifo") is policy
 
 
 # ----------------------------------------------------------------------
@@ -492,19 +492,17 @@ def test_explicit_fifo_matches_default_simulator_run():
     exactly — same trace, same waits, same structured event stream
     (no ``queue_policy`` provenance event pollutes default runs)."""
     from repro.platform.presets import cori_spec as spec
+    from repro.api import simulate
     from repro.config import Config
-    from repro.simulator import Simulator
     from repro.workflow.swarp import make_swarp
 
     obs_default = Observer()
-    default = Simulator(
-        spec(), make_swarp(), observer=obs_default
-    ).run()
+    default = simulate(spec(), make_swarp(), observer=obs_default).trace
     obs_fifo = Observer()
-    fifo = Simulator(
+    fifo = simulate(
         spec(), make_swarp(),
-        Config(queue_policy="fifo"), observer=obs_fifo,
-    ).run()
+        config=Config(queue_policy="fifo"), observer=obs_fifo,
+    ).trace
     assert _sim_signature(obs_default, default) == _sim_signature(
         obs_fifo, fifo
     )
@@ -515,15 +513,15 @@ def test_explicit_fifo_matches_default_simulator_run():
 
 def test_non_default_policy_emits_provenance_event():
     from repro.platform.presets import cori_spec as spec
+    from repro.api import simulate
     from repro.config import Config
-    from repro.simulator import Simulator
     from repro.workflow.swarp import make_swarp
 
     observer = Observer()
-    Simulator(
+    simulate(
         spec(), make_swarp(),
-        Config(queue_policy="easy-backfill"), observer=observer,
-    ).run()
+        config=Config(queue_policy="easy-backfill"), observer=observer,
+    )
     stamps = [
         e for e in observer.events if e.get("event") == "queue_policy"
     ]
