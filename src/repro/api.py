@@ -163,7 +163,8 @@ def simulate(
         (:meth:`~repro.config.Config.make_observer`: its metric groups,
         ``monitors`` and ``live_dir``).  Implied by the config's
         observability switches (``observe``, ``monitors``,
-        ``live_dir``, ...).  A live bus is closed when the run ends.
+        ``live_dir``, ...).  A live bus is closed when the run ends,
+        also when it raises.
     """
     cfg = Config.from_any(config)
     if not isinstance(platform, PlatformSpec):
@@ -177,7 +178,9 @@ def simulate(
         observer = cfg.replace(observe=True).make_observer()
     elif observer is False:
         observer = None
-    trace = _execute(platform, workflow, cfg, observer=observer).trace
-    if observer is not None and observer.bus is not None:
-        observer.bus.close()
+    try:
+        trace = _execute(platform, workflow, cfg, observer=observer).trace
+    finally:  # a run that raises still flushes and closes its live stream
+        if observer is not None and observer.bus is not None:
+            observer.bus.close()
     return Result(trace, cfg, observer, platform, workflow)

@@ -147,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "point's identity and cache key")
     add("--workers", type=int, default=1,
         help="worker processes per sweep (1 = run in-process; default 1)")
-    add("--retries", type=int, default=0,
-        help="per-point retries after a failure or timeout (default 0)")
-    add("--timeout", type=float, default=None,
-        help="per-point timeout in seconds (parallel runs only)")
     add("--cache-dir", default=str(DEFAULT_CACHE_DIR),
         help=f"content-addressed point cache directory (default {DEFAULT_CACHE_DIR})")
     add("--no-cache", action="store_true",
@@ -218,8 +214,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obs_dir = Path(args.obs_dir) / experiment_id if args.obs_dir else None
         sweep = SweepOptions(
             workers=args.workers,
-            retries=args.retries,
-            timeout=args.timeout,
             cache_dir=None if args.no_cache else Path(args.cache_dir),
             obs_dir=obs_dir,
             live_dir=Path(args.live) / experiment_id if args.live else None,

@@ -23,7 +23,7 @@ def sweep_values(
     """Run a figure's sweep; return point id → value.
 
     Every figure harness funnels through here, so one engine decides
-    workers, caching, retries, and telemetry for all of them.  With no
+    workers, caching and telemetry for all of them.  With no
     options this is the serial, uncached path — bit-identical to any
     parallel run of the same spec.
     """

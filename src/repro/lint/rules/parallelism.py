@@ -3,7 +3,7 @@
 Host-process parallelism is how sweep results stop being reproducible:
 an ad-hoc ``ProcessPoolExecutor`` orders results by completion, skips
 the content-addressed cache, and bypasses the per-point telemetry and
-retry bookkeeping.  ``repro.sweep`` is the one sanctioned owner of
+live progress stream.  ``repro.sweep`` is the one sanctioned owner of
 worker processes — everything else goes through it.
 """
 
@@ -35,12 +35,13 @@ class NoNakedProcessPool(Rule):
     summary = "process pool outside repro.sweep"
     rationale = (
         "Ad-hoc worker pools return results in completion order, bypass "
-        "the sweep cache/telemetry/retry machinery, and make runs "
-        "non-reproducible; fan work out through repro.sweep.run_sweep."
+        "the sweep cache, per-point telemetry and live stream, and make "
+        "runs non-reproducible; fan work out through repro.sweep.run_sweep."
     )
     severity = Severity.ERROR
     fix_hint = (
-        "express the fan-out as a SweepSpec and call repro.sweep.run_sweep"
+        "express the fan-out as a SweepSpec and call "
+        "repro.sweep.run_sweep(spec, workers=N)"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:

@@ -72,11 +72,11 @@ def load_live_dir(directory: "str | Path") -> dict[str, Any]:
 
 
 def point_durations(events: "list[dict[str, Any]]") -> list[float]:
-    """Wall-time samples of settled point attempts, in stream order."""
+    """Wall-time samples of settled points, in stream order."""
     return [
         float(e["duration"])
         for e in events
-        if e.get("kind") in ("point_completed", "point_failed", "point_retry")
+        if e.get("kind") in ("point_completed", "point_failed")
         and isinstance(e.get("duration"), (int, float))
     ]
 
@@ -88,7 +88,7 @@ def sweep_view(
 
     A point is in flight from its ``point_started`` record until any
     later record names it; the value is that record's ``ts``, the
-    wall-clock start of the attempt.
+    wall-clock start of the point.
     """
     sweep_id, progress = "?", {}
     in_flight: dict[str, float] = {}
@@ -142,7 +142,6 @@ def render_sweep(state: dict[str, Any], now: float) -> str:
     completed = int(progress.get("completed") or 0)
     cached = int(progress.get("cached") or 0)
     failed = int(progress.get("failed") or 0)
-    retried = int(progress.get("retried") or 0)
     done = completed + cached + failed
 
     if closed:
@@ -159,8 +158,7 @@ def render_sweep(state: dict[str, Any], now: float) -> str:
     lines = [
         f"sweep {sweep_id} — {status}",
         f"  [{bar}] {done}/{total} points — "
-        f"{completed} completed, {cached} cached, {failed} failed, "
-        f"{retried} retried",
+        f"{completed} completed, {cached} cached, {failed} failed",
     ]
     if in_flight:
         lines.append(f"  in flight ({len(in_flight)}):")
@@ -378,7 +376,6 @@ def build_report_html(state: dict[str, Any]) -> str:
         ("Completed", f"{int(progress.get('completed') or 0)}", ""),
         ("Cached", f"{int(progress.get('cached') or 0)}", ""),
         ("Failed", f"{failed}", ""),
-        ("Retried", f"{int(progress.get('retried') or 0)}", ""),
         ("p50 latency", _format_seconds(p50), ""),
         ("p99 latency", _format_seconds(p99), ""),
     ]
@@ -421,7 +418,6 @@ def build_report_html(state: dict[str, Any]) -> str:
             "point_cached": "cached",
             "point_failed": "failed",
             "point_started": "running",
-            "point_retry": "retrying",
         }.get(kind, kind)
         duration = record.get("duration")
         duration_text = (

@@ -10,8 +10,8 @@ pushes, drains the ring to ``<directory>/``.  Two sources attach one:
   structured log events, span closes and wait opens/closes;
 * a :class:`~repro.sweep.telemetry.SweepTelemetry` streams a sweep
   campaign's point lifecycle (``point_started``, ``point_completed``,
-  ``point_cached``, ``point_retry``, ``point_failed``, ``sweep_done``),
-  each record carrying the ``sweep_id`` and a ``progress`` block.
+  ``point_cached``, ``point_failed``, ``sweep_done``), each record
+  carrying the ``sweep_id`` and a ``progress`` block.
 
 The bus reads only the source's ``registry`` and, when the source has
 one, its simulated clock (``env.now``).  It writes:

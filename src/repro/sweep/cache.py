@@ -1,19 +1,12 @@
 """Content-addressed result cache for sweep points.
 
-Layout (under ``results/.cache/`` by default)::
-
-    <cache-dir>/<key[:2]>/<key>.json
-
-where ``key`` is the sha256 of the canonical JSON of the point's
-*provenance document* — a :func:`repro.obs.manifest.build_manifest`
-manifest carrying the simulator version (the code salt), the sweep id,
-the point-function reference, the spec version, and the point's full
-parameter dictionary.  Any change to any of those yields a different
-key, so invalidation is automatic: nothing is ever overwritten, stale
-entries are simply never addressed again.
-
-Entries are written atomically (temp file + rename) so concurrent
-workers and concurrent sweep processes can share one cache directory.
+An entry lives at ``<cache-dir>/<key[:2]>/<key>.json``, where ``key``
+is the sha256 of the point's provenance document (:func:`point_key_doc`:
+simulator version, sweep id, point function, spec version and
+parameters), so any change addresses a new entry and stale ones are
+never read again.  Entries are written atomically, so concurrent
+workers and sweeps can share one directory.  ``docs/SWEEP.md`` has the
+full layout and invalidation rules.
 """
 
 from __future__ import annotations
@@ -76,14 +69,12 @@ class SweepCache:
 
     def lookup(self, key: str) -> Any:
         """The cached value for ``key``, or the :data:`MISS` sentinel."""
-        path = self._path(key)
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(self._path(key).read_text())
         except (OSError, json.JSONDecodeError):
-            self.misses += 1
-            return _MISS
-        # A corrupt or foreign-schema entry is a miss, not a crash:
-        # the point simply recomputes and overwrites it.
+            doc = None
+        # A missing, corrupt or foreign-schema entry is a miss, not a
+        # crash: the point simply recomputes and overwrites it.
         if (
             not isinstance(doc, dict)
             or doc.get("schema") != CACHE_SCHEMA

@@ -2,7 +2,7 @@
 
 A :class:`SweepSpec` describes *what* to run — a point function plus a
 list of parameter dictionaries — without saying anything about *how*
-(workers, cache, retries are :func:`repro.sweep.runner.run_sweep`
+(workers and cache are :func:`repro.sweep.runner.run_sweep`
 concerns).  Specs are plain data: every parameter value must be
 JSON-representable so points can cross process boundaries and key the
 on-disk cache.
@@ -122,13 +122,13 @@ class SweepSpec:
             pid = point_id(params)
             _check_json_plain(pid, params)
             safe = sanitize_point_id(pid)
-            if safe in seen and seen[safe] != pid:
+            if seen.get(safe) == pid:
+                raise ValueError(f"duplicate sweep point {pid!r}")
+            if safe in seen:
                 raise ValueError(
                     f"points {seen[safe]!r} and {pid!r} collide after "
                     "filesystem sanitization"
                 )
-            if seen.get(safe) == pid:
-                raise ValueError(f"duplicate sweep point {pid!r}")
             seen[safe] = pid
 
     @classmethod

@@ -7,12 +7,10 @@ it publishes directly into a :class:`~repro.obs.probes.MetricRegistry`:
 * ``sweep.points_total`` (gauge) — points in the spec;
 * ``sweep.points_completed`` (counter) — points actually executed;
 * ``sweep.points_cached`` (counter) — points answered from the cache;
-* ``sweep.points_failed`` (counter) — points that exhausted retries;
-* ``sweep.points_retried`` (counter) — re-submissions after a failure
-  or timeout;
-* ``sweep.points_in_flight`` (gauge) — point attempts currently
-  executing in a worker (or in-process, on the serial path);
-* ``sweep.point_seconds`` (histogram) — per-point attempt wall times,
+* ``sweep.points_failed`` (counter) — points that raised;
+* ``sweep.points_in_flight`` (gauge) — points currently executing in
+  a worker (or in-process, on the serial path);
+* ``sweep.point_seconds`` (histogram) — per-point wall times,
   bucketed for the export; :meth:`point_latency` takes its quantiles
   from the raw durations, as ``repro-obs watch``/``report`` do;
 * ``sweep.wall_time_s`` (gauge) — harness wall time for the campaign.
@@ -47,7 +45,6 @@ class SweepTelemetry:
         self.completed = self.registry.counter("sweep.points_completed")
         self.cached = self.registry.counter("sweep.points_cached")
         self.failed = self.registry.counter("sweep.points_failed")
-        self.retried = self.registry.counter("sweep.points_retried")
         self.total = self.registry.gauge("sweep.points_total")
         self.in_flight = self.registry.gauge("sweep.points_in_flight")
         self.point_seconds = self.registry.histogram("sweep.point_seconds")
@@ -68,12 +65,11 @@ class SweepTelemetry:
         return bus
 
     def progress(self) -> dict[str, float]:
-        """Campaign counts: completed/cached/failed/retried/in_flight/total."""
+        """Campaign counts: completed/cached/failed/in_flight/total."""
         return {
             "completed": self.completed.value,
             "cached": self.cached.value,
             "failed": self.failed.value,
-            "retried": self.retried.value,
             "in_flight": self.in_flight.value,
             "total": self.total.value,
         }
@@ -97,12 +93,12 @@ class SweepTelemetry:
         return self.cached.value / total if total else 0.0
 
     def observe_point(self, duration: float) -> None:
-        """Book one settled point attempt's wall time (seconds)."""
+        """Book one settled point's wall time (seconds)."""
         self.point_durations.append(duration)
         self.point_seconds.observe(duration)
 
     def point_latency(self, q: float) -> Optional[float]:
-        """Nearest-rank quantile of per-point attempt wall times (seconds)."""
+        """Nearest-rank quantile of per-point wall times (seconds)."""
         return quantile(self.point_durations, q)
 
     def snapshot(self) -> dict[str, Any]:

@@ -1,7 +1,10 @@
 """Online invariant monitors: clean on stock runs, loud on seeded faults."""
 
+import json
+
 import pytest
 
+import repro
 from repro import des
 from repro.obs import (
     BBOccupancyMonitor,
@@ -16,6 +19,7 @@ from repro.platform.presets import cori_spec
 from repro.scenarios import run_genomes, run_swarp
 from repro.storage import BBMode
 from repro.storage.provisioning import BBProvisioner
+from repro.workflow.swarp import make_swarp
 
 _GRANULE = 3.2e12  # DataWarp granularity used by the provisioner tests
 
@@ -118,6 +122,17 @@ def test_oversubscribing_allocator_is_caught_with_event_chain():
     assert labels and labels == sorted(labels)
     assert ".fits" in violation.detail
     assert all(label in violation.detail for label in labels)
+
+
+def test_failed_run_still_closes_its_live_stream(tmp_path):
+    """A run that raises flushes and closes its live bus on the way out."""
+    config = {"network_allocator": _oversubscribe, "monitors": True,
+              "live_dir": tmp_path / "live"}
+    with pytest.raises(InvariantViolation):
+        repro.simulate(cori_spec(n_compute=1), make_swarp(n_pipelines=2),
+                       config=config)
+    heartbeat = json.loads((tmp_path / "live" / "heartbeat.json").read_text())
+    assert heartbeat["closed"] is True
 
 
 def test_monitors_run_even_with_restricted_metric_groups():

@@ -41,6 +41,28 @@ def _mid_flight_sweep(tmp_path):
     return tmp_path / "live"  # never closed: heartbeat stays open
 
 
+def _retried_sweep(tmp_path):
+    """A live dir as a sweep that still retried points left it: a
+    ``point_retry`` record and a ``retried`` progress count."""
+    bus = LiveBus(tmp_path / "retried", flush_every=1, clock=_clock())
+    progress = {"completed": 0.0, "cached": 0.0, "failed": 0.0,
+                "retried": 0.0, "in_flight": 1.0, "total": 1.0}
+
+    def push(kind, **fields):
+        bus.push({"kind": kind, "sweep_id": "old", "point_id": "x=1",
+                  "progress": dict(progress), **fields})
+
+    push("point_started", attempt=1)
+    progress.update(retried=1.0, in_flight=0.0)
+    push("point_retry", attempt=1, duration=0.5, error="RuntimeError: boom")
+    progress.update(in_flight=1.0)
+    push("point_started", attempt=2)
+    progress.update(completed=1.0, in_flight=0.0)
+    push("point_completed", duration=0.7)
+    bus.close()
+    return tmp_path / "retried"
+
+
 # ----------------------------------------------------------------------
 # validate
 # ----------------------------------------------------------------------
@@ -64,6 +86,12 @@ def test_watch_once_on_finished_sweep(tmp_path, capsys):
     assert "3/3 points" in frame
     assert "3 completed" in frame
     assert "p50" in frame and "p99" in frame
+
+    assert main(["watch", "--once", str(_retried_sweep(tmp_path))]) == 0
+    frame = capsys.readouterr().out
+    assert "sweep old — DONE" in frame
+    assert "1/1 points — 1 completed, 0 cached, 0 failed\n" in frame
+    assert "retried" not in frame
 
 
 def test_watch_once_on_mid_flight_sweep(tmp_path, capsys):
@@ -109,6 +137,11 @@ def test_report_writes_self_contained_html(tmp_path, capsys):
     assert "--series-1" in html
     assert "x=2" in html
     assert "<script" not in html            # static: no external or inline JS needed
+
+    assert main(["report", str(_retried_sweep(tmp_path)), "-o", str(out)]) == 0
+    html = out.read_text()
+    assert "Sweep old" in html
+    assert "Retried" not in html
 
 
 def test_report_on_mid_flight_dir(tmp_path):

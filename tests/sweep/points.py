@@ -8,7 +8,6 @@ test-local lambdas cannot cross the process boundary.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 
@@ -25,32 +24,19 @@ def boom(params):
     raise RuntimeError(f"boom on {params['x']}")
 
 
-def flaky(params):
-    """Fails until its file-based attempt counter reaches ``succeed_on``.
-
-    The counter lives on disk so the behavior is identical whether
-    attempts land in one process (serial) or several (parallel).
-    """
-    path = Path(params["counter_path"])
-    attempt = int(path.read_text()) + 1 if path.exists() else 1
-    path.write_text(str(attempt))
-    if attempt < params["succeed_on"]:
-        raise RuntimeError(f"attempt {attempt} fails")
-    return attempt
-
-
-def slow(params):
-    time.sleep(params["sleep_s"])
-    return params["sleep_s"]
-
-
 def unjsonable(params):
     return {"bad": {1, 2}}
 
 
 def dies(params):
-    """Exits without reporting a result (simulates a segfault/OOM kill)."""
-    os._exit(3)
+    """Point ``x=2`` exits without a result (as on a segfault/OOM kill)."""
+    if params["x"] == 2:
+        os._exit(1)
+    return params["x"]
+
+
+def worker_pid(params):
+    return os.getpid()
 
 
 def writes_obs(params, obs_dir=None):

@@ -59,29 +59,27 @@ def test_parallel_run_streams_every_point(tmp_path):
     assert validate_live_dir(tmp_path / "live") == []
 
 
-def test_failures_and_retries_are_streamed(tmp_path):
-    with pytest.raises(Exception):
+def test_failures_are_streamed(tmp_path):
+    with pytest.raises(SweepError):
         run_sweep(
             _spec([1], func="tests.sweep.points:boom"),
-            retries=1, live_dir=tmp_path / "live",
+            live_dir=tmp_path / "live",
         )
-    events = [r["kind"] for r in _stream(tmp_path / "live")]
-    assert "point_retry" in events
-    assert "point_failed" in events
-    failed = next(
-        r for r in _stream(tmp_path / "live") if r["kind"] == "point_failed"
-    )
-    assert "boom" in failed["error"]
+    records = _stream(tmp_path / "live")
+    assert [r["kind"] for r in records] == [
+        "point_started", "point_failed", "sweep_done",
+    ]
+    assert "boom on 1" in records[1]["error"]
 
 
-def test_serial_and_parallel_stream_the_same_retry_records(tmp_path):
+def test_serial_and_parallel_stream_the_same_failure_records(tmp_path):
     streams = []
     for workers in (1, 2):
         live = tmp_path / f"w{workers}"
         with pytest.raises(SweepError):
             run_sweep(
                 _spec([1], func="tests.sweep.points:boom"),
-                workers=workers, retries=1, live_dir=live,
+                workers=workers, live_dir=live,
             )
         records = _stream(live)
         for record in records:
@@ -89,9 +87,6 @@ def test_serial_and_parallel_stream_the_same_retry_records(tmp_path):
             assert isinstance(record.pop("duration", 0.0), float)
         streams.append(records)
     assert streams[0] == streams[1]
-    retry = next(r for r in streams[0] if r["kind"] == "point_retry")
-    assert retry["attempt"] == 1
-    assert "boom on 1" in retry["error"]
 
 
 def test_cached_points_are_streamed(tmp_path):

@@ -1,6 +1,7 @@
 """Unit and integration tests for the sweep runner."""
 
 import json
+import multiprocessing  # lint: ignore[SIM050] — reads active_children(); spawns nothing
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.sweep import (
     SweepTelemetry,
     run_sweep,
 )
-from repro.sweep.runner import _backoff_delay, _canonical
+from repro.sweep.runner import _canonical
 
 
 def _spec(xs=(1, 2, 3), func="tests.sweep.points:square", **kwargs):
@@ -53,10 +54,6 @@ def test_argument_validation():
     spec = _spec([1])
     with pytest.raises(ValueError):
         run_sweep(spec, workers=0)
-    with pytest.raises(ValueError):
-        run_sweep(spec, retries=-1)
-    with pytest.raises(ValueError):
-        run_sweep(spec, timeout=0)
 
 
 def test_failure_strict_raises():
@@ -69,32 +66,7 @@ def test_failure_lenient_records_outcome():
         _spec([1, 2], func="tests.sweep.points:boom"), strict=False
     )
     assert outcome.count("failed") == 2
-    assert all(p.attempts == 1 for p in outcome.failed)
     assert "boom" in outcome.failed[0].error
-
-
-def test_serial_retries_until_success(tmp_path):
-    counter = tmp_path / "attempts"
-    spec = SweepSpec(
-        sweep_id="demo",
-        func="tests.sweep.points:flaky",
-        points=({"counter_path": str(counter), "succeed_on": 3},),
-    )
-    telemetry = SweepTelemetry("demo")
-    outcome = run_sweep(spec, retries=3, telemetry=telemetry)
-    point = outcome.points[0]
-    assert point.status == "completed"
-    assert point.value == 3
-    assert point.attempts == 3
-    assert telemetry.retried.value == 2
-
-
-def test_backoff_is_bounded():
-    delays = [_backoff_delay(n) for n in range(1, 12)]
-    assert delays[0] == pytest.approx(0.1)
-    assert delays[1] == pytest.approx(0.2)
-    assert max(delays) <= 5.0
-    assert delays == sorted(delays)
 
 
 # ----------------------------------------------------------------------
@@ -162,56 +134,6 @@ def test_parallel_matches_serial():
     )
 
 
-def test_parallel_timeout_fails_point():
-    spec = SweepSpec(
-        sweep_id="demo",
-        func="tests.sweep.points:slow",
-        points=({"sleep_s": 30.0},),
-    )
-    outcome = run_sweep(spec, workers=2, timeout=0.5, strict=False)
-    point = outcome.points[0]
-    assert point.status == "failed"
-    assert "TimeoutError" in point.error
-    # Regression: the expired worker must be *terminated*, not merely
-    # abandoned — an abandoned worker used to block pool shutdown for
-    # the full 30s sleep.
-    assert outcome.wall_time_s < 10.0
-
-
-def test_parallel_timeout_retries_then_fails():
-    spec = SweepSpec(
-        sweep_id="demo",
-        func="tests.sweep.points:slow",
-        points=({"sleep_s": 30.0},),
-    )
-    outcome = run_sweep(spec, workers=2, timeout=0.5, retries=1, strict=False)
-    point = outcome.points[0]
-    assert point.status == "failed"
-    assert point.attempts == 2
-    assert "TimeoutError" in point.error
-    # Two terminated attempts plus backoff, never a 30s wait.
-    assert outcome.wall_time_s < 10.0
-
-
-def test_queued_points_do_not_inherit_timeout():
-    """Regression: the timeout clock starts at *execution*, not submission.
-
-    Eight 0.3s points on 2 workers keep the last points queued well past
-    the 1s per-point budget; the old runner stamped every deadline at
-    submission time and spuriously timed them out without ever running
-    them.  Each point individually is far under budget, so all must
-    complete.
-    """
-    spec = SweepSpec(
-        sweep_id="demo",
-        func="tests.sweep.points:slow",
-        points=tuple({"x": i, "sleep_s": 0.3} for i in range(8)),
-    )
-    outcome = run_sweep(spec, workers=2, timeout=1.0)
-    assert outcome.count("completed") == 8
-    assert all(p.attempts == 1 for p in outcome.points)
-
-
 def test_parallel_non_json_value_is_per_point_failure():
     """Regression: a non-JSON point value used to escape the parallel
     path's bookkeeping and abort the sweep mid-flight; it must be an
@@ -227,33 +149,29 @@ def test_parallel_non_json_value_is_per_point_failure():
         run_sweep(_spec([1], func="tests.sweep.points:unjsonable"), workers=2)
 
 
-def test_parallel_worker_crash_is_per_point_failure():
-    spec = SweepSpec(
-        sweep_id="demo",
-        func="tests.sweep.points:dies",
-        points=({"x": 1}, {"x": 2}),
-    )
-    outcome = run_sweep(spec, workers=2, strict=False)
-    assert outcome.count("failed") == 2
-    assert all("WorkerCrash" in p.error for p in outcome.failed)
-
-
 def test_parallel_failure_strict_raises():
     with pytest.raises(SweepError, match="failed"):
         run_sweep(_spec([1, 2], func="tests.sweep.points:boom"), workers=2)
 
 
-def test_parallel_retries(tmp_path):
-    counter = tmp_path / "attempts"
-    spec = SweepSpec(
-        sweep_id="demo",
-        func="tests.sweep.points:flaky",
-        points=({"counter_path": str(counter), "succeed_on": 2},),
-    )
-    outcome = run_sweep(spec, workers=2, retries=2)
-    point = outcome.points[0]
-    assert point.status == "completed"
-    assert point.attempts == 2
+def test_parallel_worker_crash_fails_the_sweep(tmp_path):
+    """A worker that dies (segfault, OOM kill) fails the whole sweep,
+    naming the point, and leaves no worker process behind."""
+    with pytest.raises(SweepError, match=r"died while running point\(s\) .*x=2"):
+        run_sweep(_spec([1, 2, 3], func="tests.sweep.points:dies"),
+                  workers=2, live_dir=tmp_path / "live")
+    assert multiprocessing.active_children() == []
+    heartbeat = json.loads((tmp_path / "live" / "heartbeat.json").read_text())
+    assert heartbeat["closed"] is True
+
+
+def test_parallel_workers_serve_many_points():
+    """Six points on two workers run in at most two processes, so a
+    worker's memos outlive the point that filled them."""
+    outcome = run_sweep(_spec(range(6), func="tests.sweep.points:worker_pid"),
+                        workers=2)
+    assert outcome.count("completed") == 6
+    assert len(set(outcome.values().values())) <= 2
 
 
 # ----------------------------------------------------------------------
