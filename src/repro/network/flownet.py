@@ -319,11 +319,6 @@ class FlowNetwork:
         flow.rate = 0.0
         flow.completed_at = self.env.now
         self.completed.append(flow)
-        obs = self.env.obs
-        if obs is not None:
-            # The flow is already out of (or never entered) _flows, so
-            # the count reflects concurrency after this completion.
-            obs.on_flow_finished(flow, len(self._flows))
         # The event carries the flow as its value, so the flow lets go of
         # the event: a finished flow and its event form no cycle.
         done, flow.done_event = flow.done_event, None

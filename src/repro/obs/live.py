@@ -23,7 +23,11 @@ one, its simulated clock (``env.now``).  It writes:
 ``snapshots.ndjson``
     one incremental metric snapshot per flush: the counters, gauges and
     series *that changed* since the previous snapshot, with a strictly
-    increasing ``seq``;
+    increasing ``seq``.  Mid-run snapshots carry only the metrics an
+    observer samples online; the ones it builds from the run's records
+    at ``Observer.end_run`` (``docs/OBSERVABILITY.md`` marks them)
+    arrive in the closing snapshot.  ``repro-obs watch`` and ``report``
+    read the events and the heartbeat, not the snapshots;
 ``heartbeat.json``
     rewritten atomically on every flush so a tail knows the producer is
     alive (and, via ``closed``, when it finished).

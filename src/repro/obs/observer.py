@@ -10,14 +10,12 @@ enabled**:
   touch simulated state.  An instrumented run is bit-identical to an
   uninstrumented one (asserted in ``tests/obs/test_overhead.py``).
 
-Enable by attaching an observer to the environment before services are
-built::
+Hand one to a run entry point, which attaches it and calls
+:meth:`end_run` when the run ends::
 
     obs = Observer()
-    env = des.Environment()
-    obs.attach(env)
-    ...  # build platform/services/engine on env, run
-    export_run(obs, "telemetry/")        # see repro.obs.exporters
+    run_swarp(n_pipelines=4, observer=obs)   # or repro.simulate(...)
+    export_run(obs, "telemetry/")            # see repro.obs.exporters
 
 Metric groups (``Observer(metrics=...)`` restricts collection):
 
@@ -30,6 +28,10 @@ compute   per-host busy cores and allocation queue depth
 engine    ready-task depth, task lifecycle spans, completion counts
 des       kernel events processed
 ========  ==========================================================
+
+Each fact is recorded once: series that a run's records already hold
+(finished flows, task records, ``task_ready`` events) are built by
+:meth:`end_run` when the run ends, not sampled by hooks while it goes.
 
 Beyond metrics, the observer carries three further channels:
 
@@ -50,15 +52,15 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from repro.obs.invariants import InvariantMonitor, standard_monitors
 from repro.obs.log import make_event
-from repro.obs.probes import MetricRegistry
+from repro.obs.probes import MetricRegistry, count_series
 from repro.obs.spans import Span, spans_from_record
 from repro.obs.waits import WaitCause, WaitInterval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.environment import Environment
-    from repro.network.flownet import Flow
+    from repro.network.flownet import Flow, FlowNetwork
     from repro.obs.live import LiveBus
-    from repro.traces.events import TaskRecord
+    from repro.traces.events import ExecutionTrace, TaskRecord
 
 #: The metric groups an observer can collect, in documentation order.
 METRIC_GROUPS = ("storage", "network", "compute", "engine", "des")
@@ -105,9 +107,16 @@ class Observer:
         self.waits: list[WaitInterval] = []
         #: Still-open blocked intervals: (task, cause) -> (start, detail).
         self._open_waits: dict[tuple[str, WaitCause], tuple[float, str]] = {}
-        #: Completed-flow records (label, size, start, end, max_rate),
-        #: one per finished flow, in completion order.
-        self.flows: list[dict] = []
+        #: The network's finished flows, given to :meth:`end_run`.
+        self._completed: "list[Flow]" = []
+        #: Flow admission times (a flow records only its creation).
+        self._admitted: list[float] = []
+        #: Kernel events whose callbacks returned.  The kernel's own
+        #: ``_serial - len(_heap)`` also counts the event whose callback
+        #: stops ``run(until=...)``.
+        self._events_processed = 0
+        #: Online probes by subject, so a hook builds no metric names.
+        self._probes: dict[tuple, tuple] = {}
         #: Structured event records (``repro.obs.log/1``), in emission
         #: order, wall-clock free (``ts`` is ``None``).
         self.events: list[dict[str, Any]] = []
@@ -122,45 +131,29 @@ class Observer:
         self._bus: Optional["LiveBus"] = None
         if bus is not None:
             self.attach_bus(bus)
-        if monitors is True:
-            monitor_list: list[InvariantMonitor] = standard_monitors()
-        elif monitors:
-            monitor_list = list(monitors)
-        else:
-            monitor_list = []
-        self.monitors: tuple[InvariantMonitor, ...] = tuple(monitor_list)
+        self.monitors: tuple[InvariantMonitor, ...] = tuple(
+            standard_monitors() if monitors is True else monitors or ()
+        )
         for monitor in self.monitors:
             monitor.bind(self)
         # Per-hook dispatch tuples, so a hook with no interested monitor
         # pays one truthiness test on an empty tuple.
-        base = InvariantMonitor
-        self._mon_occupancy = tuple(
-            m for m in self.monitors
-            if type(m).on_storage_occupancy is not base.on_storage_occupancy
-        )
-        self._mon_rates = tuple(
-            m for m in self.monitors
-            if type(m).on_rates_assigned is not base.on_rates_assigned
-        )
-        self._mon_clock = tuple(
-            m for m in self.monitors
-            if type(m).on_event_processed is not base.on_event_processed
-        )
-        self._mon_lease = tuple(
-            m for m in self.monitors
-            if type(m).on_bb_lease is not base.on_bb_lease
-        )
+        self._mon_occupancy = self._overriding("on_storage_occupancy")
+        self._mon_rates = self._overriding("on_rates_assigned")
+        self._mon_clock = self._overriding("on_event_processed")
+        self._mon_lease = self._overriding("on_bb_lease")
+
+    def _overriding(self, hook: str) -> tuple[InvariantMonitor, ...]:
+        """The monitors whose class implements ``hook``."""
+        base = getattr(InvariantMonitor, hook)
+        return tuple(m for m in self.monitors if getattr(type(m), hook) is not base)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def attach(self, env: "Environment") -> "Observer":
-        """Bind to ``env`` and become its active observer.
-
-        Must happen before instrumented components are exercised (hook
-        sites read ``env.obs`` at call time, so attaching late simply
-        loses earlier samples — it never errors).
-        """
+        """Bind to ``env`` and become its active observer, before its
+        components run (attaching late loses earlier samples)."""
         if self.env is not None and self.env is not env:
             raise ValueError("observer is already attached to another environment")
         self.env = env
@@ -173,19 +166,74 @@ class Observer:
             self.env.obs = None
             self.env = None
 
-    def end_run(self) -> None:
-        """The observed run has ended: its environment stops publishing.
+    def end_run(
+        self,
+        trace: "Optional[ExecutionTrace]" = None,
+        network: "Optional[FlowNetwork]" = None,
+    ) -> None:
+        """The run has ended: build the series its records hold, once.
 
-        Clears ``env.obs`` but keeps :attr:`env`, so :attr:`now` and the
-        live bus's last ``sim_time`` still read the run's end time.
-        This breaks the observer <-> environment reference cycle, so a
-        finished run and its telemetry are freed as soon as the caller
-        drops them, not at CPython's next full collection.  The run
-        entry points (:mod:`repro.scenarios`, :func:`repro.simulate`)
-        call it when their run ends.
+        ``trace`` (the engine's; a run without an engine passes none and
+        gets no ``engine.*`` metrics) gives the ``engine.*`` series;
+        ``network`` (the platform's) gives :attr:`flows` and the
+        ``network.*`` flow series.  Then clears ``env.obs`` but keeps
+        :attr:`env`, so :attr:`now` still reads the run's end time, and
+        a finished run is freed as soon as the caller drops it (no
+        observer <-> environment cycle).  A second call does nothing.
         """
-        if self.env is not None:
-            self.env.obs = None
+        env = self.env
+        if env is None or env.obs is not self:
+            return
+        env.obs = None
+        registry = self.registry
+        if self._des and self._events_processed:
+            registry.counter("des.events_processed").inc(self._events_processed)
+        if self._engine and trace is not None:
+            count_series(
+                registry, "engine.ready_tasks",
+                [e.time for e in trace.events if e.kind == "task_ready"],
+                sorted([r.start for r in trace.records.values()]),
+            )
+            if trace.records:
+                registry.counter("engine.tasks_completed").inc(len(trace.records))
+        if not self._network or network is None:
+            return
+        completed = self._completed = network.completed
+        # Completion order is time order.  A flow finished unadmitted
+        # (zero bytes, loopback) still marks an instant, as it did online.
+        count_series(
+            registry, "network.active_flows", self._admitted,
+            [f.completed_at for f in completed if f.seq],
+            [f.completed_at for f in completed if not f.seq],
+        )
+        if not completed:
+            return
+        registry.counter("network.flows_completed").inc(len(completed))
+        moved = 0.0
+        # Per service, time -> ``Flow.achieved_bandwidth`` (inlined): the
+        # last flow to finish at an instant wins, as a sampled series.
+        bandwidths: dict[str, dict[float, float]] = {}
+        for flow in completed:
+            size = flow.size
+            moved += size
+            elapsed = flow.completed_at - flow.started_at
+            if elapsed > 0 and size > 0:
+                service = flow.label.partition(":")[0] if flow.label else "unlabeled"
+                bandwidths.setdefault(service, {})[flow.completed_at] = size / elapsed
+        registry.counter("network.bytes_completed").inc(moved)
+        for service, samples in bandwidths.items():
+            series = registry.timeseries(f"network.{service}.achieved_bandwidth")
+            series.times, series.values = list(samples), list(samples.values())
+
+    @property
+    def flows(self) -> list[dict]:
+        """Completed-flow records (label, size, start, end, max_rate),
+        one per finished flow, in completion order."""
+        return [
+            {"label": f.label, "size": f.size, "start": f.started_at,
+             "end": f.completed_at, "max_rate": f.max_rate}
+            for f in self._completed
+        ]
 
     @property
     def now(self) -> float:
@@ -230,59 +278,45 @@ class Observer:
         return record
 
     # ------------------------------------------------------------------
-    # Storage hooks
+    # Resource hooks: storage, network, compute
     # ------------------------------------------------------------------
     def on_storage_occupancy(self, service: str, used: float, capacity: float) -> None:
-        """A service's content table changed (file added or deleted)."""
+        """A file was added to a service's content table."""
         for monitor in self._mon_occupancy:
             monitor.on_storage_occupancy(service, used, capacity)
         if not self._storage:
             return
-        self.registry.timeseries(f"storage.{service}.occupancy_bytes").sample(
-            self.now, used
-        )
-        self.registry.gauge(f"storage.{service}.capacity_bytes").set(capacity)
+        probes = self._probes.get(("occupancy", service))
+        if probes is None:
+            probes = self._probes["occupancy", service] = (
+                self.registry.timeseries(f"storage.{service}.occupancy_bytes"),
+                self.registry.gauge(f"storage.{service}.capacity_bytes"),
+            )
+        probes[0].sample(self.env.now, used)
+        probes[1].set(capacity)
 
     def on_storage_op(self, service: str, kind: str, nbytes: float) -> None:
-        """A read/write/stage operation was issued against a service."""
+        """A read/write/stage operation was issued against a service
+        (online: an external stage-in write logs no ``IOOperation``)."""
         if not self._storage:
             return
-        self.registry.counter(f"storage.{service}.{kind}_ops").inc()
-        bytes_total = self.registry.counter(f"storage.{service}.{kind}_bytes")
+        probes = self._probes.get(("ops", service, kind))
+        if probes is None:
+            probes = self._probes["ops", service, kind] = (
+                self.registry.counter(f"storage.{service}.{kind}_ops"),
+                self.registry.counter(f"storage.{service}.{kind}_bytes"),
+                self.registry.timeseries(f"storage.{service}.cumulative_{kind}_bytes"),
+            )
+        ops, bytes_total, cumulative = probes
+        ops.inc()
         bytes_total.inc(nbytes)
-        self.registry.timeseries(f"storage.{service}.cumulative_{kind}_bytes").sample(
-            self.now, bytes_total.value
-        )
+        cumulative.sample(self.env.now, bytes_total.value)
 
-    # ------------------------------------------------------------------
-    # Network hooks
-    # ------------------------------------------------------------------
     def on_flow_admitted(self, n_active: int) -> None:
-        if not self._network:
-            return
-        self.registry.timeseries("network.active_flows").sample(self.now, n_active)
-
-    def on_flow_finished(self, flow: "Flow", n_active: int) -> None:
-        if not self._network:
-            return
-        self.registry.timeseries("network.active_flows").sample(self.now, n_active)
-        self.registry.counter("network.flows_completed").inc()
-        self.registry.counter("network.bytes_completed").inc(flow.size)
-        self.flows.append(
-            {
-                "label": flow.label,
-                "size": flow.size,
-                "start": getattr(flow, "started_at", None),
-                "end": self.now,
-                "max_rate": getattr(flow, "max_rate", None),
-            }
-        )
-        bandwidth = flow.achieved_bandwidth
-        if bandwidth is not None and flow.size > 0:
-            service = flow.label.partition(":")[0] if flow.label else "unlabeled"
-            self.registry.timeseries(
-                f"network.{service}.achieved_bandwidth"
-            ).sample(self.now, bandwidth)
+        """A flow's latency ended: :meth:`end_run` counts the flows in
+        flight from these times and the completed flows."""
+        if self._network:
+            self._admitted.append(self.env.now)
 
     def on_rate_solve(
         self, flows_solved: int, links_touched: int, solver_calls: int = 1
@@ -303,62 +337,47 @@ class Observer:
         return bool(self._mon_rates)
 
     def on_rates_assigned(self, flows: "Iterable[Flow]") -> None:
-        """The allocator settled rates for the active flow set.
-
-        Pure monitor feed: the metric story is already told by
-        :meth:`on_rate_solve`; this hook exists so capacity monitors see
-        the *assigned* rates, not just solver call counts.
-        """
+        """The allocator settled rates for the active flow set (a pure
+        monitor feed: capacity monitors see the *assigned* rates)."""
         for monitor in self._mon_rates:
             monitor.on_rates_assigned(flows)
 
-    # ------------------------------------------------------------------
-    # Compute hooks
-    # ------------------------------------------------------------------
     def on_core_allocation(
         self, host: str, busy: int, total: int, queued: int
     ) -> None:
-        """A host's core allocator granted or released cores."""
+        """A host's core allocator queued, granted or released cores
+        (online: no record holds when a contended job asks for cores)."""
         if not self._compute:
             return
-        self.registry.timeseries(f"compute.{host}.busy_cores").sample(self.now, busy)
-        self.registry.gauge(f"compute.{host}.total_cores").set(total)
-        self.registry.timeseries(f"compute.{host}.queue_depth").sample(
-            self.now, queued
-        )
+        probes = self._probes.get(("cores", host))
+        if probes is None:
+            self.registry.gauge(f"compute.{host}.total_cores").set(total)
+            probes = self._probes["cores", host] = (
+                self.registry.timeseries(f"compute.{host}.busy_cores"),
+                self.registry.timeseries(f"compute.{host}.queue_depth"),
+            )
+        now = self.env.now
+        probes[0].sample(now, busy)
+        probes[1].sample(now, queued)
 
     # ------------------------------------------------------------------
-    # Engine hooks
+    # Engine hooks: task spans and waits (the profiler's causal signal)
     # ------------------------------------------------------------------
-    def on_ready_depth(self, depth: int) -> None:
-        """Tasks whose dependencies are met but that have not started."""
-        if not self._engine:
-            return
-        self.registry.timeseries("engine.ready_tasks").sample(self.now, depth)
-
     def on_task_complete(self, record: "TaskRecord", category: str) -> None:
         """A task finished; derive its lifecycle spans from the record."""
         if not self._engine:
             return
-        self.registry.counter("engine.tasks_completed").inc()
         spans = spans_from_record(record, category)
         self.spans.extend(spans)
         bus = self._bus
         if bus is not None:
             for span in spans:
                 bus.push({
-                    "kind": "span_close",
-                    "sim_time": span.end,
-                    "name": span.name,
-                    "category": span.category,
-                    "track": span.track,
-                    "start": span.start,
-                    "end": span.end,
+                    "kind": "span_close", "sim_time": span.end,
+                    "name": span.name, "category": span.category,
+                    "track": span.track, "start": span.start, "end": span.end,
                 })
 
-    # ------------------------------------------------------------------
-    # Wait-cause hooks (the profiler's causal signal)
-    # ------------------------------------------------------------------
     def on_task_blocked(
         self, task: str, cause: WaitCause, detail: str = ""
     ) -> None:
@@ -372,17 +391,14 @@ class Observer:
         """
         if not self._engine:
             return
-        key = (task, WaitCause(cause))
+        key = (task, cause)  # a ``str`` enum member keys as its value
         if key not in self._open_waits:
             self._open_waits[key] = (self.now, detail)
             bus = self._bus
             if bus is not None:
                 bus.push({
-                    "kind": "wait_open",
-                    "sim_time": self.now,
-                    "task": task,
-                    "cause": key[1].value,
-                    "detail": detail,
+                    "kind": "wait_open", "sim_time": self.now, "task": task,
+                    "cause": WaitCause(cause).value, "detail": detail,
                 })
 
     def on_task_unblocked(self, task: str, cause: WaitCause) -> None:
@@ -396,27 +412,22 @@ class Observer:
         """
         if not self._engine:
             return
-        opened = self._open_waits.pop((task, WaitCause(cause)), None)
+        opened = self._open_waits.pop((task, cause), None)
         if opened is None:
             return
+        cause = WaitCause(cause)
         start, detail = opened
+        now = self.env.now
         bus = self._bus
         if bus is not None:
             bus.push({
-                "kind": "wait_close",
-                "sim_time": self.now,
-                "task": task,
-                "cause": WaitCause(cause).value,
-                "start": start,
+                "kind": "wait_close", "sim_time": now, "task": task,
+                "cause": cause.value, "start": start,
             })
-        if self.now <= start:
+        if now <= start:
             return
         interval = WaitInterval(
-            task=task,
-            cause=WaitCause(cause),
-            start=start,
-            end=self.now,
-            detail=detail,
+            task=task, cause=cause, start=start, end=now, detail=detail
         )
         self.waits.append(interval)
         self.registry.counter(f"engine.wait.{interval.cause.value}_seconds").inc(
@@ -424,17 +435,13 @@ class Observer:
         )
 
     # ------------------------------------------------------------------
-    # Burst-buffer lease hooks
+    # Monitor feeds: BB leases and the DES clock
     # ------------------------------------------------------------------
     def on_bb_lease(
         self, action: str, granules: int, free: int, total: int, job: str
     ) -> None:
-        """The BB provisioner queued, granted, or released a lease.
-
-        ``free``/``total`` are the provisioner's granule counts *after*
-        the action, so lease-balance monitors can cross-check its ledger
-        against their own running total.
-        """
+        """The BB provisioner queued, granted, or released a lease;
+        ``free``/``total`` are its granule counts *after* the action."""
         self.log_event(
             "storage", f"bb_lease_{action}",
             granules=granules, free=free, total=total, job=job,
@@ -442,19 +449,7 @@ class Observer:
         for monitor in self._mon_lease:
             monitor.on_bb_lease(action, granules, free, total, job)
 
-    # ------------------------------------------------------------------
-    # DES kernel hooks
-    # ------------------------------------------------------------------
     def on_event_processed(self, when: Optional[float] = None) -> None:
+        self._events_processed += 1
         for monitor in self._mon_clock:
             monitor.on_event_processed(when)
-        if not self._des:
-            return
-        self.registry.counter("des.events_processed").inc()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "attached" if self.env is not None else "detached"
-        return (
-            f"<Observer {state}: {len(self.registry)} metrics, "
-            f"{len(self.spans)} spans>"
-        )

@@ -21,7 +21,8 @@ instrumentation points never need declaring metrics up front.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from bisect import bisect_right
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class Counter:
@@ -113,6 +114,24 @@ def quantile(samples: Sequence[float], q: float) -> Optional[float]:
     ordered = sorted(samples)
     index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[index]
+
+
+def count_series(
+    registry: MetricRegistry,
+    name: str,
+    ups: list[float],
+    downs: list[float],
+    marks: Iterable[float] = (),
+) -> None:
+    """Sample, at every instant of ``ups``, ``downs`` and ``marks``, how
+    many ``ups`` minus how many ``downs`` (both sorted) came by then: the
+    value the instant settles on, as in a series sampled on every change.
+    """
+    times = sorted({*ups, *downs, *marks})
+    if times:
+        series = registry.timeseries(name)
+        series.times = times
+        series.values = [bisect_right(ups, t) - bisect_right(downs, t) for t in times]
 
 
 #: Default histogram bucket upper bounds, in seconds: tuned for the

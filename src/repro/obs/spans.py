@@ -21,9 +21,13 @@ from repro.traces.events import TaskRecord
 _STAGE_CATEGORIES = ("stage_in", "stage_out")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Span:
-    """One named interval of simulated time on a track."""
+    """One named interval of simulated time on a track.
+
+    Not frozen: a run builds one per task phase while it goes, and a
+    frozen dataclass costs more than twice as much to construct.
+    """
 
     name: str
     category: str                 # task group or lifecycle phase

@@ -467,7 +467,8 @@ def run_contended(
         env.process(run_job(env, job))
     env.run()
     if observer is not None:
-        observer.end_run()
+        # No engine, so no trace: the job records are not engine tasks.
+        observer.end_run(network=platform.network)
     return ScenarioResult(
         trace=trace, platform=platform, engine=None, workflow=None
     )

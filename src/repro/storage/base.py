@@ -77,9 +77,8 @@ class StorageService(abc.ABC):
         self.capacity = capacity
         self.latencies = latencies or ServiceLatencies()
         self._contents: dict[str, File] = {}
-        #: Running total behind :attr:`used`, or ``None`` after a delete
-        #: (re-summed on the next read).
-        self._used: "float | None" = 0
+        #: Running total behind :attr:`used`.
+        self._used: float = 0
         #: Serialized metadata server: every read/write holds one slot
         #: for ``metadata_service_time`` seconds before its transfer
         #: starts.  Unlike per-flow latency (which concurrent operations
@@ -102,14 +101,7 @@ class StorageService(abc.ABC):
         in storage order (on Python <= 3.11 exactly ``sum(...)``; newer
         ``sum`` compensates rounding)."""
         # Stores only append to ``_contents``, so adding each new size to
-        # the running total continues the same left-to-right sum.  A
-        # delete breaks that order; it drops the total and the next read
-        # re-sums once.
-        if self._used is None:
-            total = 0
-            for f in self._contents.values():
-                total += f.size
-            self._used = total
+        # the running total continues the same left-to-right sum.
         return self._used
 
     @property
@@ -133,29 +125,18 @@ class StorageService(abc.ABC):
         self._reserve(file)
         self._store(file)
         self._notify_occupancy()
-        self._log_content_event("file_added", file)
-
-    def delete(self, file: File) -> None:
-        """Remove ``file``, freeing its space (no-op if absent)."""
-        if self._contents.pop(file.name, None) is not None:
-            self._used = None
-            self._notify_occupancy()
-            self._log_content_event("file_deleted", file)
+        obs = self.env.obs
+        if obs is not None:
+            obs.log_event(
+                "storage", "file_added",
+                service=self.name, file=file.name, size=file.size,
+                used=self.used,
+            )
 
     def _store(self, file: File) -> None:
         """Append a file the table does not hold yet."""
         self._contents[file.name] = file
-        if self._used is not None:
-            self._used += file.size
-
-    def _log_content_event(self, event: str, file: File) -> None:
-        obs = self.env.obs
-        if obs is not None:
-            obs.log_event(
-                "storage", event,
-                service=self.name, file=file.name, size=file.size,
-                used=self.used,
-            )
+        self._used += file.size
 
     def _notify_occupancy(self) -> None:
         """Publish the occupancy sample after a content-table change."""

@@ -25,13 +25,6 @@ class FileRegistry:
         if service not in services:
             services.append(service)
 
-    def unregister(self, file: File, service: StorageService) -> None:
-        services = self._locations.get(file.name, [])
-        if service in services:
-            services.remove(service)
-            if not services:
-                del self._locations[file.name]
-
     def locations(self, file: File) -> list[StorageService]:
         """All services holding ``file`` (possibly empty)."""
         return list(self._locations.get(file.name, []))

@@ -50,9 +50,12 @@ def point_key_doc(spec: "SweepSpec", params: dict[str, Any]) -> dict[str, Any]:
 
 def point_key(spec: "SweepSpec", params: dict[str, Any]) -> str:
     """Content address of one point: sha256 over the canonical key doc."""
-    canonical = json.dumps(
-        point_key_doc(spec, params), sort_keys=True, separators=(",", ":")
-    )
+    return key_of(point_key_doc(spec, params))
+
+
+def key_of(key_doc: dict[str, Any]) -> str:
+    """The sha256 of a :func:`point_key_doc` document in canonical JSON."""
+    canonical = json.dumps(key_doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from repro.sweep.cache import SweepCache, point_key, point_key_doc
+from repro.sweep.cache import SweepCache, key_of, point_key_doc
 from repro.sweep.spec import SweepSpec, resolve_func, sanitize_point_id
 from repro.sweep.telemetry import SweepTelemetry
 
@@ -93,7 +93,6 @@ class SweepOutcome:
     sweep_id: str
     points: list[PointOutcome] = field(default_factory=list)
     telemetry: Optional[SweepTelemetry] = None
-    wall_time_s: float = 0.0
 
     def values(self) -> dict[str, Any]:
         """Point id → value, in deterministic (point-id) order."""
@@ -208,11 +207,18 @@ def run_sweep(
     outcomes: dict[str, PointOutcome] = {}
     to_run: dict[str, dict[str, Any]] = {}
     keys: dict[str, str] = {}
+    # Each point's provenance document, built once for its cache key,
+    # its cache entry and its point manifest.
+    key_docs = (
+        {pid: point_key_doc(spec, dict(params)) for pid, params in ordered.items()}
+        if cache is not None or point_dirs
+        else {}
+    )
 
     for pid, params in ordered.items():
         params = dict(params)
         if cache is not None:
-            key = keys[pid] = point_key(spec, params)
+            key = keys[pid] = key_of(key_docs[pid])
             hit = cache.lookup(key)
             if not SweepCache.is_miss(hit):
                 outcomes[pid] = PointOutcome(
@@ -240,10 +246,9 @@ def run_sweep(
         for pid, outcome in outcomes.items():
             if outcome.status == "completed" and cache is not None:
                 outcome.cache_key = keys[pid]
-                cache.store(keys[pid], outcome.value, point_key_doc(spec, to_run[pid]))
+                cache.store(keys[pid], outcome.value, key_docs[pid])
     finally:
-        wall_time_s = time.monotonic() - started  # lint: ignore[SIM001]
-        telemetry.wall_time.set(wall_time_s)
+        telemetry.wall_time.set(time.monotonic() - started)  # lint: ignore[SIM001]
         if bus is not None:  # closed even when a dead worker fails the sweep
             telemetry.record("sweep_done")
             bus.close()
@@ -252,13 +257,12 @@ def run_sweep(
         sweep_id=spec.sweep_id,
         points=[outcomes[pid] for pid in ordered],
         telemetry=telemetry,
-        wall_time_s=wall_time_s,
     )
 
     for pid, directory in point_dirs.items():
         outcome = outcomes[pid]
         doc = {
-            "manifest": point_key_doc(spec, dict(ordered[pid])),
+            "manifest": key_docs[pid],
             "point_id": pid,
             "status": outcome.status,
             "error": outcome.error,

@@ -120,9 +120,6 @@ class WorkflowEngine:
         #: Task name → parents not yet finished, for tasks not yet ready.
         self._unfinished_parents: dict[str, int] = {}
         self._started = False
-        #: Dependency-satisfied tasks that have not yet started (waiting
-        #: on cores/memory) — the engine's ready-queue depth signal.
-        self._ready_depth = 0
 
     # ------------------------------------------------------------------
     # Setup
@@ -241,10 +238,6 @@ class WorkflowEngine:
             cores=task.cores,
         )
         self.trace.log(self.env.now, "task_ready", task.name)
-        self._ready_depth += 1
-        obs = self.env.obs
-        if obs is not None:
-            obs.on_ready_depth(self._ready_depth)
 
         if task.category == TaskCategory.STAGE_IN:
             yield from self._run_stage_in(task, host, record)
@@ -260,18 +253,10 @@ class WorkflowEngine:
             obs.on_task_complete(record, task.category.value)
         self._task_done[task.name].succeed(task.name)
 
-    def _mark_start(self, record: TaskRecord) -> None:
-        """Stamp a task's actual start (cores granted, ready → running)."""
-        record.start = self.env.now
-        self._ready_depth -= 1
-        obs = self.env.obs
-        if obs is not None:
-            obs.on_ready_depth(self._ready_depth)
-
     def _run_stage_in(self, task: Task, host: str, record: TaskRecord):
         """Sequential PFS→BB copies for BB-bound inputs."""
         allocation = yield self.compute.acquire_cores(host, 1, task=task.name)
-        self._mark_start(record)
+        record.start = self.env.now
         record.read_start = self.env.now
         try:
             staged = set(self.placement.staged_input_names(self.workflow))
@@ -313,7 +298,7 @@ class WorkflowEngine:
         describes).  Files already on the PFS cost nothing.
         """
         allocation = yield self.compute.acquire_cores(host, 1, task=task.name)
-        self._mark_start(record)
+        record.start = self.env.now
         record.read_start = self.env.now
         try:
             for f in sorted(task.inputs, key=lambda f: f.name):
@@ -354,7 +339,7 @@ class WorkflowEngine:
             obs = self.env.obs
             if obs is not None:
                 obs.on_task_unblocked(task.name, WaitCause.MEMORY)
-        self._mark_start(record)
+        record.start = self.env.now  # cores (and memory) granted
         try:
             # --- read phase (all inputs concurrently) ---------------------
             record.read_start = self.env.now

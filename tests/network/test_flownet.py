@@ -318,4 +318,5 @@ def test_completion_heaps_hold_one_entry_per_class_not_per_flow():
     env.run()
     assert len(net.completed) == 1000 and len(peak) == 1000
     assert max(peak) <= 0
+    obs.end_run()
     assert obs.registry.counter("des.events_processed").value == 2021

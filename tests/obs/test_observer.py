@@ -3,8 +3,9 @@
 import pytest
 
 from repro import des
+from repro.network import FlowNetwork, Link
 from repro.obs import METRIC_GROUPS, Observer, Span, spans_from_record
-from repro.traces import TaskRecord
+from repro.traces import ExecutionTrace, TaskRecord
 
 
 def make_record(**kw):
@@ -88,23 +89,46 @@ def test_storage_hooks():
 def test_compute_and_engine_hooks():
     obs = Observer().attach(des.Environment())
     obs.on_core_allocation("cn0", busy=8, total=32, queued=1)
-    obs.on_ready_depth(3)
     obs.on_task_complete(make_record(), "compute")
     r = obs.registry
     assert r.timeseries("compute.cn0.busy_cores").last == 8
     assert r.gauge("compute.cn0.total_cores").value == 32
     assert r.timeseries("compute.cn0.queue_depth").last == 1
-    assert r.timeseries("engine.ready_tasks").last == 3
-    assert r.counter("engine.tasks_completed").value == 1
     assert obs.spans  # lifecycle spans derived from the record
+
+
+def test_end_run_builds_engine_series_from_the_trace():
+    trace = ExecutionTrace()
+    for name, ready in (("a", 0.0), ("b", 0.0), ("c", 1.0)):
+        trace.log(ready, "task_ready", name)
+    for name, start in (("a", 0.0), ("b", 2.0), ("c", 2.0)):
+        trace.add_record(make_record(name=name, start=start, end=start + 1))
+    obs = Observer().attach(des.Environment())
+    obs.end_run(trace)
+    r = obs.registry
+    # Ready minus started, as each instant settles.
+    assert list(r.timeseries("engine.ready_tasks").items()) == [
+        (0.0, 1), (1.0, 2), (2.0, 0)
+    ]
+    assert r.counter("engine.tasks_completed").value == 3
+    obs.end_run(trace)  # a second call builds nothing twice
+    assert r.counter("engine.tasks_completed").value == 3
+
+
+def test_end_run_without_trace_builds_no_engine_metrics():
+    obs = Observer().attach(des.Environment())
+    obs.end_run()
+    assert not [n for n in obs.registry.names() if n.startswith("engine.")]
 
 
 def test_group_filter_drops_other_groups():
     obs = Observer(metrics=["storage"]).attach(des.Environment())
     obs.on_storage_occupancy("bb", 1.0, 2.0)
     obs.on_core_allocation("cn0", 1, 2, 0)
-    obs.on_ready_depth(1)
     obs.on_event_processed()
+    trace = ExecutionTrace()
+    trace.log(0.0, "task_ready", "t")
+    obs.end_run(trace)
     names = obs.registry.names()
     assert names == ["storage.bb.capacity_bytes", "storage.bb.occupancy_bytes"]
 
@@ -112,32 +136,42 @@ def test_group_filter_drops_other_groups():
 def test_flow_hooks_derive_service_bandwidth():
     env = des.Environment()
     obs = Observer().attach(env)
-
-    class FakeFlow:
-        size = 1000.0
-        label = "bb:read:f1"
-        achieved_bandwidth = 250.0
-
-    obs.on_flow_admitted(1)
-    env._now = 4.0
-    obs.on_flow_finished(FakeFlow(), 0)
+    net = FlowNetwork(env)
+    net.transfer(1000.0, [Link("l", bandwidth=250.0)], label="bb:read:f1")
+    env.run()
+    obs.end_run(network=net)
     r = obs.registry
     assert list(r.timeseries("network.active_flows").items()) == [(0.0, 1), (4.0, 0)]
     assert r.counter("network.flows_completed").value == 1
     assert r.counter("network.bytes_completed").value == 1000.0
     assert r.timeseries("network.bb.achieved_bandwidth").last == 250.0
+    assert obs.flows == [{
+        "label": "bb:read:f1", "size": 1000.0, "start": 0.0, "end": 4.0,
+        "max_rate": float("inf"),
+    }]
+
+
+def test_flow_admitted_after_its_latency():
+    env = des.Environment()
+    obs = Observer().attach(env)
+    net = FlowNetwork(env)
+    net.transfer(1000.0, [Link("l", bandwidth=250.0)], latency=1.0)
+    env.run()
+    obs.end_run(network=net)
+    series = obs.registry.timeseries("network.active_flows")
+    assert list(series.items()) == [(1.0, 1), (5.0, 0)]
 
 
 def test_flow_without_bandwidth_skips_series():
-    obs = Observer().attach(des.Environment())
-
-    class InstantFlow:
-        size = 0.0
-        label = ""
-        achieved_bandwidth = None
-
-    obs.on_flow_finished(InstantFlow(), 0)
+    env = des.Environment()
+    obs = Observer().attach(env)
+    net = FlowNetwork(env)
+    net.transfer(0.0, [Link("l", bandwidth=1.0)])
+    env.run()
+    obs.end_run(network=net)
     assert "network.unlabeled.achieved_bandwidth" not in obs.registry.names()
+    # A zero-byte flow is never admitted, but its completion is an instant.
+    assert list(obs.registry.timeseries("network.active_flows").items()) == [(0.0, 0)]
 
 
 # ----------------------------------------------------------------------

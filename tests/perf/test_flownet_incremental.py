@@ -78,6 +78,7 @@ def test_same_timestamp_admits_are_batched_into_one_solve():
     assert [f.completed_at for f in net.completed] == [80.0] * 8
     # One wake-up plus the eight done events; the solve itself is an
     # end-of-instant call, not an event.
+    obs.end_run()
     assert obs.registry.counter("des.events_processed").value == 9
 
 

@@ -68,16 +68,6 @@ def test_registry_duplicate_register_is_idempotent(setup):
     assert reg.locations(f) == [pfs]
 
 
-def test_registry_unregister(setup):
-    env, plat, pfs, bb = setup
-    reg = FileRegistry()
-    f = File("f", MB)
-    reg.register(f, pfs)
-    reg.unregister(f, pfs)
-    assert not reg.has(f)
-    reg.unregister(f, pfs)  # idempotent
-
-
 def test_registry_private_bb_filtered_by_reader_host(setup):
     """A private allocation owned by cn0 is invisible to cn1's lookups."""
     env, plat, pfs, bb = setup

@@ -89,17 +89,6 @@ def test_pfs_stream_cap(cori):
     assert env.now == pytest.approx(10.0, rel=1e-6)
 
 
-def test_pfs_delete_frees_space(cori):
-    env, plat = cori
-    pfs = ParallelFileSystem(plat, capacity=100 * MB)
-    f = File("data", 80 * MB)
-    pfs.add_file(f)
-    with pytest.raises(InsufficientStorage):
-        pfs.add_file(File("more", 30 * MB))
-    pfs.delete(f)
-    pfs.add_file(File("more", 30 * MB))
-
-
 # ----------------------------------------------------------------------
 # SharedBurstBuffer — private mode
 # ----------------------------------------------------------------------

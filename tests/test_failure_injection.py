@@ -107,17 +107,12 @@ def test_workflow_consuming_nonexistent_file_fails_loudly():
     """A task reading a file nobody provides aborts with the file name."""
     orphan = File("never-produced", MB)
     consumer = Task("c", flops=SPEED, inputs=(orphan,), cores=1)
-    # No producer, and the engine registers external inputs on the PFS —
-    # but here we disable that by removing the file from the PFS first.
+    # No producer, and the engine puts external inputs on the PFS when
+    # it starts — so skip that step to simulate a lost file.
     engine = build(Workflow("w", [consumer]))
-    engine.pfs.delete(orphan)  # sabotage after construction
-
-    # File still gets registered during _initialize_files, so sabotage
-    # the registry too to simulate a lost file.
+    engine._initialize_files = lambda: None
     trace_error = None
-    engine.registry.unregister(orphan, engine.pfs)
     try:
-        engine._initialize_files = lambda: None  # skip re-registration
         engine.run()
     except Exception as exc:  # noqa: BLE001 - asserting the message below
         trace_error = exc
