@@ -108,7 +108,7 @@ def list_points(experiment_id: str, quick: bool, config=None) -> None:
         **_with_config(module.sweep_spec, {"quick": quick}, config, experiment_id)
     )
     print(f"{spec.sweep_id} ({len(spec)} points, version {spec.version}):")
-    for pid in spec.point_ids:
+    for pid in spec.points_by_id():
         print(f"  {pid}")
 
 

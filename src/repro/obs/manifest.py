@@ -79,7 +79,6 @@ def build_manifest(
     if trace is not None:
         doc["result"] = {
             "makespan": trace.makespan,
-            "n_events": len(trace.events),
             "n_tasks": len(trace.records),
             "n_io_operations": len(trace.io_operations),
         }

@@ -30,7 +30,7 @@ des       kernel events processed
 ========  ==========================================================
 
 Each fact is recorded once: series that a run's records already hold
-(finished flows, task records, ``task_ready`` events) are built by
+(finished flows, task records and their ready stamps) are built by
 :meth:`end_run` when the run ends, not sampled by hooks while it goes.
 
 Beyond metrics, the observer carries three further channels:
@@ -189,10 +189,11 @@ class Observer:
         if self._des and self._events_processed:
             registry.counter("des.events_processed").inc(self._events_processed)
         if self._engine and trace is not None:
+            records = trace.records.values()
             count_series(
                 registry, "engine.ready_tasks",
-                [e.time for e in trace.events if e.kind == "task_ready"],
-                sorted([r.start for r in trace.records.values()]),
+                sorted([r.ready for r in records if r.ready is not None]),
+                sorted([r.start for r in records]),
             )
             if trace.records:
                 registry.counter("engine.tasks_completed").inc(len(trace.records))

@@ -393,7 +393,7 @@ def run_contended(
     other).
 
     Every job appears in the returned trace as one ``job``-group task
-    record (arrival logged as ``task_ready``), so
+    record (ready at its arrival), so
     :func:`repro.profile.build_profile` attributes each policy's
     makespan — including ``wait:bb_capacity`` / ``wait:cores`` — and
     per-policy profiles can be diffed.
@@ -424,7 +424,7 @@ def run_contended(
 
     def run_job(env, job: ContendedJob):
         yield env.timeout(job.arrival)
-        trace.log(env.now, "task_ready", job.name)
+        ready = env.now
         size = job.granules * granularity
         if coordinator is not None:
             reservation = yield coordinator.request(
@@ -454,6 +454,7 @@ def run_contended(
                 group="job",
                 host=job.host,
                 cores=job.cores,
+                ready=ready,
                 start=start,
                 read_start=start,
                 read_end=start,

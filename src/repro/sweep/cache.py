@@ -64,8 +64,6 @@ class SweepCache:
 
     def __init__(self, directory: "str | Path" = DEFAULT_CACHE_DIR) -> None:
         self.directory = Path(directory)
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
@@ -83,9 +81,7 @@ class SweepCache:
             or doc.get("schema") != CACHE_SCHEMA
             or "value" not in doc
         ):
-            self.misses += 1
             return _MISS
-        self.hits += 1
         return doc["value"]
 
     @staticmethod
@@ -106,8 +102,3 @@ class SweepCache:
         tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, path)
         return path
-
-    def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*/*.json"))

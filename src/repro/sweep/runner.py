@@ -56,17 +56,12 @@ class SweepOptions:
     live_dir: Optional[Path] = None
     telemetry: Optional[SweepTelemetry] = None
 
-    def make_cache(self) -> Optional[SweepCache]:
-        if self.cache_dir is None:
-            return None
-        return SweepCache(self.cache_dir)
-
     def run(self, spec: SweepSpec, *, strict: bool = True) -> "SweepOutcome":
         """Run ``spec`` with these options (the figure modules' path)."""
         return run_sweep(
             spec,
             workers=self.workers,
-            cache=self.make_cache(),
+            cache=None if self.cache_dir is None else SweepCache(self.cache_dir),
             obs_dir=self.obs_dir,
             live_dir=self.live_dir,
             telemetry=self.telemetry,
@@ -97,12 +92,6 @@ class SweepOutcome:
     def values(self) -> dict[str, Any]:
         """Point id → value, in deterministic (point-id) order."""
         return {p.point_id: p.value for p in self.points}
-
-    def value(self, pid: str) -> Any:
-        for p in self.points:
-            if p.point_id == pid:
-                return p.value
-        raise KeyError(f"no point {pid!r} in sweep {self.sweep_id!r}")
 
     def count(self, status: str) -> int:
         return sum(1 for p in self.points if p.status == status)
@@ -221,13 +210,7 @@ def run_sweep(
             key = keys[pid] = key_of(key_docs[pid])
             hit = cache.lookup(key)
             if not SweepCache.is_miss(hit):
-                outcomes[pid] = PointOutcome(
-                    point_id=pid,
-                    params=params,
-                    value=hit,
-                    status="cached",
-                    cache_key=key,
-                )
+                outcomes[pid] = PointOutcome(pid, params, hit, "cached", cache_key=key)
                 telemetry.cached.inc()
                 telemetry.record("point_cached", pid)
                 continue

@@ -158,11 +158,6 @@ class SweepSpec:
             pass_obs_dir=pass_obs_dir,
         )
 
-    @property
-    def point_ids(self) -> tuple[str, ...]:
-        """All point ids, in deterministic (sorted) execution order."""
-        return tuple(sorted(point_id(p) for p in self.points))
-
     def points_by_id(self) -> dict[str, Mapping[str, Any]]:
         """Point id → parameters, in deterministic (sorted) order."""
         indexed = {point_id(p): p for p in self.points}

@@ -23,8 +23,6 @@ and a :meth:`progress` block, and the bus snapshots the registry.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.obs.probes import MetricRegistry, quantile
@@ -86,12 +84,6 @@ class SweepTelemetry:
         doc.update(fields)
         self._bus.push(doc)
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """Fraction of points answered from the cache (0 when empty)."""
-        total = self.total.value
-        return self.cached.value / total if total else 0.0
-
     def observe_point(self, duration: float) -> None:
         """Book one settled point's wall time (seconds)."""
         self.point_durations.append(duration)
@@ -102,8 +94,10 @@ class SweepTelemetry:
         return quantile(self.point_durations, q)
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-ready view of the campaign's counters and gauges."""
+        """JSON-ready view of the campaign's counters and gauges, with the
+        fraction of points answered from the cache (0 when empty)."""
         snap = self.registry.snapshot()
+        total = self.total.value
         return {
             "schema": STATS_SCHEMA,
             "sweep_id": self.sweep_id,
@@ -114,12 +108,5 @@ class SweepTelemetry:
                 "p50": self.point_latency(0.50),
                 "p99": self.point_latency(0.99),
             },
-            "cache_hit_ratio": self.cache_hit_ratio,
+            "cache_hit_ratio": self.cached.value / total if total else 0.0,
         }
-
-    def write(self, path: "str | Path") -> Path:
-        """Write the snapshot as JSON (creating parent directories)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n")
-        return path

@@ -3,10 +3,10 @@
 The paper: "the simulator simulates the execution of the workflow and
 outputs a time-stamped event trace.  The date of the last event, which
 corresponds to the last task completion, gives the overall makespan."
-Here each task's time stamps (start, phase ends, end) live once, on its
-:class:`TaskRecord`, so the makespan is the latest task end.  The event
-log keeps only what no record holds: when each task became ready and
-when each staging copy started and ended.
+Here each fact lives once, on the record that owns it: a task's stamps
+(ready, start, phase ends, end) on its :class:`TaskRecord`, and each
+file movement — a read, a write or a staging copy — on an
+:class:`IOOperation`.  The makespan is the latest task end.
 """
 
 from __future__ import annotations
@@ -18,31 +18,13 @@ from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped event."""
-
-    time: float
-    kind: str          # "task_ready" or a "stage_copy_*"/"stage_out_*" kind
-    task: str = ""
-    detail: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "task": self.task,
-            "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
 class IOOperation:
     """One file-level I/O operation (a Darshan-style log line)."""
 
     task: str
     file: str
     service: str      # storage service name
-    kind: str         # "read" | "write" | "stage"
+    kind: str         # "read" | "write" | "stage_in" | "stage_out"
     size: float       # bytes
     start: float
     end: float
@@ -78,6 +60,9 @@ class TaskRecord:
     group: str
     host: str
     cores: int
+    #: When the task's dependencies were met; None when unknown (a
+    #: hand-built record), read as ``start``.
+    ready: Optional[float] = None
     start: float = 0.0
     read_start: float = 0.0
     read_end: float = 0.0
@@ -112,17 +97,13 @@ class TaskRecord:
 
 
 class ExecutionTrace:
-    """Per-task records, per-file I/O operations and the ready/staging
-    event log of one workflow execution."""
+    """Per-task records and per-file I/O operations of one workflow
+    execution."""
 
     def __init__(self, workflow_name: str = "") -> None:
         self.workflow_name = workflow_name
-        self.events: list[TraceEvent] = []
         self.records: dict[str, TaskRecord] = {}
         self.io_operations: list[IOOperation] = []
-
-    def log(self, time: float, kind: str, task: str = "", detail: str = "") -> None:
-        self.events.append(TraceEvent(time, kind, task, detail))
 
     def log_io(self, operation: IOOperation) -> None:
         self.io_operations.append(operation)
@@ -151,14 +132,8 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     @property
     def makespan(self) -> float:
-        """The latest task end (last task completion).
-
-        An event logged after it (never done by the engine, whose events
-        all fall inside a task's life) extends the makespan.
-        """
-        from_events = max((e.time for e in self.events), default=0.0)
-        from_records = max((r.end for r in self.records.values()), default=0.0)
-        return max(from_events, from_records)
+        """The latest task end (last task completion)."""
+        return max((r.end for r in self.records.values()), default=0.0)
 
     def task_record(self, name: str) -> TaskRecord:
         try:
@@ -185,13 +160,13 @@ class ExecutionTrace:
         doc = {
             "workflow": self.workflow_name,
             "makespan": self.makespan,
-            "events": [e.to_dict() for e in self.events],
             "tasks": [
                 {
                     "name": r.name,
                     "group": r.group,
                     "host": r.host,
                     "cores": r.cores,
+                    "ready": r.ready,
                     "start": r.start,
                     "end": r.end,
                     "read_start": r.read_start,
@@ -213,17 +188,21 @@ class ExecutionTrace:
         """Re-load a trace exported with :meth:`to_json`.
 
         ``source`` is the JSON text (or the already-parsed document).
-        Events, task records, and I/O operations all round-trip; task
-        documents written before raw phase timestamps were exported are
-        reconstructed from the derived durations (phases are contiguous
-        from ``start``, which is how the engine records them).  Older
-        documents whose event log also repeats the records' stamps
-        (``task_start`` ... ``task_end``) load those events as written.
+        Task records and I/O operations round-trip.  Older documents
+        load too: task entries written before raw phase timestamps were
+        exported are reconstructed from the derived durations (phases are
+        contiguous from ``start``, which is how the engine records them),
+        and of an ``"events"`` log only each task's first ``task_ready``
+        is kept, as its record's ``ready``.  The other kinds (the
+        records' stamps repeated, staging-copy marks) are dropped; no
+        staging operation is made from them.
         """
         doc = json.loads(source) if isinstance(source, str) else source
         trace = cls(doc.get("workflow", ""))
+        ready: dict[str, float] = {}
         for e in doc.get("events", ()):
-            trace.log(e["time"], e["kind"], e.get("task", ""), e.get("detail", ""))
+            if e["kind"] == "task_ready":
+                ready.setdefault(e.get("task", ""), e["time"])
         for t in doc.get("tasks", ()):
             start = t["start"]
             if "read_end" in t:
@@ -242,6 +221,7 @@ class ExecutionTrace:
                     group=t.get("group", ""),
                     host=t.get("host", ""),
                     cores=t.get("cores", 1),
+                    ready=t.get("ready", ready.get(t["name"])),
                     start=start,
                     read_start=read_start,
                     read_end=read_end,

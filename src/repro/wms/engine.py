@@ -236,8 +236,8 @@ class WorkflowEngine:
             group=task.group or task.category.value,
             host=host,
             cores=task.cores,
+            ready=self.env.now,
         )
-        self.trace.log(self.env.now, "task_ready", task.name)
 
         if task.category == TaskCategory.STAGE_IN:
             yield from self._run_stage_in(task, host, record)
@@ -270,19 +270,18 @@ class WorkflowEngine:
                 bb = self._bb_service(target_host)
                 if bb is None:
                     continue
-                self.trace.log(self.env.now, "stage_copy_start", task.name, f.name)
                 if self.stage_in_external:
-                    yield bb.write(f, host)
+                    yield self._logged_io(task, f, bb, "stage_in", bb.write(f, host))
                     self.registry.register(f, bb)
                 else:
-                    yield stage_file(
+                    copy = stage_file(
                         f,
                         self.pfs,
                         bb,
                         registry=self.registry,
                         extra_latency=self.stage_extra_latency,
                     )
-                self.trace.log(self.env.now, "stage_copy_end", task.name, f.name)
+                    yield self._logged_io(task, f, bb, "stage_in", copy)
         finally:
             allocation.release()
         record.read_end = self.env.now
@@ -309,10 +308,8 @@ class WorkflowEngine:
                 ]
                 if not locations:
                     continue
-                source = locations[0]
-                self.trace.log(self.env.now, "stage_out_start", task.name, f.name)
-                yield stage_file(f, source, self.pfs, registry=self.registry)
-                self.trace.log(self.env.now, "stage_out_end", task.name, f.name)
+                copy = stage_file(f, locations[0], self.pfs, registry=self.registry)
+                yield self._logged_io(task, f, self.pfs, "stage_out", copy)
         finally:
             allocation.release()
         record.read_end = self.env.now

@@ -1,8 +1,9 @@
 """Determinism regression: the property the lint rules protect.
 
 Running the same scenario with the same seed twice must produce bitwise
-identical results — same makespan, same number of events, same event
-sequence.  If this test starts failing, something nondeterministic
+identical results — same makespan, same task records (ready stamps
+included) in the same completion order, same I/O operations in the same
+order.  If this test starts failing, something nondeterministic
 (wall clock, global RNG, hash-ordered iteration) crept into the
 simulation path; ``python -m repro.lint src/`` should point at it.
 """
@@ -25,15 +26,17 @@ def _run_once(seed: int):
     )
 
 
-def test_same_seed_same_trace():
-    first = _run_once(seed=7)
-    second = _run_once(seed=7)
+def _assert_same_trace(first, second):
     assert first.makespan == second.makespan
-    assert first.trace.records == second.trace.records
-    assert len(first.trace.events) == len(second.trace.events)
-    assert [
-        (e.time, e.kind, e.task) for e in first.trace.events
-    ] == [(e.time, e.kind, e.task) for e in second.trace.events]
+    # Whole records, every stamp from ready to end, in completion order.
+    assert list(first.trace.records.values()) == list(second.trace.records.values())
+    assert all(r.ready is not None for r in first.trace.records.values())
+    assert first.trace.io_operations == second.trace.io_operations
+    assert first.trace.io_operations
+
+
+def test_same_seed_same_trace():
+    _assert_same_trace(_run_once(seed=7), _run_once(seed=7))
 
 
 def test_different_seed_different_noise():
@@ -45,5 +48,4 @@ def test_simple_model_deterministic_without_seed():
     # The non-emulated simulator has no stochastic inputs at all.
     a = run_swarp(system="summit", input_fraction=1.0, cores_per_task=8)
     b = run_swarp(system="summit", input_fraction=1.0, cores_per_task=8)
-    assert a.makespan == b.makespan
-    assert len(a.trace.events) == len(b.trace.events)
+    _assert_same_trace(a, b)

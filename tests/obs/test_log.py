@@ -126,9 +126,11 @@ def test_removed_facts_stay_readable_and_stream_once(tmp_path):
         assert wait.end == trace.records[wait.task].start
         assert wait.detail == trace.records[wait.task].host
     # Each task read or write: its flow (one per file on a private BB).
+    # A stage-in copy from outside the platform is a write to the BB.
     flows = {(f["label"], f["size"]): f for f in obs.flows}
     for op in trace.io_operations:
-        flow = flows[(f"{op.service}:{op.kind}:{op.file}", op.size)]
+        kind = "write" if op.kind == "stage_in" else op.kind
+        flow = flows[(f"{op.service}:{kind}:{op.file}", op.size)]
         assert op.start <= flow["start"] <= flow["end"] <= op.end
 
     records = [r for r in iter_ndjson(tmp_path / "live" / "events.ndjson")

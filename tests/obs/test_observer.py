@@ -99,10 +99,10 @@ def test_compute_and_engine_hooks():
 
 def test_end_run_builds_engine_series_from_the_trace():
     trace = ExecutionTrace()
-    for name, ready in (("a", 0.0), ("b", 0.0), ("c", 1.0)):
-        trace.log(ready, "task_ready", name)
-    for name, start in (("a", 0.0), ("b", 2.0), ("c", 2.0)):
-        trace.add_record(make_record(name=name, start=start, end=start + 1))
+    for name, ready, start in (("a", 0.0, 0.0), ("b", 0.0, 2.0), ("c", 1.0, 2.0)):
+        trace.add_record(
+            make_record(name=name, ready=ready, start=start, end=start + 1)
+        )
     obs = Observer().attach(des.Environment())
     obs.end_run(trace)
     r = obs.registry
@@ -121,13 +121,31 @@ def test_end_run_without_trace_builds_no_engine_metrics():
     assert not [n for n in obs.registry.names() if n.startswith("engine.")]
 
 
+def test_trace_io_bytes_match_storage_counters():
+    # Every byte a service is charged is one IOOperation in the trace,
+    # the external stage-in writes included: per service, the trace's
+    # op bytes equal the read + write + stage byte counters.
+    from repro.scenarios import run_swarp
+
+    obs = Observer()
+    trace = run_swarp(n_pipelines=2, observer=obs).trace
+    charged: dict[str, float] = {}
+    for name, value in obs.registry.snapshot()["counters"].items():
+        group, _, rest = name.partition(".")
+        service, _, quantity = rest.rpartition(".")
+        if group == "storage" and quantity in ("read_bytes", "write_bytes", "stage_bytes"):
+            charged[service] = charged.get(service, 0.0) + value
+    assert charged and trace.service_bytes() == charged
+    assert {op.kind for op in trace.io_operations} == {"stage_in", "read", "write"}
+
+
 def test_group_filter_drops_other_groups():
     obs = Observer(metrics=["storage"]).attach(des.Environment())
     obs.on_storage_occupancy("bb", 1.0, 2.0)
     obs.on_core_allocation("cn0", 1, 2, 0)
     obs.on_event_processed()
     trace = ExecutionTrace()
-    trace.log(0.0, "task_ready", "t")
+    trace.add_record(make_record(ready=0.0))
     obs.end_run(trace)
     names = obs.registry.names()
     assert names == ["storage.bb.capacity_bytes", "storage.bb.occupancy_bytes"]

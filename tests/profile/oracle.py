@@ -75,12 +75,12 @@ def _staging_kind(record: TaskRecord, trace: ExecutionTrace) -> Optional[str]:
         return "stage-in"
     if record.group == "stage_out":
         return "stage-out"
-    for event in trace.events:
-        if event.task != record.name:
+    for op in trace.io_operations:
+        if op.task != record.name:
             continue
-        if event.kind.startswith("stage_copy"):
+        if op.kind == "stage_in":
             return "stage-in"
-        if event.kind.startswith("stage_out"):
+        if op.kind == "stage_out":
             return "stage-out"
     return None
 
@@ -137,11 +137,11 @@ def _subdivide_wait_gap(
 
 
 def _ready_times(trace: ExecutionTrace) -> dict[str, float]:
-    ready: dict[str, float] = {}
-    for event in trace.events:
-        if event.kind == "task_ready" and event.task not in ready:
-            ready[event.task] = event.time
-    return ready
+    return {
+        name: record.ready
+        for name, record in trace.records.items()
+        if record.ready is not None
+    }
 
 
 def _task_breakdowns(
@@ -201,11 +201,6 @@ def build_profile(
     segments: list[Segment] = []
     current: Optional[TaskRecord] = max(records, key=lambda r: (r.end, r.name))
     cursor = makespan
-    if current.end < cursor - tol:
-        # Trace events past the last task completion (never produced by
-        # the engine, but a hand-edited trace should still profile).
-        segments.append(Segment(current.end, cursor, "idle"))
-        cursor = current.end
     visited: set[str] = set()
 
     while cursor > tol:

@@ -128,20 +128,16 @@ def test_empty_trace_profiles_to_empty_path():
 def test_synthetic_chain_attribution():
     """Hand-built two-task chain: exact, inspectable attribution."""
     trace = ExecutionTrace("chain")
-    trace.log(0.0, "task_ready", "a")
-    trace.log(0.0, "task_start", "a")
     trace.add_record(
         TaskRecord(
-            name="a", group="g", host="cn0", cores=1,
+            name="a", group="g", host="cn0", cores=1, ready=0.0,
             start=0.0, read_start=0.0, read_end=2.0,
             compute_end=7.0, write_end=8.0, end=8.0,
         )
     )
-    trace.log(8.0, "task_ready", "b")
-    trace.log(8.0, "task_start", "b")
     trace.add_record(
         TaskRecord(
-            name="b", group="g", host="cn0", cores=1,
+            name="b", group="g", host="cn0", cores=1, ready=8.0,
             start=8.0, read_start=8.0, read_end=9.0,
             compute_end=12.0, write_end=12.0, end=12.0,
         )
@@ -152,7 +148,7 @@ def test_synthetic_chain_attribution():
 
 
 def test_profile_is_not_quadratic_on_a_4000_stage_chain():
-    """A 4,000-stage chain (5,333 records, ~17k events, ~16k I/O ops).
+    """A 4,000-stage chain (5,333 records, ~16k I/O ops).
 
     A profiler that scans the trace per walk step took 24.5 s on this
     trace on a shared 2-vCPU machine (1.5 s at 1,000 stages, 6.4 s at

@@ -77,10 +77,10 @@ def test_chain_matches_oracle():
 # Hand-built traces for the tie rules
 # ----------------------------------------------------------------------
 def _record(trace, name, host, start, end, group="g", ready=None):
-    trace.log(start if ready is None else ready, "task_ready", name)
     trace.add_record(
         TaskRecord(
             name=name, group=group, host=host, cores=1,
+            ready=start if ready is None else ready,
             start=start, read_start=start, read_end=start,
             compute_end=end, write_end=end, end=end,
         )
@@ -132,19 +132,24 @@ def test_zero_duration_records():
     assert_matches_oracle(trace)
 
 
+def _stage_op(trace, task, kind, start, end):
+    trace.log_io(IOOperation(task, f"{task}.dat", "bb", kind, 1.0, start, end))
+
+
 def test_staging_found_only_by_event():
+    """Staging found only by a stage op: the records' groups are plain."""
     trace = ExecutionTrace("staging")
     _record(trace, "in", "h0", 0.0, 3.0)
     _record(trace, "mid", "h0", 3.0, 5.0)
     _record(trace, "out", "h0", 5.0, 8.0)
     _record(trace, "both", "h0", 8.0, 9.0)
     _record(trace, "flat", "h0", 9.0, 9.0)
-    trace.log(1.0, "stage_copy_pfs_to_bb", "in")
-    trace.log(6.0, "stage_out_bb_to_pfs", "out")
-    # The first staging event of a task decides its kind.
-    trace.log(8.5, "stage_out", "both")
-    trace.log(8.6, "stage_copy", "both")
-    trace.log(9.0, "stage_copy", "flat")
+    _stage_op(trace, "in", "stage_in", 1.0, 2.0)
+    _stage_op(trace, "out", "stage_out", 6.0, 7.0)
+    # The first stage op of a task decides its kind.
+    _stage_op(trace, "both", "stage_out", 8.5, 8.6)
+    _stage_op(trace, "both", "stage_in", 8.6, 9.0)
+    _stage_op(trace, "flat", "stage_in", 9.0, 9.0)
     doc = assert_matches_oracle(trace)
     assert doc["attribution"] == {
         "stage-in": 3.0, "compute": 2.0, "stage-out": 4.0,
@@ -153,10 +158,9 @@ def test_staging_found_only_by_event():
 
 def test_binding_io_ties():
     trace = ExecutionTrace("io")
-    trace.log(0.0, "task_ready", "t")
     trace.add_record(
         TaskRecord(
-            name="t", group="g", host="h0", cores=1,
+            name="t", group="g", host="h0", cores=1, ready=0.0,
             start=0.0, read_start=0.0, read_end=2.0,
             compute_end=3.0, write_end=5.0, end=5.0,
         )
@@ -176,11 +180,8 @@ def test_trimmed_trace_without_releaser():
     trace = ExecutionTrace("trimmed")
     # Ready at 3, started at 10, and nothing ends at 10 or at 3.
     _record(trace, "t", "h0", 10.0, 12.0, ready=3.0)
-    # An event past the last completion leaves an idle tail.
-    trace.log(13.0, "sweep_marker")
     doc = assert_matches_oracle(trace)
     assert doc["attribution"]["wait:dependency"] == 3.0
-    assert doc["attribution"]["idle"] == 1.0
 
 
 def test_waits_overlapping_a_gap():
@@ -234,21 +235,21 @@ def tied_traces(draw):
                 name=name,
                 group=draw(st.sampled_from(["g", "stage_in", "stage_out"])),
                 host=draw(st.sampled_from(["h0", "h1"])),
-                cores=1, start=a, read_start=a, read_end=b,
+                cores=1, ready=draw(st.none() | _grid),
+                start=a, read_start=a, read_end=b,
                 compute_end=c, write_end=d, end=d,
             )
         )
     tasks = st.sampled_from(names + ["ghost"])
-    for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["task_ready", "stage_copy", "stage_out", "x"]))
-        trace.log(draw(_grid), kind, draw(tasks))
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 12))):
         begin, end = sorted([draw(_grid), draw(_grid)])
         trace.log_io(
             IOOperation(
                 task=draw(tasks), file=draw(st.sampled_from("xyz")),
                 service=draw(st.sampled_from(["pfs", "bb"])),
-                kind=draw(st.sampled_from(["read", "write"])),
+                kind=draw(
+                    st.sampled_from(["read", "write", "stage_in", "stage_out"])
+                ),
                 size=1.0, start=begin, end=end,
             )
         )

@@ -4,7 +4,7 @@
 takes every branch of the profiler at regular intervals: plain
 dependency jumps, same-host queueing behind a releasing task, queueing
 with no releaser (charged to recorded waits), and staging tasks that
-are recognised only by their ``stage_copy`` event.  It costs nothing to
+are recognised only by their ``stage_in`` operation.  It costs nothing to
 simulate, so it can be made as long as a scaling test needs.
 """
 
@@ -25,16 +25,13 @@ def _task(
     compute: float,
     write: float,
 ) -> float:
-    """Record one task with its events and I/O ops; return its end."""
+    """Record one task with its I/O ops; return its end."""
     read_end = start + read
     compute_end = read_end + compute
     end = compute_end + write
-    trace.log(ready, "task_ready", name)
-    trace.log(start, "task_start", name)
-    trace.log(end, "task_end", name)
     trace.add_record(
         TaskRecord(
-            name=name, group="stage", host=host, cores=1,
+            name=name, group="stage", host=host, cores=1, ready=ready,
             start=start, read_start=start, read_end=read_end,
             compute_end=compute_end, write_end=end, end=end,
         )
@@ -59,8 +56,8 @@ def chain_trace(n_stages: int) -> tuple[ExecutionTrace, list[dict]]:
       instant, so the stage queues and the walk jumps to the releaser;
     * ``i % 7 == 2`` (otherwise): the stage queues with nothing ending on
       its host at its start, so the gap is split by two overlapping waits;
-    * ``i % 5 == 0``: the stage also logs a ``stage_copy`` event and is
-      charged as ``stage-in``.
+    * ``i % 5 == 0``: the stage also logs a ``stage_in`` operation and
+      is charged as ``stage-in``.
     """
     trace = ExecutionTrace(f"chain-{n_stages}")
     waits: list[dict] = []
@@ -78,7 +75,9 @@ def chain_trace(n_stages: int) -> tuple[ExecutionTrace, list[dict]]:
             waits.append({"task": name, "cause": "memory", "start": ready + 0.25,
                           "end": ready + 1.5, "detail": host})
         if i % 5 == 0:
-            trace.log(start, "stage_copy_file", name)
+            trace.log_io(
+                IOOperation(name, f"{name}.stage", "bb", "stage_in", 1e6, start, start)
+            )
         ready = _task(
             trace, name, host, ready, start,
             read=1.0 + (i % 3) * 0.25, compute=5.0 + (i % 4), write=0.5,

@@ -36,7 +36,7 @@ def test_cartesian_product_and_constants():
     )
     assert len(spec) == 6
     assert all(p["n"] == 5 for p in spec.points)
-    assert spec.point_ids == tuple(sorted(spec.point_ids))
+    assert list(spec.points_by_id()) == sorted(spec.points_by_id())
 
 
 def test_cartesian_requires_axes():

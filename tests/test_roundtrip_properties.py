@@ -125,18 +125,18 @@ _names = st.text(
 @st.composite
 def execution_traces(draw):
     trace = ExecutionTrace(draw(_names))
-    for _ in range(draw(st.integers(min_value=0, max_value=8))):
-        trace.log(draw(_times), draw(_names), draw(_names), draw(_names))
     names = draw(st.lists(_names, max_size=6, unique=True))
     for name in names:
-        # Monotone phase boundaries, as the engine records them.
-        a, b, c, d = sorted(draw(st.lists(_times, min_size=4, max_size=4)))
+        # Monotone stamps from ready on, as the engine records them; a
+        # hand-built record may have no ready stamp.
+        ready, a, b, c, d = sorted(draw(st.lists(_times, min_size=5, max_size=5)))
         trace.add_record(
             TaskRecord(
                 name=name,
                 group=draw(_names),
                 host=draw(_names),
                 cores=draw(st.integers(min_value=1, max_value=64)),
+                ready=draw(st.none() | st.just(ready)),
                 start=a,
                 read_start=a,
                 read_end=b,
@@ -152,7 +152,9 @@ def execution_traces(draw):
                 task=draw(_names),
                 file=draw(_names),
                 service=draw(_names),
-                kind=draw(st.sampled_from(["read", "write", "stage"])),
+                kind=draw(
+                    st.sampled_from(["read", "write", "stage_in", "stage_out"])
+                ),
                 size=draw(st.floats(min_value=0.0, max_value=1e12)),
                 start=begin,
                 end=end,
@@ -166,7 +168,6 @@ def execution_traces(draw):
 def test_trace_json_roundtrip_any_trace(trace):
     loaded = ExecutionTrace.from_json(trace.to_json())
     assert loaded.workflow_name == trace.workflow_name
-    assert loaded.events == trace.events
     assert loaded.io_operations == trace.io_operations
     assert set(loaded.records) == set(trace.records)
     assert sorted(loaded.records.values(), key=lambda r: (r.start, r.name)) == sorted(

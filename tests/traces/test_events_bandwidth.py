@@ -10,7 +10,6 @@ from repro.traces import (
     ExecutionTrace,
     IOOperation,
     TaskRecord,
-    TraceEvent,
     achieved_bandwidths,
     mean_achieved_bandwidth,
 )
@@ -52,10 +51,10 @@ def test_record_io_fraction_zero_duration():
 # ExecutionTrace
 # ----------------------------------------------------------------------
 def test_trace_makespan_is_last_event():
+    # The last event is the last task completion.
     trace = ExecutionTrace("wf")
-    trace.log(1.0, "task_start", "a")
-    trace.log(5.5, "task_end", "a")
-    trace.log(3.0, "task_start", "b")
+    trace.add_record(make_record(name="a", ready=0.5, start=1.0, end=5.5))
+    trace.add_record(make_record(name="b", ready=3.0, start=3.0, end=5.0))
     assert trace.makespan == 5.5
 
 
@@ -70,13 +69,6 @@ def test_trace_makespan_falls_back_to_records():
     trace.add_record(make_record(name="a", end=12.5))
     trace.add_record(make_record(name="b", end=7.0))
     assert trace.makespan == 12.5
-
-
-def test_trace_makespan_prefers_later_of_events_and_records():
-    trace = ExecutionTrace("wf")
-    trace.log(20.0, "cleanup")
-    trace.add_record(make_record(name="a", end=12.5))
-    assert trace.makespan == 20.0
 
 
 def test_trace_record_queries():
@@ -95,17 +87,17 @@ def test_trace_record_queries():
 
 def test_trace_json_roundtrippable(tmp_path):
     trace = ExecutionTrace("wf")
-    trace.log(1.0, "task_start", "a", "detail")
-    trace.add_record(make_record(name="a"))
+    trace.add_record(make_record(name="a", ready=0.0))
     path = tmp_path / "trace.json"
     text = trace.to_json(path)
     doc = json.loads(path.read_text())
     assert doc == json.loads(text)
     assert doc["workflow"] == "wf"
-    # Record ends at 10.0 and outlives the last event (the fallback).
+    # The record ends at 10.0, the last task completion.
     assert doc["makespan"] == 10.0
-    assert doc["events"][0]["kind"] == "task_start"
+    assert "events" not in doc
     assert doc["tasks"][0]["name"] == "a"
+    assert doc["tasks"][0]["ready"] == 0.0
     # Each task fact is written once: raw stamps, no derived durations.
     assert doc["tasks"][0]["read_end"] == 2.0
     assert not {"read_time", "compute_time", "write_time"} & set(doc["tasks"][0])
@@ -113,8 +105,7 @@ def test_trace_json_roundtrippable(tmp_path):
 
 def test_trace_json_is_one_line_and_indented_documents_load():
     trace = ExecutionTrace("wf")
-    trace.log(1.0, "task_ready", "a")
-    trace.add_record(make_record(name="a"))
+    trace.add_record(make_record(name="a", ready=1.0))
     text = trace.to_json()
     assert "\n" not in text
     indented = json.dumps(json.loads(text), indent=2)
@@ -123,18 +114,22 @@ def test_trace_json_is_one_line_and_indented_documents_load():
 
 def test_trace_from_json_roundtrips_everything(tmp_path):
     trace = ExecutionTrace("wf")
-    trace.log(1.0, "task_start", "a", "detail")
-    trace.log(10.0, "task_end", "a")
-    trace.add_record(make_record(name="a"))
+    trace.add_record(make_record(name="a", ready=0.0))
+    trace.add_record(make_record(name="b"))  # no ready stamp
     trace.log_io(
         IOOperation(
             task="a", file="f1", service="bb", kind="read",
             size=1000.0, start=0.0, end=2.0,
         )
     )
+    trace.log_io(
+        IOOperation(
+            task="a", file="f0", service="bb", kind="stage_in",
+            size=500.0, start=0.0, end=0.5,
+        )
+    )
     loaded = ExecutionTrace.from_json(trace.to_json())
     assert loaded.workflow_name == "wf"
-    assert loaded.events == trace.events
     assert loaded.records == trace.records
     assert loaded.io_operations == trace.io_operations
     assert loaded.makespan == trace.makespan
@@ -173,13 +168,6 @@ def test_trace_from_json_legacy_derived_durations():
     assert record.read_time == 2.0
     assert record.compute_time == 6.0
     assert record.write_time == 2.0
-
-
-def test_trace_event_to_dict():
-    e = TraceEvent(1.5, "kind", "task", "detail")
-    assert e.to_dict() == {
-        "time": 1.5, "kind": "kind", "task": "task", "detail": "detail"
-    }
 
 
 # ----------------------------------------------------------------------

@@ -205,33 +205,34 @@ def test_engine_is_single_use():
 
 
 def test_trace_events_emitted():
-    # The event log holds only what no TaskRecord does: one task_ready
-    # per task and the start/end of each staging copy.
+    # Each fact lives on its record: every task's ready stamp on its
+    # TaskRecord, and each staging copy as one stage op on the service
+    # it fills (the BB for a stage-in, the PFS for a stage-out).
     workflow = make_swarp(n_pipelines=1, cores_per_task=4, include_stage_out=True)
-    trace = build(workflow, placement=AllBB()).run()
-    ready = [e.task for e in trace.events if e.kind == "task_ready"]
-    assert sorted(ready) == sorted(workflow.tasks)
+    engine = build(workflow, placement=AllBB())
+    trace = engine.run()
+    assert sorted(trace.records) == sorted(workflow.tasks)
+    for record in trace.records.values():
+        assert record.ready is not None and record.ready <= record.start
 
     staged = {
-        "stage_copy_start": TaskCategory.STAGE_IN,
-        "stage_copy_end": TaskCategory.STAGE_IN,
-        "stage_out_start": TaskCategory.STAGE_OUT,
-        "stage_out_end": TaskCategory.STAGE_OUT,
+        "stage_in": (TaskCategory.STAGE_IN, "bb-private"),
+        "stage_out": (TaskCategory.STAGE_OUT, engine.pfs.name),
     }
-    copies = [e for e in trace.events if e.kind != "task_ready"]
-    assert {e.kind for e in copies} == set(staged)
-    for e in copies:
-        task = workflow.task(e.task)
-        assert task.category == staged[e.kind]
-        moved = task.outputs if task.category == TaskCategory.STAGE_IN else task.inputs
-        assert e.detail in {f.name for f in moved}
-    starts = sorted((e.task, e.detail) for e in copies if e.kind.endswith("_start"))
-    ends = sorted((e.task, e.detail) for e in copies if e.kind.endswith("_end"))
-    assert starts == ends
+    copies = [op for op in trace.io_operations if op.kind in staged]
+    assert {op.kind for op in copies} == set(staged)
+    for op in copies:
+        task = workflow.task(op.task)
+        category, service = staged[op.kind]
+        assert task.category == category
+        assert op.service == service
+        moved = task.outputs if category == TaskCategory.STAGE_IN else task.inputs
+        assert op.file in {f.name for f in moved}
+        record = trace.records[op.task]
+        assert record.start <= op.start <= op.end <= record.end
+    assert len({(op.task, op.file) for op in copies}) == len(copies)
 
-    assert not {"task_start", "read_end", "compute_end", "write_end", "task_end"} & {
-        e.kind for e in trace.events
-    }
+    assert not hasattr(trace, "events")
     assert trace.makespan == max(r.end for r in trace.records.values())
 
 

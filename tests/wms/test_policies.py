@@ -405,9 +405,9 @@ def test_plan_atomicity_property(jobs):
 # ----------------------------------------------------------------------
 def _trace_signature(result):
     return (
-        [(e.time, e.kind, e.task, e.detail) for e in result.trace.events],
+        result.trace.io_operations,
         sorted(
-            (r.name, r.host, r.cores, r.start, r.end)
+            (r.name, r.host, r.cores, r.ready, r.start, r.end)
             for r in result.trace.records.values()
         ),
     )
@@ -477,9 +477,9 @@ def test_unknown_policy_rejected_by_scenario():
 # ----------------------------------------------------------------------
 def _sim_signature(observer, trace):
     return (
-        [(e.time, e.kind, e.task, e.detail) for e in trace.events],
+        trace.io_operations,
         sorted(
-            (r.name, r.host, r.cores, r.start, r.end)
+            (r.name, r.host, r.cores, r.ready, r.start, r.end)
             for r in trace.records.values()
         ),
         [(w.task, w.cause.value, w.start, w.end) for w in observer.waits],

@@ -95,5 +95,5 @@ def test_swarp_stage_out_executes_end_to_end():
 
 def test_stage_out_events_logged():
     engine, trace = run(workflow_with_stage_out(), AllBB())
-    kinds = {e.kind for e in trace.events}
-    assert "stage_out_start" in kinds and "stage_out_end" in kinds
+    drains = [op for op in trace.io_operations if op.kind == "stage_out"]
+    assert drains and all(op.service == engine.pfs.name for op in drains)
