@@ -87,6 +87,11 @@ class Environment:
         """Number of scheduled (not yet processed) events."""
         return len(self._heap)
 
+    @property
+    def events_processed(self) -> int:
+        """Number of events taken off the queue so far."""
+        return self._serial - len(self._heap)
+
     # ------------------------------------------------------------------
     # Event factories
     # ------------------------------------------------------------------
@@ -174,7 +179,7 @@ class Environment:
             self._end_instant()
 
         obs = self.obs
-        if obs is not None:
+        if obs is not None and obs.monitors_clock:
             obs.on_event_processed(when)
 
         if not event._ok and not event.defused:

@@ -41,6 +41,10 @@ progressive-filling rates of that component exactly; against the former
 whole-network solve they differ only in float rounding (ulps), because
 filling several components at once splits the same increments into more
 steps.
+
+The network keeps no log of finished flows: :meth:`FlowNetwork._finish`
+hands each one to an attached observer (``env.obs.on_flow_finished``),
+and an unobserved run lets a flow go once its done event has fired.
 """
 # lint: hot-path - rate updates and completion checks run per network event
 
@@ -152,8 +156,6 @@ class FlowNetwork:
         # still fire are stale and ignored).
         self._wake_at: Optional[float] = None
         self._generation = 0
-        #: Completed-flow log (bounded use: bandwidth accounting in traces).
-        self.completed: list[Flow] = []
 
     # ------------------------------------------------------------------
     # Public API
@@ -318,7 +320,9 @@ class FlowNetwork:
         flow.remaining = 0.0
         flow.rate = 0.0
         flow.completed_at = self.env.now
-        self.completed.append(flow)
+        obs = self.env.obs
+        if obs is not None:
+            obs.on_flow_finished(flow)
         # The event carries the flow as its value, so the flow lets go of
         # the event: a finished flow and its event form no cycle.
         done, flow.done_event = flow.done_event, None

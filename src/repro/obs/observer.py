@@ -30,8 +30,11 @@ des       kernel events processed
 ========  ==========================================================
 
 Each fact is recorded once: series that a run's records already hold
-(finished flows, task records and their ready stamps) are built by
-:meth:`end_run` when the run ends, not sampled by hooks while it goes.
+(finished flows, task records and their ready stamps, the kernel's
+event count) are built by :meth:`end_run` when the run ends, not sampled
+by hooks while it goes.  The network keeps no finished-flow log of its
+own: only an attached observer records finished flows
+(:meth:`on_flow_finished`), so an unobserved run does not hold them.
 
 Beyond metrics, the observer carries three further channels:
 
@@ -58,7 +61,7 @@ from repro.obs.waits import WaitCause, WaitInterval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.des.environment import Environment
-    from repro.network.flownet import Flow, FlowNetwork
+    from repro.network.flownet import Flow
     from repro.obs.live import LiveBus
     from repro.traces.events import ExecutionTrace, TaskRecord
 
@@ -107,14 +110,13 @@ class Observer:
         self.waits: list[WaitInterval] = []
         #: Still-open blocked intervals: (task, cause) -> (start, detail).
         self._open_waits: dict[tuple[str, WaitCause], tuple[float, str]] = {}
-        #: The network's finished flows, given to :meth:`end_run`.
+        #: The network's finished flows, in completion order (the
+        #: network keeps none; :meth:`on_flow_finished` hands them here).
         self._completed: "list[Flow]" = []
         #: Flow admission times (a flow records only its creation).
         self._admitted: list[float] = []
-        #: Kernel events whose callbacks returned.  The kernel's own
-        #: ``_serial - len(_heap)`` also counts the event whose callback
-        #: stops ``run(until=...)``.
-        self._events_processed = 0
+        #: The kernel's processed-event count at :meth:`attach`.
+        self._events_before = 0
         #: Online probes by subject, so a hook builds no metric names.
         self._probes: dict[tuple, tuple] = {}
         #: Structured event records (``repro.obs.log/1``), in emission
@@ -142,6 +144,9 @@ class Observer:
         self._mon_rates = self._overriding("on_rates_assigned")
         self._mon_clock = self._overriding("on_event_processed")
         self._mon_lease = self._overriding("on_bb_lease")
+        #: Whether a monitor consumes :meth:`on_event_processed`; the
+        #: kernel calls it per event only then.
+        self.monitors_clock = bool(self._mon_clock)
 
     def _overriding(self, hook: str) -> tuple[InvariantMonitor, ...]:
         """The monitors whose class implements ``hook``."""
@@ -156,6 +161,8 @@ class Observer:
         components run (attaching late loses earlier samples)."""
         if self.env is not None and self.env is not env:
             raise ValueError("observer is already attached to another environment")
+        if self.env is None:
+            self._events_before = env.events_processed
         self.env = env
         env.obs = self
         return self
@@ -166,28 +173,27 @@ class Observer:
             self.env.obs = None
             self.env = None
 
-    def end_run(
-        self,
-        trace: "Optional[ExecutionTrace]" = None,
-        network: "Optional[FlowNetwork]" = None,
-    ) -> None:
+    def end_run(self, trace: "Optional[ExecutionTrace]" = None) -> None:
         """The run has ended: build the series its records hold, once.
 
         ``trace`` (the engine's; a run without an engine passes none and
-        gets no ``engine.*`` metrics) gives the ``engine.*`` series;
-        ``network`` (the platform's) gives :attr:`flows` and the
-        ``network.*`` flow series.  Then clears ``env.obs`` but keeps
-        :attr:`env`, so :attr:`now` still reads the run's end time, and
-        a finished run is freed as soon as the caller drops it (no
-        observer <-> environment cycle).  A second call does nothing.
+        gets no ``engine.*`` metrics) gives the ``engine.*`` series; the
+        flows finished while attached give :attr:`flows` and the
+        ``network.*`` flow series, and the kernel's count of events
+        processed since :meth:`attach` gives ``des.events_processed``.
+        Then clears ``env.obs`` but keeps :attr:`env`, so :attr:`now`
+        still reads the run's end time, and a finished run is freed as
+        soon as the caller drops it (no observer <-> environment cycle).
+        A second call does nothing.
         """
         env = self.env
         if env is None or env.obs is not self:
             return
         env.obs = None
         registry = self.registry
-        if self._des and self._events_processed:
-            registry.counter("des.events_processed").inc(self._events_processed)
+        processed = env.events_processed - self._events_before
+        if self._des and processed:
+            registry.counter("des.events_processed").inc(processed)
         if self._engine and trace is not None:
             records = trace.records.values()
             count_series(
@@ -197,9 +203,9 @@ class Observer:
             )
             if trace.records:
                 registry.counter("engine.tasks_completed").inc(len(trace.records))
-        if not self._network or network is None:
+        if not self._network:
             return
-        completed = self._completed = network.completed
+        completed = self._completed
         # Completion order is time order.  A flow finished unadmitted
         # (zero bytes, loopback) still marks an instant, as it did online.
         count_series(
@@ -318,6 +324,12 @@ class Observer:
         flight from these times and the completed flows."""
         if self._network:
             self._admitted.append(self.env.now)
+
+    def on_flow_finished(self, flow: "Flow") -> None:
+        """A flow finished: :meth:`end_run` builds the flow series and
+        :attr:`flows` from these."""
+        if self._network:
+            self._completed.append(flow)
 
     def on_rate_solve(
         self, flows_solved: int, links_touched: int, solver_calls: int = 1
@@ -451,6 +463,7 @@ class Observer:
             monitor.on_bb_lease(action, granules, free, total, job)
 
     def on_event_processed(self, when: Optional[float] = None) -> None:
-        self._events_processed += 1
+        """The kernel processed an event at ``when`` (a clock-monitor
+        feed; the kernel counts its own events)."""
         for monitor in self._mon_clock:
             monitor.on_event_processed(when)

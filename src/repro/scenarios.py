@@ -469,7 +469,7 @@ def run_contended(
     env.run()
     if observer is not None:
         # No engine, so no trace: the job records are not engine tasks.
-        observer.end_run(network=platform.network)
+        observer.end_run()
     return ScenarioResult(
         trace=trace, platform=platform, engine=None, workflow=None
     )

@@ -255,7 +255,7 @@ def _execute(
     )
     engine.run()
     if observer is not None:
-        observer.end_run(engine.trace, platform.network)
+        observer.end_run(engine.trace)
     return engine
 
 

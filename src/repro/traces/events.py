@@ -12,12 +12,12 @@ file movement — a read, a write or a staging copy — on an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IOOperation:
     """One file-level I/O operation (a Darshan-style log line)."""
 
@@ -52,7 +52,7 @@ class IOOperation:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskRecord:
     """Aggregated timing of one executed task."""
 

@@ -130,7 +130,7 @@ class Workflow:
         # File table + single-producer validation.
         self.files: dict[str, File] = {}
         self._producer: dict[str, str] = {}
-        self._consumers: dict[str, list[str]] = {}
+        consumers: dict[str, list[str]] = {}
         for task in self.tasks.values():
             for f in task.inputs + task.outputs:
                 known = self.files.get(f.name)
@@ -149,18 +149,23 @@ class Workflow:
                     )
                 self._producer[f.name] = task.name
             for f in task.inputs:
-                self._consumers.setdefault(f.name, []).append(task.name)
+                consumers.setdefault(f.name, []).append(task.name)
 
         # Dependency graph: ordered adjacency maps (dicts used as ordered
         # sets), each edge recorded once, in first-insertion order.
-        self._parents: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
-        self._children: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
+        parents: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
+        children: dict[str, dict[str, None]] = {n: {} for n in self.tasks}
         for task in self.tasks.values():
             for f in task.inputs:
                 producer = self._producer.get(f.name)
                 if producer is not None and producer != task.name:
-                    self._children[producer][task.name] = None
-                    self._parents[task.name][producer] = None
+                    children[producer][task.name] = None
+                    parents[task.name][producer] = None
+        # Built, each adjacency is kept as a tuple in the same order: a
+        # tuple is a fraction of a dict's size, and ``()`` is shared.
+        self._consumers = {f: tuple(names) for f, names in consumers.items()}
+        self._parents = {n: tuple(p) for n, p in parents.items()}
+        self._children = {n: tuple(c) for n, c in children.items()}
         self._generations = self._topological_generations()
 
     def _topological_generations(self) -> list[list[str]]:
@@ -226,7 +231,7 @@ class Workflow:
         return self.tasks[producer] if producer else None
 
     def consumers_of(self, file_name: str) -> list[Task]:
-        return [self.tasks[n] for n in self._consumers.get(file_name, [])]
+        return [self.tasks[n] for n in self._consumers.get(file_name, ())]
 
     def parents(self, task_name: str) -> list[Task]:
         return [self.tasks[n] for n in self._parents[task_name]]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from repro.des import Environment, Event, EventPriority
+from repro.des import Environment, Event, EventPriority, Timeout
 from repro.network import Flow, Link
 
 from tests.network.oracle import textbook_max_min_rates
@@ -24,7 +24,8 @@ _EPS = 1e-9
 
 
 class OracleFlowNetwork:
-    """Same ``transfer``/``completed`` surface as ``FlowNetwork``."""
+    """Same ``transfer`` surface as ``FlowNetwork``: the done event's
+    value is the finished flow."""
 
     def __init__(
         self, env: Environment, allocator: Callable = textbook_max_min_rates
@@ -35,7 +36,6 @@ class OracleFlowNetwork:
         self._fid = itertools.count(1)
         self._last_update = env.now
         self._generation = 0
-        self.completed: list[Flow] = []
 
     def transfer(
         self,
@@ -60,23 +60,22 @@ class OracleFlowNetwork:
             done_event=done,
             label=label,
         )
+        # Latency is a ``Timeout`` callback, as in ``FlowNetwork``: a
+        # process would start its timeout one event later, which can
+        # reorder same-instant completions.
         if not flow.links and max_rate == float("inf"):
-            self.env.process(self._complete_after(flow, latency))
+            Timeout(self.env, latency, flow).callbacks.append(
+                lambda timeout: self._finish(timeout.value)
+            )
             return done
         total_latency = latency + sum(link.latency for link in flow.links)
         if total_latency > 0:
-            self.env.process(self._admit_after(flow, total_latency))
+            Timeout(self.env, total_latency, flow).callbacks.append(
+                lambda timeout: self._admit(timeout.value)
+            )
         else:
             self._admit(flow)
         return done
-
-    def _complete_after(self, flow: Flow, delay: float):
-        yield self.env.timeout(delay)
-        self._finish(flow)
-
-    def _admit_after(self, flow: Flow, delay: float):
-        yield self.env.timeout(delay)
-        self._admit(flow)
 
     def _admit(self, flow: Flow) -> None:
         self._advance_progress()
@@ -166,5 +165,4 @@ class OracleFlowNetwork:
         flow.remaining = 0.0
         flow.rate = 0.0
         flow.completed_at = self.env.now
-        self.completed.append(flow)
         flow.done_event.succeed(flow)

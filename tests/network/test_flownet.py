@@ -131,13 +131,15 @@ def test_flow_records_achieved_bandwidth():
 
 
 def test_completed_log_populated():
+    # The network keeps no finished-flow log; an attached observer does.
     env = des.Environment()
+    obs = Observer().attach(env)
     net = FlowNetwork(env)
     l = Link("l", bandwidth=100.0)
     net.transfer(100, [l])
     net.transfer(200, [l])
     env.run()
-    assert len(net.completed) == 2
+    assert len(obs.flows) == 2
     assert not net.active_flows
 
 
@@ -209,6 +211,7 @@ def test_simultaneous_equal_flows_finish_together(n, size):
 # ----------------------------------------------------------------------
 def test_zero_size_transfer_with_links_completes_at_now():
     env = des.Environment()
+    obs = Observer().attach(env)
     net = FlowNetwork(env)
     l = Link("l", bandwidth=100.0)
     seen = {}
@@ -222,7 +225,7 @@ def test_zero_size_transfer_with_links_completes_at_now():
     env.run()
     assert seen["at"] == 0.0
     assert seen["flow"].achieved_bandwidth is None
-    assert seen["flow"] in net.completed
+    assert seen["flow"] in obs._completed
     assert net.active_flows == []
 
 
@@ -296,7 +299,7 @@ def test_completion_heaps_hold_one_entry_per_class_not_per_flow():
     """1,000 flows admitted in ten waves onto one link form one class:
     the completion heaps stay bounded by the live class count, and the run
     takes exactly as many DES events as it did with per-flow heaps."""
-    obs = Observer(metrics=["des"])
+    obs = Observer(metrics=["des", "network"])
     env = des.Environment()
     obs.attach(env)
     net = FlowNetwork(env)
@@ -316,7 +319,7 @@ def test_completion_heaps_hold_one_entry_per_class_not_per_flow():
 
     env.process(admit_waves())
     env.run()
-    assert len(net.completed) == 1000 and len(peak) == 1000
+    assert len(obs.flows) == 1000 and len(peak) == 1000
     assert max(peak) <= 0
     obs.end_run()
     assert obs.registry.counter("des.events_processed").value == 2021

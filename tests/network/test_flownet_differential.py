@@ -23,7 +23,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import des
@@ -75,8 +75,13 @@ def transfer_sets(draw):
 
 
 def _run(net_factory, links, transfers):
+    """``(label, completed_at)`` of every flow, in completion order.
+
+    Done events succeed as flows finish and all fire at normal priority,
+    so their callbacks run in completion order."""
     env = des.Environment()
     net = net_factory(env)
+    finished = []
 
     def start(i, at, size, route, cap, latency):
         if at > 0:
@@ -84,13 +89,13 @@ def _run(net_factory, links, transfers):
         net.transfer(
             size, [links[j] for j in route], latency=latency, max_rate=cap,
             label=f"f{i}",
-        )
+        ).callbacks.append(lambda done: finished.append(done.value))
 
     for i, transfer in enumerate(transfers):
         env.process(start(i, *transfer))
     env.run()
-    assert len(net.completed) == len(transfers)
-    return [(f.label, f.completed_at) for f in net.completed]
+    assert len(finished) == len(transfers)
+    return [(f.label, f.completed_at) for f in finished]
 
 
 def _assert_same_completions(got, want):
@@ -114,6 +119,12 @@ def _assert_same_completions(got, want):
 )
 @settings(max_examples=60, deadline=None)
 @given(problem=transfer_sets())
+# A zero-byte flow whose 0.5 s latency ends at the instant a second
+# zero-byte flow starts on a link: both loops finish the delayed one first.
+@example(problem=(
+    [Link("l0", bandwidth=1.0)],
+    [(0.0, 0.0, (), float("inf"), 0.5), (0.5, 0.0, (0,), float("inf"), 0.0)],
+))
 def test_completion_times_and_order_match_reference_loop(name, reference, problem):
     links, transfers = problem
     want = _run(lambda env: OracleFlowNetwork(env, reference), links, transfers)

@@ -157,7 +157,7 @@ def test_flow_hooks_derive_service_bandwidth():
     net = FlowNetwork(env)
     net.transfer(1000.0, [Link("l", bandwidth=250.0)], label="bb:read:f1")
     env.run()
-    obs.end_run(network=net)
+    obs.end_run()
     r = obs.registry
     assert list(r.timeseries("network.active_flows").items()) == [(0.0, 1), (4.0, 0)]
     assert r.counter("network.flows_completed").value == 1
@@ -175,7 +175,7 @@ def test_flow_admitted_after_its_latency():
     net = FlowNetwork(env)
     net.transfer(1000.0, [Link("l", bandwidth=250.0)], latency=1.0)
     env.run()
-    obs.end_run(network=net)
+    obs.end_run()
     series = obs.registry.timeseries("network.active_flows")
     assert list(series.items()) == [(1.0, 1), (5.0, 0)]
 
@@ -186,7 +186,7 @@ def test_flow_without_bandwidth_skips_series():
     net = FlowNetwork(env)
     net.transfer(0.0, [Link("l", bandwidth=1.0)])
     env.run()
-    obs.end_run(network=net)
+    obs.end_run()
     assert "network.unlabeled.achieved_bandwidth" not in obs.registry.names()
     # A zero-byte flow is never admitted, but its completion is an instant.
     assert list(obs.registry.timeseries("network.active_flows").items()) == [(0.0, 0)]

@@ -27,6 +27,7 @@ def _run_random_sim(make_net, seed: int, n_flows: int = 60):
     rng = random.Random(seed)
     env = des.Environment()
     net = make_net(env)
+    finished = []
     clusters = [
         (Link(f"c{i}:up", bandwidth=100.0 + i), Link(f"c{i}:down", bandwidth=70.0 + i))
         for i in range(4)
@@ -39,15 +40,17 @@ def _run_random_sim(make_net, seed: int, n_flows: int = 60):
             links = [up, down] + ([core] if rng.random() < 0.2 else [])
             size = rng.uniform(1.0, 5000.0)
             cap = rng.choice([float("inf"), 40.0, 15.0])
-            net.transfer(size, links, max_rate=cap, label=f"f{n}")
+            net.transfer(size, links, max_rate=cap, label=f"f{n}").callbacks.append(
+                lambda done: finished.append(done.value)
+            )
             if rng.random() < 0.7:
                 yield env.timeout(rng.uniform(0.0, 3.0))
         # else: next transfer starts at the same instant (batch case)
 
     env.process(workload())
     env.run()
-    assert len(net.completed) == n_flows
-    return {f.label: f.completed_at for f in net.completed}
+    assert len(finished) == n_flows
+    return {f.label: f.completed_at for f in finished}
 
 
 def test_incremental_matches_default_on_random_sims():
@@ -75,7 +78,7 @@ def test_same_timestamp_admits_are_batched_into_one_solve():
         net.transfer(1000.0, [link], label=f"f{n}")
     env.run()
     assert obs.registry.counter("network.solver_calls").value == 1
-    assert [f.completed_at for f in net.completed] == [80.0] * 8
+    assert [f["end"] for f in obs.flows] == [80.0] * 8
     # One wake-up plus the eight done events; the solve itself is an
     # end-of-instant call, not an event.
     obs.end_run()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import des
+from repro.obs import Observer
 from repro.platform import Platform
 from repro.platform.presets import cori_spec
 from repro.platform.units import GiB, MB
@@ -79,6 +80,7 @@ def test_service_from_allocation_enforces_granted_capacity(platform):
 
 def test_service_from_allocation_is_usable(platform):
     env = platform.env
+    obs = Observer(metrics=["network"]).attach(env)  # records finished flows
     alloc = provision_allocation(platform, 40 * GiB)  # 2 granules → 2 nodes
     service = burst_buffer_for_allocation(platform, alloc, BBMode.STRIPED)
     f = File("data", 100 * MB)
@@ -87,7 +89,7 @@ def test_service_from_allocation_is_usable(platform):
     # Chunks went to exactly the allocation's nodes.
     disks = {
         link.name.split(":")[0]
-        for flow in platform.network.completed
+        for flow in obs._completed
         for link in flow.links
         if ":ssd:write" in link.name
     }

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import des
+from repro.obs import Observer
 from repro.platform import Platform
 from repro.platform.presets import cori_spec, local_bb_host, summit_spec
 from repro.platform.units import GB, MB
@@ -121,6 +122,7 @@ def test_private_bb_requires_owner():
 
 def test_private_bb_pins_files_to_one_node(cori):
     env, plat = cori
+    obs = Observer(metrics=["network"]).attach(env)  # records finished flows
     bb = SharedBurstBuffer(plat, ["bb0", "bb1"], BBMode.PRIVATE, owner_host="cn0")
     f1, f2 = File("a", MB), File("b", MB)
 
@@ -130,11 +132,11 @@ def test_private_bb_pins_files_to_one_node(cori):
 
     env.run(until=env.process(proc(env)))
     # Both flows must have targeted the same BB node's disk channel.
-    labels = {fl.label for fl in plat.network.completed}
+    labels = {fl.label for fl in obs._completed}
     nodes = {l.split("@")[-1] for l in labels if "@" in l}
     disks = {
         lnk.name
-        for fl in plat.network.completed
+        for fl in obs._completed
         for lnk in fl.links
         if ":write" in lnk.name
     }
@@ -146,12 +148,13 @@ def test_private_bb_pins_files_to_one_node(cori):
 # ----------------------------------------------------------------------
 def test_striped_bb_uses_all_nodes(cori):
     env, plat = cori
+    obs = Observer(metrics=["network"]).attach(env)  # records finished flows
     bb = SharedBurstBuffer(plat, ["bb0", "bb1"], BBMode.STRIPED)
     f = File("data", 100 * MB)
     env.run(until=bb.write(f, src_host="cn0"))
     disks = {
         lnk.name
-        for fl in plat.network.completed
+        for fl in obs._completed
         for lnk in fl.links
         if ":ssd:write" in lnk.name
     }

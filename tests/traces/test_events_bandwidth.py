@@ -6,13 +6,8 @@ import pytest
 
 from repro import des
 from repro.network import FlowNetwork, Link
-from repro.traces import (
-    ExecutionTrace,
-    IOOperation,
-    TaskRecord,
-    achieved_bandwidths,
-    mean_achieved_bandwidth,
-)
+from repro.obs import Observer
+from repro.traces import ExecutionTrace, IOOperation, TaskRecord
 
 
 # ----------------------------------------------------------------------
@@ -171,67 +166,57 @@ def test_trace_from_json_legacy_derived_durations():
 
 
 # ----------------------------------------------------------------------
-# Bandwidth accounting
+# Bandwidth accounting: an attached observer's per-service
+# ``network.<service>.achieved_bandwidth`` series (the network keeps no
+# finished-flow log of its own)
 # ----------------------------------------------------------------------
-def run_flows():
+def achieved_bandwidths(*transfers):
+    """Run ``(size, links, label, latency)`` transfers on one network with
+    an observer attached; return its achieved-bandwidth samples by service."""
     env = des.Environment()
+    obs = Observer(metrics=["network"]).attach(env)
     net = FlowNetwork(env)
-    l = Link("l", bandwidth=100.0)
-    net.transfer(1000, [l], label="bb:read:f1")
-    net.transfer(500, [l], label="pfs:read:f2")
+    for size, links, label, latency in transfers:
+        net.transfer(size, links, latency=latency, label=label)
     env.run()
-    return net
+    obs.end_run()
+    prefix, suffix = "network.", ".achieved_bandwidth"
+    return {
+        name[len(prefix):-len(suffix)]: obs.registry.timeseries(name).values
+        for name in obs.registry.names()
+        if name.endswith(suffix)
+    }
 
 
 def test_achieved_bandwidths_all():
-    net = run_flows()
-    assert len(achieved_bandwidths(net)) == 2
-
-
-def test_achieved_bandwidths_filtered_by_prefix():
-    net = run_flows()
-    bw = achieved_bandwidths(net, label_prefix="bb:")
-    assert len(bw) == 1
-
-
-def test_mean_achieved_bandwidth():
-    net = run_flows()
+    l = Link("l", bandwidth=100.0)
+    bw = achieved_bandwidths(
+        (1000, [l], "bb:read:f1", 0.0), (500, [l], "pfs:read:f2", 0.0)
+    )
+    assert sum(len(v) for v in bw.values()) == 2
     # Both flows share the link; each achieves well under 100 B/s.
-    mean = mean_achieved_bandwidth(net)
-    assert 0 < mean < 100.0
-
-
-def test_mean_achieved_bandwidth_no_match_raises():
-    net = run_flows()
-    with pytest.raises(ValueError):
-        mean_achieved_bandwidth(net, label_prefix="nothing:")
+    assert all(0 < b < 100.0 for v in bw.values() for b in v)
 
 
 def test_zero_byte_flows_excluded():
-    env = des.Environment()
-    net = FlowNetwork(env)
-    net.transfer(0, [], latency=1.0, label="empty")
-    env.run()
-    assert achieved_bandwidths(net) == []
+    assert achieved_bandwidths((0, [], "empty", 1.0)) == {}
 
 
 def test_zero_duration_flows_excluded():
     # A flow over an infinitely-fast path completes instantaneously;
-    # its bandwidth is undefined and must not pollute the mean.
+    # its bandwidth is undefined and must not pollute the series.
     env = des.Environment()
     net = FlowNetwork(env)
-    net.transfer(1000, [], label="instant")
-    env.run()
-    assert net.completed[0].achieved_bandwidth is None
-    assert achieved_bandwidths(net) == []
+    flow = env.run(until=net.transfer(1000, [], label="instant"))
+    assert flow.achieved_bandwidth is None
+    assert achieved_bandwidths((1000, [], "instant", 0.0)) == {}
 
 
 def test_prefix_filter_composes_with_skipping():
-    env = des.Environment()
-    net = FlowNetwork(env)
     l = Link("l", bandwidth=100.0)
-    net.transfer(1000, [l], label="bb:read:f1")
-    net.transfer(0, [l], latency=1.0, label="bb:noop")
-    net.transfer(500, [l], label="pfs:read:f2")
-    env.run()
-    assert len(achieved_bandwidths(net, label_prefix="bb:")) == 1
+    bw = achieved_bandwidths(
+        (1000, [l], "bb:read:f1", 0.0),
+        (0, [l], "bb:noop", 1.0),
+        (500, [l], "pfs:read:f2", 0.0),
+    )
+    assert len(bw["bb"]) == 1
