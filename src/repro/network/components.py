@@ -24,6 +24,13 @@ queuing: ``served``, the bytes every member has received, advanced by
 member is done when the clock reaches its fixed target (the reading at
 its admission plus its size), so a rate change costs one clock update
 per class whatever the member count.
+
+Under max-min, a flow admitted onto links that no other flow uses gets a
+class outside the graph (``key`` None).  :meth:`~ComponentSolver.solve`
+prices it in one step, as the smallest of its cap and its links'
+capacities, which is the allocator's one-class round without building
+its input.  A flow admitted later onto one of its links makes it join the
+graph just as if it had been admitted there.
 """
 # lint: hot-path - solve() runs once per simulated instant with a change
 
@@ -56,15 +63,17 @@ class SolverStats:
     """Work counters for one solver.
 
     ``solver_calls`` counts allocator invocations (one per re-solved
-    component), ``links_touched``/``flows_solved`` the total subproblem
-    sizes (``flows_solved`` counts member flows, not classes), and
-    ``full_solves`` how often a component spanned the whole graph.
+    component, or per class priced alone), ``links_touched``/
+    ``flows_solved`` the total subproblem sizes (``flows_solved`` counts
+    member flows, not classes).  ``alone`` counts flows admitted alone on
+    their links, and ``joined`` those of them another flow joined later.
     """
 
     solver_calls: int = 0
     links_touched: int = 0
     flows_solved: int = 0
-    full_solves: int = 0
+    alone: int = 0
+    joined: int = 0
 
 
 class _Class:
@@ -134,6 +143,11 @@ class ComponentSolver:
         self._classes: dict = {}
         self._link_classes: dict[Hashable, dict[_Class, None]] = {}
         self._link_users: dict[Hashable, int] = {}
+        #: Link → the class alone on it; how many such classes; those
+        #: not priced yet.
+        self._alone: dict[Hashable, _Class] = {}
+        self._n_alone = 0
+        self._unpriced: dict[_Class, None] = {}
         self._serial = 0
         #: Links whose user set changed since the last solve.
         self._dirty_links: dict[Hashable, None] = {}
@@ -155,7 +169,8 @@ class ComponentSolver:
     ) -> _Class:
         """Add a flow; its links (or its linkless class) become dirty.
 
-        Returns the flow's class.
+        Returns the flow's class: a new one outside the graph if the
+        solver groups classes and no other flow uses its links.
         """
         if fid in self._class_of:
             raise ValueError(f"flow {fid!r} is already admitted")
@@ -164,6 +179,26 @@ class ComponentSolver:
             raise ValueError(
                 f"flow {fid!r} has no links and no cap (infinite rate)"
             )
+        if self._grouped and names:
+            alone = self._alone
+            contact = False
+            for link in names:
+                if link in alone:
+                    self._adopt(alone[link])
+                    contact = True
+                elif link in self._link_users:
+                    contact = True
+            if not contact:
+                self._serial += 1
+                cls = _Class(self._serial, None, names, cap)
+                cls.members[fid] = None
+                self._class_of[fid] = cls
+                for link in names:
+                    alone[link] = cls
+                self._n_alone += 1
+                self._unpriced[cls] = None
+                self.stats.alone += 1
+                return cls
         key = (frozenset(names), cap) if self._grouped else fid
         cls = self._classes.get(key)
         if cls is None:
@@ -186,12 +221,34 @@ class ComponentSolver:
             self._dirty_classes[cls] = None
         return cls
 
+    def _adopt(self, cls: _Class) -> None:
+        """Another flow reaches the links of ``cls``, alone on them until
+        now: it joins the graph as :meth:`admit` would have put it there.
+        The links are not marked dirty here; the flow that reaches them
+        marks them, and that solve prices ``cls`` too if it was not yet."""
+        self._leave_alone(cls)
+        self.stats.joined += 1
+        cls.key = (frozenset(cls.links), cls.cap)
+        self._classes[cls.key] = cls
+        for link in cls.links:
+            self._link_classes[link] = {cls: None}  # lint: ignore[SIM061] - only when a class joins
+            self._link_users[link] = 1
+
+    def _leave_alone(self, cls: _Class) -> None:
+        for link in cls.links:
+            del self._alone[link]
+        self._n_alone -= 1
+        self._unpriced.pop(cls, None)
+
     def drain(self, fid: Hashable) -> None:
         """Remove a flow; the links it leaves to other flows become dirty."""
         try:
             cls = self._class_of.pop(fid)
         except KeyError:
             raise KeyError(f"flow {fid!r} is not admitted") from None
+        if cls.key is None:
+            self._leave_alone(cls)  # nothing in the graph to update
+            return
         del cls.members[fid]
         link_users = self._link_users
         for link in cls.links:
@@ -218,7 +275,7 @@ class ComponentSolver:
     @property
     def n_classes(self) -> int:
         """How many classes have members."""
-        return len(self._classes)
+        return len(self._classes) + self._n_alone
 
     def rate(self, fid: Hashable) -> float:
         """The flow's rate as of the last :meth:`solve`."""
@@ -231,7 +288,7 @@ class ComponentSolver:
 
     @property
     def dirty(self) -> bool:
-        return bool(self._dirty_links or self._dirty_classes)
+        return bool(self._dirty_links or self._dirty_classes or self._unpriced)
 
     # ------------------------------------------------------------------
     # Solving
@@ -246,7 +303,29 @@ class ComponentSolver:
         not visited.
         """
         changed: list[_Class] = []
-        if not self.dirty:
+        stats = self.stats
+        capacity_fn = self._capacity_fn
+        for cls in self._unpriced:
+            # The allocator's one-class round: the cap or the tightest
+            # link's capacity for its one user.
+            rate = cls.cap
+            for link in cls.links:
+                capacity = capacity_fn(link, 1)
+                if capacity <= 0:
+                    raise ValueError(
+                        f"link {link!r} has non-positive capacity {capacity}"
+                    )
+                if capacity < rate:
+                    rate = capacity
+            if rate != cls.rate:
+                cls.advance(now)
+                cls.rate = rate
+                changed.append(cls)
+            stats.solver_calls += 1
+            stats.links_touched += len(cls.links)
+            stats.flows_solved += 1
+        self._unpriced.clear()
+        if not (self._dirty_links or self._dirty_classes):
             return changed
         seeds: list[_Class] = []
         link_classes = self._link_classes
@@ -318,8 +397,6 @@ class ComponentSolver:
         stats.solver_calls += 1
         stats.links_touched += len(capacities)
         stats.flows_solved += members
-        if len(component) == len(self._classes):
-            stats.full_solves += 1
 
 
 def _serial(cls: _Class) -> int:

@@ -22,6 +22,11 @@ proportional to what changes, not to how many flows are in flight:
   (see :class:`~repro.network.components.ComponentSolver`), advanced only
   when the class rate changes.  A flow stores the fixed clock reading at
   which it is done, so a rate change costs O(1) per class, not per flow.
+* **Flows alone on their links.**  Under ``max-min``, a flow admitted
+  onto links that no other flow uses skips the component search and the
+  allocator call: the solver prices its class in one step, and a later
+  flow onto one of its links makes the class join the graph (see
+  :mod:`~repro.network.components`).
 * **Completion heaps.**  Each class orders its members twice in service
   space: by target (whose head finishes first) and by target minus the
   byte term of the finish threshold (whose head passes that term first).
@@ -188,7 +193,7 @@ class FlowNetwork:
             links=tuple(links),
             remaining=float(size),
             max_rate=max_rate,
-            started_at=self.env.now,
+            started_at=self.env._now,
             done_event=done,
             label=label,
         )
@@ -197,7 +202,7 @@ class FlowNetwork:
             Timeout(self.env, latency, flow).callbacks.append(self._on_latency_end)
             return done
 
-        total_latency = latency + sum(link.latency for link in flow.links)
+        total_latency = latency + sum([link.latency for link in flow.links])
         if total_latency > 0:
             Timeout(self.env, total_latency, flow).callbacks.append(self._on_admit)
         else:
@@ -242,8 +247,8 @@ class FlowNetwork:
         self._admit(timeout._value)
 
     def _admit(self, flow: Flow) -> None:
-        now = self.env.now
-        flow.started_at = min(flow.started_at, now)
+        env = self.env
+        now = env._now
         if flow.remaining <= 0:
             # Zero-byte payload: finish immediately (the done event still
             # fires through the queue, at the current timestamp).
@@ -258,13 +263,14 @@ class FlowNetwork:
         self._seq += 1
         seq = flow.seq = self._seq
         self._flows[flow.fid] = flow
-        obs = self.env.obs
+        obs = env.obs
         if obs is not None:
-            obs.on_flow_admitted(len(self._flows))
-        names = []
+            obs.on_flow_admitted()
+        names = [link.name for link in flow.links]
+        links = self._links
         for link in flow.links:
-            self._links.setdefault(link.name, link)
-            names.append(link.name)
+            if link.name not in links:
+                links[link.name] = link
         cls = self._solver.admit(flow.fid, names, flow.max_rate)
         target = flow.target = cls.served_at(now) + flow.size
         heappush(cls.by_target, (target, seq, flow))
@@ -284,10 +290,11 @@ class FlowNetwork:
 
         Only the classes whose crossing entry is due by now hold
         candidates; within each, only the member-heap prefixes that can
-        pass are visited, and each candidate is checked exactly.
+        pass are visited (a class of one checks its member alone), and
+        each candidate is checked exactly.
         """
         heap = self._crossing
-        now = self.env.now
+        now = self.env._now
         quantum = max(1e-12, abs(now) * 1e-12)
         drained: list[Flow] = []
         touched: list[_Class] = []
@@ -307,7 +314,8 @@ class FlowNetwork:
             heappush(heap, entry)
         if not drained:
             return
-        drained.sort(key=_admission_order)
+        if len(drained) > 1:
+            drained.sort(key=_admission_order)
         flows = self._flows
         for flow in drained:
             del flows[flow.fid]
@@ -319,8 +327,9 @@ class FlowNetwork:
     def _finish(self, flow: Flow) -> None:
         flow.remaining = 0.0
         flow.rate = 0.0
-        flow.completed_at = self.env.now
-        obs = self.env.obs
+        env = self.env
+        flow.completed_at = env._now
+        obs = env.obs
         if obs is not None:
             obs.on_flow_finished(flow)
         # The event carries the flow as its value, so the flow lets go of
@@ -354,7 +363,7 @@ class FlowNetwork:
         if obs is not None:
             stats = solver.stats
             before = (stats.solver_calls, stats.links_touched, stats.flows_solved)
-        for cls in solver.solve(self.env.now):
+        for cls in solver.solve(self.env._now):
             self._rekey(cls)
         bound = 2 * solver.n_classes + _HEAP_SLACK
         if len(self._due) > bound or len(self._crossing) > bound:
@@ -418,26 +427,25 @@ class FlowNetwork:
             return
         self._wake_at = finish
         self._generation += 1
-        generation = self._generation
-        wake = Event(self.env)
+        env = self.env
+        # The wake-up's value is its generation.
+        wake = Event(env)
         wake._ok = True
-        wake._value = None
-        wake.callbacks.append(lambda _e: self._on_wake(generation))
-        self.env.schedule(
-            wake,
-            priority=EventPriority.HIGH,
-            delay=max(0.0, finish - self.env.now),
+        wake._value = self._generation
+        wake.callbacks.append(self._on_wake)
+        env.schedule(
+            wake, priority=EventPriority.HIGH, delay=max(0.0, finish - env._now)
         )
 
-    def _on_wake(self, generation: int) -> None:
-        if generation != self._generation:
+    def _on_wake(self, wake: Event) -> None:
+        if wake._value != self._generation:
             return  # stale wake-up; a later reschedule superseded it
         self._wake_at = None
         self._finish_drained()
         # A class whose head's finish time has come but whose residue
         # still misses the threshold (float rounding of the finish
         # estimate) restarts its clock from now, as a fresh wake would.
-        now = self.env.now
+        now = self.env._now
         while (finish := self._next_finish()) is not None and finish <= now:
             cls = heappop(self._due)[3]
             cls.advance(now)
@@ -467,6 +475,12 @@ def _drained_members(cls: _Class, now: float, quantum: float) -> list[Flow]:
     """
     served = cls.served_at(now)
     rate = cls.rate
+    if len(cls.members) == 1:
+        # Its one member heads both heaps.
+        flow = cls.by_target[0][2]
+        if flow.target - served <= _finish_threshold(flow.size, rate, quantum):
+            return [flow]
+        return []
     by_time = rate * quantum
     slack = abs(served) * _SLACK
     found: dict[int, Flow] = {}

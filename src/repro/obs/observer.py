@@ -319,7 +319,7 @@ class Observer:
         bytes_total.inc(nbytes)
         cumulative.sample(self.env.now, bytes_total.value)
 
-    def on_flow_admitted(self, n_active: int) -> None:
+    def on_flow_admitted(self) -> None:
         """A flow's latency ended: :meth:`end_run` counts the flows in
         flight from these times and the completed flows."""
         if self._network:

@@ -71,6 +71,8 @@ class Platform:
             )
 
         self.hosts: dict[str, HostSpec] = {h.name: h for h in spec.hosts}
+        #: (disk host, disk, peer host, write) → a disk transfer's links.
+        self._disk_paths: dict[tuple, tuple[Link, ...]] = {}
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -96,6 +98,21 @@ class Platform:
     def route(self, src: str, dst: str) -> Route:
         return self.routing.route(src, dst)
 
+    def _disk_path(self, host: str, disk: str, peer: str, write: bool) -> tuple:
+        """Read channel then route to ``peer``, or route from ``peer`` then
+        write channel; built once, as routes do not change."""
+        key = (host, disk, peer, write)
+        links = self._disk_paths.get(key)
+        if links is None:
+            if write:
+                route = self.route(peer, host).links
+                links = route + (self.disk_write_link(host, disk),)
+            else:
+                read = self.disk_read_link(host, disk)
+                links = (read,) + self.route(host, peer).links
+            self._disk_paths[key] = links
+        return links
+
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
@@ -115,8 +132,7 @@ class Platform:
         from the disk's host to the destination host (empty for local
         disks).
         """
-        links = [self.disk_read_link(disk_host, disk_name)]
-        links += list(self.route(disk_host, dest_host))
+        links = self._disk_path(disk_host, disk_name, dest_host, write=False)
         return self.network.transfer(
             size, links, latency=extra_latency, max_rate=max_rate, label=label
         )
@@ -132,8 +148,7 @@ class Platform:
         label: str = "",
     ) -> Event:
         """Move ``size`` bytes ``src_host`` RAM → disk."""
-        links = list(self.route(src_host, disk_host))
-        links.append(self.disk_write_link(disk_host, disk_name))
+        links = self._disk_path(disk_host, disk_name, src_host, write=True)
         return self.network.transfer(
             size, links, latency=extra_latency, max_rate=max_rate, label=label
         )

@@ -159,15 +159,6 @@ def test_connected_graph_bit_identical_to_global_oracle():
     engine.solve()
     oracle = textbook_max_min_rates(flow_links, capacities)
     assert [engine.rate(fid) for fid in range(len(flow_links))] == oracle
-    assert engine.stats.full_solves == 1
-
-
-def test_full_solve_counted_only_when_component_spans_graph():
-    engine = make_engine({"a": 10.0, "b": 10.0})
-    engine.admit(1, ["a"])
-    engine.admit(2, ["b"])
-    engine.solve()
-    assert engine.stats.full_solves == 0
 
 
 # ----------------------------------------------------------------------

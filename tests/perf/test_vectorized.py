@@ -189,14 +189,6 @@ def test_untouched_component_is_not_recomputed():
     assert changed[3] == 30.0 and changed[4] == 30.0
 
 
-def test_full_solve_counted_only_when_component_spans_graph():
-    engine = make_engine({"a": 10.0, "b": 10.0})
-    engine.admit(1, ["a"])
-    engine.admit(2, ["b"])
-    engine.solve()
-    assert engine.stats.full_solves == 0
-
-
 # ----------------------------------------------------------------------
 # Randomized differential suite
 # ----------------------------------------------------------------------
