@@ -20,8 +20,9 @@ with the effects the paper's simple model deliberately omits —
   does not capture.
 
 Every constant lives in :mod:`repro.emulation.calibration`, annotated
-with the paper observation it encodes.  The trial runner
-(:mod:`repro.emulation.trials`, numpy) is imported on first use.
+with the paper observation it encodes; :func:`emulate` is the one place
+they reach a run.  It and the trial runner (:mod:`repro.emulation.trials`,
+numpy) are imported on first use.
 """
 
 from repro import _lazy_getattr
@@ -44,13 +45,19 @@ __all__ = [
     "SWARP_TRUTH",
     "TrialStats",
     "effects_for",
+    "emulate",
     "run_trials",
 ]
 
 
-#: Trial-runner names resolved lazily (PEP 562): ``repro.emulation.trials``
-#: imports numpy, which a run without seeded interference never needs.
+#: Names resolved lazily (PEP 562): ``repro.emulation.trials`` imports
+#: numpy, which a run without seeded interference never needs, and
+#: ``machine`` imports the run path.
 __getattr__ = _lazy_getattr(
     globals(),
-    {"TrialStats": "repro.emulation.trials", "run_trials": "repro.emulation.trials"},
+    {
+        "TrialStats": "repro.emulation.trials",
+        "emulate": "repro.emulation.machine",
+        "run_trials": "repro.emulation.trials",
+    },
 )

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.platform.presets import TABLE_I
 from repro.platform.units import MB
-from repro.storage.base import ServiceLatencies
 
 
 @dataclass(frozen=True)
@@ -218,8 +217,3 @@ SWARP_TRUTH = {
     "combine": EmulatedTaskTruth(tc1=23.0, alpha=0.90),
     "stage_in": EmulatedTaskTruth(tc1=0.0, alpha=0.0),
 }
-
-
-def tier_latencies(tier: TierEffects) -> ServiceLatencies:
-    """Convert tier effects to storage-service latencies."""
-    return ServiceLatencies(read=tier.read_latency, write=tier.write_latency)

@@ -32,12 +32,6 @@ class NoWallClock(Rule):
     severity = Severity.ERROR
     fix_hint = "use env.now (simulated seconds); for harness progress output, suppress with a justified pragma"
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        # The emulation package stands in for the *real machine*; it is
-        # still a simulation, but its trial harness may legitimately
-        # time itself.
-        return ctx.outside_package_dir("emulation/")
-
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):

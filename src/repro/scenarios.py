@@ -14,27 +14,21 @@ builds the storage and compute services from the host roles:
 ``emulated=False`` (default) runs the paper's simple model: Table I
 bandwidths, perfect speedup, no metadata costs.  ``emulated=True`` runs
 the high-fidelity emulator standing in for the real Cori/Summit runs
-(see :mod:`repro.emulation`).
+(see :mod:`repro.emulation`, which only an emulated run imports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro import des
 from repro.compute import ComputeService
 from repro.config import Config
-from repro.emulation.calibration import (
-    EmulationEffects,
-    SWARP_TRUTH,
-    effects_for,
-)
 from repro.network import DEFAULT_ALLOCATOR
-from repro.platform import Platform, PlatformSpec
+from repro.platform import Platform
 from repro.platform.presets import compute_node_names, cori_spec, summit_spec
-from repro.simulator import _execute
+from repro.simulator import SIMPLE_MODEL, _execute
 from repro.storage import BBMode
 from repro.traces.events import ExecutionTrace
 from repro.wms import WorkflowEngine
@@ -43,6 +37,7 @@ from repro.workflow.model import Workflow
 from repro.workflow.swarp import make_swarp
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.emulation import EmulationEffects
     from repro.obs import Observer
 
 SYSTEMS = ("cori", "summit")
@@ -86,73 +81,6 @@ class ScenarioResult:
         start = min(r.start for r in records)
         end = max(r.end for r in records)
         return end - start
-
-
-def _interference(
-    emulated: bool, seed: Optional[int]
-) -> Optional[Callable[[float], float]]:
-    """One trial's seeded interference draw (sigma -> factor), if any.
-
-    Only an emulated run with a seed draws, so numpy is imported here:
-    every other run imports only the standard library.
-    """
-    if not emulated or seed is None:
-        return None
-    import numpy as np
-
-    from repro.emulation.trials import interference_factor
-
-    return partial(interference_factor, np.random.default_rng(seed))
-
-
-def _emulated_spec(
-    spec: PlatformSpec,
-    system: str,
-    bb_mode: BBMode,
-    effects: EmulationEffects,
-    noise: Optional[Callable[[float], float]],
-) -> PlatformSpec:
-    """The emulated platform: contended BB uplinks, effective PFS disk.
-
-    Draws the trial's interference first, with the sigma of the BB tier
-    the run uses, and scales the BB uplinks by it: those are the links
-    that bind under contention (per-service stream caps rarely do when
-    many flows share an uplink).
-    """
-    if system == "cori":
-        suffixes = ("-bbnet",)
-        tier = (
-            effects.bb_private if bb_mode == BBMode.PRIVATE
-            else effects.bb_striped
-        )
-    else:
-        suffixes = ("-pcie",)
-        tier = effects.bb_onnode
-    penalty = effects.bb_uplink_concurrency_penalty
-    scale = 1.0 / noise(tier.interference_sigma) if noise is not None else 1.0
-    if penalty > 0 or scale != 1.0:
-        links = tuple(
-            replace(
-                l,
-                concurrency_penalty=max(l.concurrency_penalty, penalty),
-                bandwidth=l.bandwidth * scale,
-            )
-            if l.name.endswith(suffixes)
-            else l
-            for l in spec.links
-        )
-        spec = replace(spec, links=links)
-    bandwidth = effects.pfs_disk_bandwidth
-    if bandwidth is not None:
-        pfs_disks = {"read_bandwidth": bandwidth, "write_bandwidth": bandwidth}
-        hosts = tuple(
-            replace(h, disks=tuple(replace(d, **pfs_disks) for d in h.disks))
-            if h.name == "pfs"
-            else h
-            for h in spec.hosts
-        )
-        spec = replace(spec, hosts=hosts)
-    return spec
 
 
 def _validate_fraction(name: str, value: float) -> None:
@@ -199,11 +127,6 @@ def run_swarp(
         spec = cori_spec(n_compute=1, n_bb_nodes=n_bb_nodes)
     else:
         spec = summit_spec(n_compute=1)
-    effects = (effects or effects_for(system)) if emulated else None
-    noise = _interference(emulated, seed)
-    if effects is not None:
-        spec = _emulated_spec(spec, system, bb_mode, effects, noise)
-
     workflow = make_swarp(
         n_pipelines=n_pipelines,
         cores_per_task=cores_per_task,
@@ -219,15 +142,17 @@ def run_swarp(
         output_fraction=1.0 if outputs_in_bb else 0.0,
         network_allocator=network_allocator or DEFAULT_ALLOCATOR,
     )
+    emulation = SIMPLE_MODEL
+    if emulated:
+        from repro.emulation import SWARP_TRUTH, effects_for, emulate
+
+        spec, emulation = emulate(
+            spec, effects or effects_for(system), seed, config,
+            truth=SWARP_TRUTH,
+        )
     engine = _execute(
-        spec,
-        workflow,
-        config,
-        stage_in_external=not emulated,
-        observer=observer,
-        effects=effects,
-        noise=noise,
-        truth=SWARP_TRUTH,
+        spec, workflow, config, stage_in_external=not emulated,
+        observer=observer, emulation=emulation,
     )
     return ScenarioResult(
         trace=engine.trace, platform=engine.platform, engine=engine,
@@ -288,11 +213,6 @@ def run_genomes(
         spec = cori_spec(n_compute=n_compute, n_bb_nodes=n_bb_nodes)
     else:
         spec = summit_spec(n_compute=n_compute)
-    effects = (effects or effects_for(system)) if emulated else None
-    noise = _interference(emulated, seed)
-    if effects is not None:
-        spec = _emulated_spec(spec, system, BBMode.STRIPED, effects, noise)
-
     workflow = make_1000genomes(
         n_chromosomes=n_chromosomes, cores_per_task=cores_per_task
     )
@@ -303,13 +223,15 @@ def run_genomes(
         output_fraction=0.0,
         network_allocator=network_allocator or DEFAULT_ALLOCATOR,
     )
+    emulation = SIMPLE_MODEL
+    if emulated:
+        from repro.emulation import effects_for, emulate
+
+        spec, emulation = emulate(
+            spec, effects or effects_for(system), seed, config
+        )
     engine = _execute(
-        spec,
-        workflow,
-        config,
-        observer=observer,
-        effects=effects,
-        noise=noise,
+        spec, workflow, config, observer=observer, emulation=emulation
     )
     return ScenarioResult(
         trace=engine.trace, platform=engine.platform, engine=engine,

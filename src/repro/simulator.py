@@ -23,23 +23,12 @@ builds the services from the host roles and runs the engine.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Sequence
 
 from repro import des
 from repro.compute import ComputeService
 from repro.config import Config
-from repro.emulation.calibration import TierEffects, tier_latencies
-from repro.emulation.compute import EmulatedComputeService
 from repro.network import DEFAULT_ALLOCATOR, allocator_names
 from repro.platform import HostRole, Platform, PlatformSpec
 from repro.storage import (
@@ -54,17 +43,7 @@ from repro.wms.policies import DEFAULT_POLICY, policy_names
 from repro.workflow.model import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.emulation.calibration import EmulationEffects
     from repro.obs import Observer
-
-#: The paper's simple model: no latencies, no stream cap, no metadata
-#: queue (every service default).
-_IDEAL_TIER = TierEffects(
-    read_latency=0.0,
-    write_latency=0.0,
-    stream_cap=float("inf"),
-    interference_sigma=0.0,
-)
 
 
 class _HostRoles(NamedTuple):
@@ -107,15 +86,50 @@ def _host_roles(spec: PlatformSpec) -> _HostRoles:
     )
 
 
+class Emulation:
+    """The settings a run builds its services with.
+
+    This base is the paper's simple model: every storage service at its
+    defaults (no latencies, stream cap or metadata queue) and the plain
+    :class:`~repro.compute.ComputeService`.
+    :func:`repro.emulation.emulate` returns one that plays the measured
+    machine.  :func:`_execute` calls each method as it builds the
+    service, so an emulation may draw per-service values lazily.
+    """
+
+    def pfs(self) -> dict[str, Any]:
+        """Keyword settings of the PFS service."""
+        return {}
+
+    def shared_bb(self, mode: BBMode) -> dict[str, Any]:
+        """Keyword settings of one shared burst-buffer instance."""
+        return {}
+
+    def local_bb(self) -> dict[str, Any]:
+        """Keyword settings of one on-node burst buffer."""
+        return {}
+
+    def compute(
+        self, platform: Platform, hosts: list[str], config: Config
+    ) -> ComputeService:
+        """The compute service over ``hosts``."""
+        return ComputeService(
+            platform, hosts, use_amdahl_alpha=config.use_amdahl_alpha,
+            queue_policy=config.queue_policy,
+        )
+
+
+#: The paper's simple model (:func:`_execute`'s default).
+SIMPLE_MODEL = Emulation()
+
+
 def _execute(
     spec: PlatformSpec,
     workflow: Workflow,
     config: Config,
     stage_in_external: bool = False,
     observer: Optional[Observer] = None,
-    effects: Optional[EmulationEffects] = None,
-    noise: Optional[Callable[[float], float]] = None,
-    truth: Optional[Mapping[str, Any]] = None,
+    emulation: Emulation = SIMPLE_MODEL,
 ) -> WorkflowEngine:
     """Run ``workflow`` on ``spec`` to completion; returns the engine.
 
@@ -129,75 +143,25 @@ def _execute(
     the queue policy.  ``stage_in_external`` is the engine's keyword of
     that name.
 
-    ``effects`` swaps in the emulated tiers and compute model, with
-    ``noise`` (one trial's interference draw) applied per service as it
-    is built: the PFS, then each burst buffer in order of first use.
+    ``emulation`` gives each service's settings as it is built: the
+    PFS, then each burst buffer in order of first use, then compute.
     """
     roles = _host_roles(spec)
     env = des.Environment()
     if observer is not None:
         observer.attach(env)
     platform = Platform(env, spec, allocator=config.network_allocator)
+    pfs = ParallelFileSystem(platform, host=roles.pfs, **emulation.pfs())
 
-    def tier(name: str) -> TierEffects:
-        """The named tier's knobs, with this trial's interference."""
-        if effects is None:
-            return _IDEAL_TIER
-        knobs = getattr(effects, name)
-        if noise is None:
-            return knobs
-        factor = noise(knobs.interference_sigma)
-        return replace(
-            knobs,
-            read_latency=knobs.read_latency * factor,
-            write_latency=knobs.write_latency * factor,
-            stream_cap=knobs.stream_cap / factor,
-            metadata_service_time=knobs.metadata_service_time * factor,
-        )
-
-    pfs_tier = tier("pfs")
-    pfs = ParallelFileSystem(
-        platform,
-        host=roles.pfs,
-        latencies=tier_latencies(pfs_tier),
-        max_stream_rate=pfs_tier.stream_cap,
-        metadata_service_time=pfs_tier.metadata_service_time,
-    )
-
-    def shared(
-        mode: BBMode, owner_host: Optional[str] = None
-    ) -> SharedBurstBuffer:
-        bb_tier = tier(f"bb_{mode.value}")
+    def shared(mode: BBMode, owner: Optional[str] = None) -> SharedBurstBuffer:
+        settings = emulation.shared_bb(mode)
         return SharedBurstBuffer(
-            platform,
-            roles.shared_bb,
-            mode,
-            owner_host=owner_host,
-            latencies=tier_latencies(bb_tier),
-            per_stripe_latency=(
-                effects.per_stripe_latency if effects is not None else 0.0
-            ),
-            max_stream_rate=bb_tier.stream_cap,
-            metadata_service_time=bb_tier.metadata_service_time,
+            platform, roles.shared_bb, mode, owner_host=owner, **settings
         )
 
     striped = None
-    stage_extra_latency = 0.0
     if roles.shared_bb and config.bb_mode == BBMode.STRIPED:
         striped = shared(BBMode.STRIPED)
-        if (
-            effects is not None
-            and effects.striped_anomaly_low
-            <= config.input_fraction
-            < effects.striped_anomaly_high
-        ):
-            # The reproducible Figure 4 anomaly: staging into a striped
-            # allocation degrades in this fraction band.
-            stage_extra_latency = (
-                striped.latencies.write
-                + striped.metadata_service_time
-                + striped.per_stripe_latency
-            ) * (effects.striped_anomaly_factor - 1.0)
 
     bb_services: dict[str, StorageService] = {}
 
@@ -206,33 +170,19 @@ def _execute(
         if service is not None:
             return service
         if host in roles.local_bb:
-            bb_tier = tier("bb_onnode")
             service = OnNodeBurstBuffer(
-                platform,
-                roles.local_bb[host],
-                latencies=tier_latencies(bb_tier),
-                max_stream_rate=bb_tier.stream_cap,
+                platform, roles.local_bb[host], **emulation.local_bb()
             )
         elif striped is not None:
             service = striped
         elif roles.shared_bb:
-            service = shared(BBMode.PRIVATE, owner_host=host)
+            service = shared(BBMode.PRIVATE, owner=host)
         else:
             return None
         bb_services[host] = service
         return service
 
-    if effects is None:
-        compute = ComputeService(
-            platform,
-            roles.compute,
-            use_amdahl_alpha=config.use_amdahl_alpha,
-            queue_policy=config.queue_policy,
-        )
-    else:
-        compute = EmulatedComputeService(
-            platform, roles.compute, effects=effects, truth=truth
-        )
+    compute = emulation.compute(platform, roles.compute, config)
     if observer is not None and config.queue_policy != DEFAULT_POLICY:
         # Structured provenance for non-default disciplines (the
         # manifest always carries queue_policy; default runs keep
@@ -251,7 +201,6 @@ def _execute(
             output_fraction=config.output_fraction,
         ),
         stage_in_external=stage_in_external,
-        stage_extra_latency=stage_extra_latency,
     )
     engine.run()
     if observer is not None:

@@ -42,9 +42,11 @@ class ServiceLatencies:
 
     read: float = 0.0
     write: float = 0.0
+    #: Added to every copy staged into the service.
+    stage_in: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.read < 0 or self.write < 0:
+        if self.read < 0 or self.write < 0 or self.stage_in < 0:
             raise ValueError("latencies must be non-negative")
 
 

@@ -36,7 +36,6 @@ def stage_file(
     source: StorageService,
     target: StorageService,
     registry: Optional[FileRegistry] = None,
-    extra_latency: float = 0.0,
 ) -> Event:
     """Copy ``file`` from ``source`` to ``target`` (disk-to-disk).
 
@@ -61,10 +60,11 @@ def stage_file(
 
     src = _service_endpoint(source, None)
     dst = _service_endpoint(target, None)
-    # Stage-in copies pay the services' per-op latencies and the target's
-    # metadata cost (stage-in is sequential, so queueing == plain delay).
+    # Stage-in copies pay the target's stage-in latency, the services'
+    # per-op latencies and their metadata costs (stage-in is
+    # sequential, so queueing == plain delay).
     latency = (
-        extra_latency
+        target.latencies.stage_in
         + source.latencies.read
         + target.latencies.write
         + source.metadata_service_time

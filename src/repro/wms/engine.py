@@ -77,9 +77,6 @@ class WorkflowEngine:
         this way — it is what makes its makespan *decrease* with the
         staged fraction while the measured one increases (the Figure 10a
         trend inversion).
-    stage_extra_latency:
-        Extra latency added to every stage-in copy (the emulated
-        striped-mode staging anomaly of Figure 4).
     """
 
     def __init__(
@@ -93,7 +90,6 @@ class WorkflowEngine:
         host_assignment: Optional[Callable[[Task], str]] = None,
         *,
         stage_in_external: bool = False,
-        stage_extra_latency: float = 0.0,
     ) -> None:
         from repro.wms.placement import AllPFS
 
@@ -105,7 +101,6 @@ class WorkflowEngine:
         self.bb_for_host = bb_for_host
         self.placement = (placement or AllPFS()).bind(workflow)
         self.stage_in_external = stage_in_external
-        self.stage_extra_latency = stage_extra_latency
         self.registry = FileRegistry()
         self.trace = ExecutionTrace(workflow.name)
         self._assignment = host_assignment or self._default_assignment()
@@ -274,13 +269,7 @@ class WorkflowEngine:
                     yield self._logged_io(task, f, bb, "stage_in", bb.write(f, host))
                     self.registry.register(f, bb)
                 else:
-                    copy = stage_file(
-                        f,
-                        self.pfs,
-                        bb,
-                        registry=self.registry,
-                        extra_latency=self.stage_extra_latency,
-                    )
+                    copy = stage_file(f, self.pfs, bb, registry=self.registry)
                     yield self._logged_io(task, f, bb, "stage_in", copy)
         finally:
             allocation.release()

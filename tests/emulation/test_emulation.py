@@ -1,9 +1,12 @@
 """Tests for the emulation layer: effects, compute service, trials."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import des
+from repro.config import Config
 from repro.emulation import (
     CORI_EFFECTS,
     SUMMIT_EFFECTS,
@@ -11,11 +14,13 @@ from repro.emulation import (
     EmulatedComputeService,
     TrialStats,
     effects_for,
+    emulate,
     run_trials,
 )
 from repro.emulation.trials import interference_factor
-from repro.platform import Platform
-from repro.platform.presets import TABLE_I, cori_spec
+from repro.platform import HostRole, Platform
+from repro.platform.presets import TABLE_I, cori_spec, summit_spec
+from repro.platform.spec import RouteSpec
 from repro.workflow import Task
 
 SPEED = TABLE_I["cori"]["core_speed"]
@@ -176,3 +181,47 @@ def test_interference_factor_median_near_one():
     draws = [interference_factor(rng, 0.15) for _ in range(2000)]
     assert np.median(draws) == pytest.approx(1.0, abs=0.02)
     assert all(d > 0 for d in draws)
+
+
+# ----------------------------------------------------------------------
+# emulate
+# ----------------------------------------------------------------------
+def test_emulate_picks_the_pfs_host_and_uplinks_by_role():
+    """No host or system name is assumed: the PFS disks and the BB
+    uplinks are found from the host roles."""
+    spec = cori_spec(n_compute=1)
+
+    def rename(host: str) -> str:
+        return "lustre0" if host == "pfs" else host
+
+    renamed = replace(
+        spec,
+        hosts=tuple(replace(h, name=rename(h.name)) for h in spec.hosts),
+        routes=tuple(
+            RouteSpec(rename(r.src), rename(r.dst), r.link_names)
+            for r in spec.routes
+        ),
+    )
+    emulated, _ = emulate(renamed, CORI_EFFECTS, None, Config())
+    (pfs,) = [h for h in emulated.hosts if h.role is HostRole.PFS]
+    assert pfs.name == "lustre0"
+    assert {d.read_bandwidth for d in pfs.disks} == {
+        CORI_EFFECTS.pfs_disk_bandwidth
+    }
+    penalties = {l.name: l.concurrency_penalty for l in emulated.links}
+    assert penalties["cn0-bbnet"] == CORI_EFFECTS.bb_uplink_concurrency_penalty
+    assert all(
+        p == 0.0 for name, p in penalties.items() if name != "cn0-bbnet"
+    )
+
+
+def test_emulate_scales_the_local_bb_uplinks_by_the_first_draw():
+    spec = summit_spec(n_compute=1)
+    emulated, _ = emulate(spec, SUMMIT_EFFECTS, 0, Config())
+    sigma = SUMMIT_EFFECTS.bb_onnode.interference_sigma
+    factor = interference_factor(np.random.default_rng(0), sigma)
+    for nominal, link in zip(spec.links, emulated.links):
+        expected = nominal.bandwidth
+        if link.name.endswith("-pcie"):
+            expected = nominal.bandwidth * (1.0 / factor)
+        assert link.bandwidth == expected

@@ -15,6 +15,7 @@ from repro.storage import (
     SharedBurstBuffer,
     stage_file,
 )
+from repro.storage.base import ServiceLatencies
 from repro.workflow import File
 
 
@@ -93,6 +94,31 @@ def test_stage_pfs_to_bb(setup):
     # PFS read channel at 100 MB/s is the bottleneck → ~1 s.
     assert env.now == pytest.approx(1.0, rel=1e-4)
     assert bb.contains(f)
+
+
+def test_stage_pays_the_target_stage_in_latency():
+    """Copies into a service pay its stage-in latency on top of the
+    per-op latencies; copies out of it do not."""
+    env = des.Environment()
+    plat = Platform(env, cori_spec(n_compute=1, n_bb_nodes=2))
+    pfs = ParallelFileSystem(plat, latencies=ServiceLatencies(read=0.25))
+    bb = SharedBurstBuffer(
+        plat,
+        ["bb0", "bb1"],
+        BBMode.STRIPED,
+        latencies=ServiceLatencies(write=0.5, stage_in=2.0),
+    )
+    f = File("f", 100 * MB)
+    pfs.add_file(f)
+    env.run(until=stage_file(f, pfs, bb))
+    assert env.now == pytest.approx(2.0 + 0.25 + 0.5 + 1.0, rel=1e-4)
+    g = File("g", 100 * MB)
+    bb.add_file(g)
+    start = env.now
+    env.run(until=stage_file(g, bb, pfs))
+    assert env.now - start == pytest.approx(1.0, rel=1e-3)
+    with pytest.raises(ValueError):
+        ServiceLatencies(stage_in=-1.0)
 
 
 def test_stage_registers_in_registry(setup):

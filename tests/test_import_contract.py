@@ -70,6 +70,8 @@ def test_simulation_paths_need_neither_scipy_nor_networkx():
         unobserved = ("exporters", "validate", "live", "manifest")
         loaded = [m for m in unobserved if f"repro.obs.{m}" in sys.modules]
         assert not loaded, loaded
+        # Only an emulated run loads the emulator.
+        assert "repro.emulation" not in sys.modules
 
         from repro.experiments import fig13
 
@@ -97,6 +99,24 @@ def test_sweep_without_live_dir_leaves_the_live_bus_unloaded():
         )
         assert run_sweep(spec).values() == {"x=1": 1, "x=2": 4}
         assert "repro.obs.live" not in sys.modules
+        print("ok")
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_seedless_emulated_runs_need_no_numpy():
+    """An emulated run without a seed draws no interference."""
+    proc = run_blocked(
+        """
+        from repro.scenarios import run_genomes, run_swarp
+
+        for system in ("cori", "summit"):
+            assert run_swarp(system=system, emulated=True).makespan > 0
+        assert run_genomes(n_chromosomes=2, emulated=True).makespan > 0
+        leaked = [m for m in REFUSED if m in sys.modules]
+        assert not leaked, leaked
         print("ok")
         """
     )
