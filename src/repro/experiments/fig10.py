@@ -12,7 +12,12 @@ Paper findings regenerated here:
   measured makespan rises with the staged fraction while the simulated
   one falls (the only trend mismatch in the paper);
 * striped mode: larger error (paper ≈ 12.8%), simulation underestimates
-  (no striping fragmentation in the model), worst at the 75% anomaly;
+  (no striping fragmentation in the model).  The error grows with the
+  staged fraction (4.9% at 0 to 15.0% at 1) and is not worst at 75%:
+  the 75% anomaly slows only stage-in copies, and this sweep has no
+  stage-in task.  Most of the error is the striped metadata queue the
+  model omits (EXPERIMENTS.md, "Striped validation error, effect by
+  effect");
 * on-node: mean error ≈ 6.5%, simulation slightly optimistic.
 """
 

@@ -3,14 +3,16 @@
 Three subcommands over the observability file formats:
 
 * ``repro-obs validate <dir>...`` — schema-check exported telemetry
-  directories (same checks as ``python -m repro.obs``);
+  directories (``python -m repro.obs`` runs the same function);
 * ``repro-obs watch <live-dir>`` — tail a live directory
   (``repro.obs.live/1``) and render progress.  A sweep's stream (its
   records carry a ``sweep_id``) shows completed/cached/failed counts,
   the in-flight points and how long each has run, p50/p99 point
   latency, and an ETA; a single run's stream shows its sim time and
   record counts.  ``--once`` renders a single frame and exits — it
-  works on finished directories too;
+  works on finished directories too.  It reads the directory with
+  :func:`repro.obs.live.read_live_dir`, the validator's own reader, and
+  exits 2 listing the problems when the directory is not valid;
 * ``repro-obs report <live-dir> -o report.html`` — write a
   self-contained static HTML report (stat tiles, a point-duration
   histogram, and the point table) from the same stream.
@@ -23,15 +25,14 @@ from __future__ import annotations
 
 import argparse
 import html
-import json
 import sys
 import time
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.obs.log import iter_ndjson
+from repro.obs.live import LiveDir, read_live_dir
 from repro.obs.probes import quantile
-from repro.obs.validate import error_path, validate_obs_dir
+from repro.obs.validate import main as validate_main
 
 #: Heartbeat age (s) past which a live run is flagged as possibly stalled.
 STALL_AFTER_S = 30.0
@@ -40,35 +41,12 @@ STALL_AFTER_S = 30.0
 # ----------------------------------------------------------------------
 # Live-directory loading
 # ----------------------------------------------------------------------
-class WatchError(RuntimeError):
-    """The directory does not contain a recognizable live stream."""
-
-
-def load_live_dir(directory: "str | Path") -> dict[str, Any]:
-    """Read a live directory into one state dict.
-
-    Returns ``{"kind": "sweep" | "run", "heartbeat": ..., "events":
-    [...]}``: a stream whose records carry a ``sweep_id`` is a sweep,
-    any other is a single run.  Raises :class:`WatchError` when there
-    is no heartbeat to key off.
-    """
-    directory = Path(directory)
-    heartbeat_path = directory / "heartbeat.json"
-    if not heartbeat_path.is_file():
-        raise WatchError(
-            f"{directory}: no heartbeat.json — not a live telemetry "
-            "directory (pass a --live sweep dir or an obs live/ dir)"
-        )
-    stream = directory / "events.ndjson"
-    events: list[dict[str, Any]] = []
-    if stream.is_file():
-        events = [r for r in iter_ndjson(stream) if "schema" not in r]
-    return {
-        "kind": "sweep" if any("sweep_id" in r for r in events) else "run",
-        "directory": directory,
-        "heartbeat": json.loads(heartbeat_path.read_text()),
-        "events": events,
-    }
+def _valid_live_dir(directory: "str | Path") -> Optional[LiveDir]:
+    """The live directory, or ``None`` after printing its problems."""
+    live = read_live_dir(directory)
+    for problem in live.problems:
+        print(f"error: {directory}: {problem}", file=sys.stderr)
+    return None if live.problems else live
 
 
 def point_durations(events: "list[dict[str, Any]]") -> list[float]:
@@ -132,24 +110,26 @@ def _format_seconds(value: Optional[float]) -> str:
 # ----------------------------------------------------------------------
 # watch
 # ----------------------------------------------------------------------
-def render_sweep(state: dict[str, Any], now: float) -> str:
+def _status(live: LiveDir, now: float, finished: str) -> str:
+    """``finished`` once the stream closed, else its heartbeat's age."""
+    age = now - live.heartbeat["ts"]
+    if live.heartbeat["closed"]:
+        return finished
+    if age > STALL_AFTER_S:
+        return f"STALLED? (heartbeat {age:.0f}s ago)"
+    return f"RUNNING (heartbeat {age:.1f}s ago)"
+
+
+def render_sweep(live: LiveDir, now: float) -> str:
     """One text frame of sweep progress."""
-    heartbeat = state["heartbeat"]
-    sweep_id, progress, in_flight = sweep_view(state["events"])
-    closed = bool(heartbeat.get("closed"))
-    age = now - float(heartbeat.get("ts", now))
+    sweep_id, progress, in_flight = sweep_view(live.events)
+    closed = live.heartbeat["closed"]
     total = int(progress.get("total") or 0)
     completed = int(progress.get("completed") or 0)
     cached = int(progress.get("cached") or 0)
     failed = int(progress.get("failed") or 0)
     done = completed + cached + failed
-
-    if closed:
-        status = "FAILED" if failed else "DONE"
-    elif age > STALL_AFTER_S:
-        status = f"STALLED? (heartbeat {age:.0f}s ago)"
-    else:
-        status = f"RUNNING (heartbeat {age:.1f}s ago)"
+    status = _status(live, now, "FAILED" if failed else "DONE")
 
     width = 30
     filled = round(width * done / total) if total else width
@@ -164,7 +144,7 @@ def render_sweep(state: dict[str, Any], now: float) -> str:
         lines.append(f"  in flight ({len(in_flight)}):")
         for pid, started in in_flight.items():
             lines.append(f"    {pid} — running {now - started:.1f}s")
-    durations = point_durations(state["events"])
+    durations = point_durations(live.events)
     p50 = quantile(durations, 0.50)
     p99 = quantile(durations, 0.99)
     eta = None if closed else sweep_eta(progress, durations)
@@ -176,26 +156,18 @@ def render_sweep(state: dict[str, Any], now: float) -> str:
     return "\n".join(lines)
 
 
-def render_run(state: dict[str, Any], now: float) -> str:
+def render_run(live: LiveDir, now: float) -> str:
     """One text frame of a single simulation's live bus."""
-    heartbeat = state["heartbeat"]
-    closed = bool(heartbeat.get("closed"))
-    age = now - float(heartbeat.get("ts", now))
-    if closed:
-        status = "DONE"
-    elif age > STALL_AFTER_S:
-        status = f"STALLED? (heartbeat {age:.0f}s ago)"
-    else:
-        status = f"RUNNING (heartbeat {age:.1f}s ago)"
+    heartbeat = live.heartbeat
     lines = [
-        f"run {state['directory']} — {status}",
+        f"run {live.directory} — {_status(live, now, 'DONE')}",
         f"  sim time {heartbeat.get('sim_time') or 0.0:.1f}s — "
         f"{heartbeat.get('seq', 0)} flushes, "
-        f"{len(state['events'])} bus records, "
+        f"{len(live.events)} bus records, "
         f"{heartbeat.get('dropped', 0)} dropped",
     ]
     kinds: dict[str, int] = {}
-    for record in state["events"]:
+    for record in live.events:
         kind = record.get("kind", "?")
         kinds[kind] = kinds.get(kind, 0) + 1
     if kinds:
@@ -204,23 +176,16 @@ def render_run(state: dict[str, Any], now: float) -> str:
     return "\n".join(lines)
 
 
-def render(state: dict[str, Any], now: float) -> str:
-    if state["kind"] == "sweep":
-        return render_sweep(state, now)
-    return render_run(state, now)
-
-
 def watch(directory: "str | Path", once: bool, interval: float) -> int:
     """Render the live directory until it closes (or once)."""
     while True:
-        try:
-            state = load_live_dir(directory)
-        except WatchError as error:
-            print(f"error: {error}", file=sys.stderr)
+        live = _valid_live_dir(directory)
+        if live is None:
             return 2
         now = time.time()  # lint: ignore[SIM001] — harness wall clock
-        print(render(state, now))
-        if once or state["heartbeat"].get("closed"):
+        render = render_sweep if live.kind == "sweep" else render_run
+        print(render(live, now))
+        if once or live.heartbeat["closed"]:
             return 0
         time.sleep(interval)
         print()
@@ -354,17 +319,16 @@ def _histogram_bins(
     ]
 
 
-def build_report_html(state: dict[str, Any]) -> str:
+def build_report_html(live: LiveDir) -> str:
     """Self-contained static HTML for a sweep live directory."""
-    heartbeat = state["heartbeat"]
-    events = state["events"]
+    heartbeat = live.heartbeat
+    events = live.events
     sweep_id, progress, _ = sweep_view(events)
     durations = point_durations(events)
     p50 = quantile(durations, 0.50)
     p99 = quantile(durations, 0.99)
-    closed = bool(heartbeat.get("closed"))
     failed = int(progress.get("failed") or 0)
-    if not closed:
+    if not heartbeat["closed"]:
         status = "running"
     elif failed:
         status = "failed"
@@ -461,12 +425,10 @@ def build_report_html(state: dict[str, Any]) -> str:
 
 
 def report(directory: "str | Path", output: "str | Path") -> int:
-    try:
-        state = load_live_dir(directory)
-    except WatchError as error:
-        print(f"error: {error}", file=sys.stderr)
+    live = _valid_live_dir(directory)
+    if live is None:
         return 2
-    if state["kind"] != "sweep":
+    if live.kind != "sweep":
         print(
             "error: report needs a sweep live directory "
             "(a stream of point records)",
@@ -475,7 +437,7 @@ def report(directory: "str | Path", output: "str | Path") -> int:
         return 2
     output = Path(output)
     output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(build_report_html(state))
+    output.write_text(build_report_html(live))
     print(f"wrote {output}")
     return 0
 
@@ -522,19 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
-        failed = False
-        for directory in args.directories:
-            errors = validate_obs_dir(directory)
-            if errors:
-                failed = True
-                for error in errors:
-                    print(
-                        f"{error_path(directory, error)}: {error}",
-                        file=sys.stderr,
-                    )
-            else:
-                print(f"{directory}: ok")
-        return 1 if failed else 0
+        return validate_main(["--", *args.directories])
     if args.command == "watch":
         return watch(args.directory, args.once, args.interval)
     if args.command == "report":

@@ -49,7 +49,7 @@ import time
 import weakref
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
@@ -112,6 +112,8 @@ class LiveBus:
         self._last_counters: dict[str, float] = {}
         self._last_gauges: dict[str, float] = {}
         self._last_series: dict[str, tuple[int, float]] = {}
+        #: The last heartbeat written, which :meth:`close` marks closed.
+        self._heartbeat: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Producer side (called from Observer hooks)
@@ -167,14 +169,15 @@ class LiveBus:
         snapshot = self._delta_snapshot(ts)
         with (self.directory / "snapshots.ndjson").open("a") as fh:
             fh.write(json.dumps(snapshot, sort_keys=True) + "\n")
-        _atomic_write_json(self.directory / "heartbeat.json", {
+        self._heartbeat = {
             "schema": LIVE_SCHEMA,
             "ts": ts,
             "seq": self.seq,
             "sim_time": snapshot["sim_time"],
             "dropped": self.dropped,
             "closed": self.closed,
-        })
+        }
+        _atomic_write_json(self.directory / "heartbeat.json", self._heartbeat)
 
     def close(self) -> None:
         """Final flush, then mark the stream finished in the heartbeat."""
@@ -182,11 +185,8 @@ class LiveBus:
             return
         self.flush()
         self.closed = True
-        heartbeat = self.directory / "heartbeat.json"
-        if heartbeat.exists():
-            doc = json.loads(heartbeat.read_text())
-            doc["closed"] = True
-            _atomic_write_json(heartbeat, doc)
+        self._heartbeat["closed"] = True
+        _atomic_write_json(self.directory / "heartbeat.json", self._heartbeat)
 
     # ------------------------------------------------------------------
     # Internals
@@ -240,3 +240,95 @@ class LiveBus:
             f"<LiveBus {self.directory} seq={self.seq} "
             f"buffered={len(self._ring)} dropped={self.dropped}>"
         )
+
+
+# ----------------------------------------------------------------------
+# Consumer side: the one reader of a live directory
+# ----------------------------------------------------------------------
+class LiveDir(NamedTuple):
+    """A live directory read back by :func:`read_live_dir`: its heartbeat
+    (``None`` when missing or unreadable), its bus records (header
+    excluded) and every violation of ``repro.obs.live/1`` (empty = valid).
+    """
+
+    directory: Path
+    heartbeat: Optional[dict[str, Any]]
+    events: list[dict[str, Any]]
+    problems: list[str]
+
+    @property
+    def kind(self) -> str:
+        """``"sweep"`` when the records carry a ``sweep_id``, else ``"run"``."""
+        return "sweep" if any("sweep_id" in r for r in self.events) else "run"
+
+
+def read_live_dir(directory: "str | Path") -> LiveDir:
+    """Read a live directory back, collecting every problem it has.
+
+    The one check of ``repro.obs.live/1``: ``repro-obs watch`` and
+    ``report`` render what this returns, and
+    :func:`repro.obs.validate_live_dir` returns its ``problems``.
+    ``events.ndjson`` is optional.  A mid-flight directory is valid: a
+    truncated final line is the producer mid-write, and ``closed:
+    false`` means the run goes on.
+    """
+    from repro.obs.log import read_stream
+
+    directory = Path(directory)
+    problems: list[str] = []
+
+    def records(name: str, required: bool) -> list[dict[str, Any]]:
+        try:
+            return read_stream(directory / name, LIVE_SCHEMA)
+        except FileNotFoundError:
+            if required:
+                problems.append(f"live: missing {name}")
+        except (OSError, ValueError) as error:
+            problems.append(f"live: {name}: {error}")
+        return []
+
+    last_seq: Optional[int] = None
+    for i, snap in enumerate(records("snapshots.ndjson", True), start=1):
+        seq = snap.get("seq")
+        if not isinstance(seq, int):
+            problems.append(f"live: snapshot #{i} has no integer seq")
+            continue
+        if last_seq is not None and seq <= last_seq:
+            problems.append(
+                f"live: snapshot #{i} seq {seq} does not increase past {last_seq}"
+            )
+        last_seq = seq
+        for key in ("counters", "gauges", "series"):
+            if not isinstance(snap.get(key), dict):
+                problems.append(f"live: snapshot #{i} missing {key!r}")
+        dropped = snap.get("dropped")
+        if not isinstance(dropped, int) or dropped < 0:
+            problems.append(f"live: snapshot #{i} has bad dropped count {dropped!r}")
+
+    events = records("events.ndjson", False)
+    for i, record in enumerate(events, start=1):
+        if not isinstance(record.get("kind"), str):
+            problems.append(f"live: event #{i} has no kind")
+        if not isinstance(record.get("ts"), (int, float)):
+            problems.append(f"live: event #{i} has no wall-clock ts")
+
+    heartbeat: Any = None
+    try:
+        heartbeat = json.loads((directory / "heartbeat.json").read_text())
+    except FileNotFoundError:
+        problems.append("live: missing heartbeat.json")
+    except (OSError, ValueError) as error:
+        problems.append(f"live: heartbeat.json: {error}")
+    else:
+        if not isinstance(heartbeat, dict):
+            problems.append("live: heartbeat.json is not an object")
+            heartbeat = None
+        else:
+            for key, kind, what in (
+                ("ts", (int, float), "numeric ts"),
+                ("seq", int, "integer seq"),
+                ("closed", bool, "closed flag"),
+            ):
+                if not isinstance(heartbeat.get(key), kind):
+                    problems.append(f"live: heartbeat has no {what}")
+    return LiveDir(directory, heartbeat, events, problems)

@@ -79,13 +79,27 @@ def write_events(
 
 
 def read_events(path: "str | Path") -> list[dict[str, Any]]:
-    """Read an NDJSON event stream, checking the header schema tag."""
+    """Read an event stream: :func:`read_stream` with the log schema."""
+    return read_stream(path, LOG_SCHEMA)
+
+
+def read_stream(path: "str | Path", schema: str) -> list[dict[str, Any]]:
+    """The records of an NDJSON stream after its ``{"schema": schema}`` header.
+
+    The one header check of both ``repro.obs.log/1`` and
+    ``repro.obs.live/1``: raises :class:`ValueError` when the stream is
+    empty, opens with another header or holds a record that is not an
+    object (and :class:`json.JSONDecodeError`, a ``ValueError``, on a
+    line that is not JSON).
+    """
     records = list(iter_ndjson(path))
-    if not records or records[0].get("schema") != LOG_SCHEMA:
-        raise ValueError(
-            f"{path}: not a {LOG_SCHEMA} stream "
-            f"(header: {records[0] if records else 'missing'})"
-        )
+    if not records:
+        raise ValueError(f"not a {schema} stream: empty, no header")
+    if not isinstance(records[0], dict) or records[0].get("schema") != schema:
+        raise ValueError(f"not a {schema} stream: header is {records[0]!r}")
+    for i, record in enumerate(records[1:], start=1):
+        if not isinstance(record, dict):
+            raise ValueError(f"{schema} record #{i} is not an object")
     return records[1:]
 
 

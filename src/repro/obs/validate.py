@@ -1,7 +1,8 @@
 """Schema checks for exported telemetry (CI's observability smoke gate).
 
 ``python -m repro.obs <dir>`` validates a directory produced by
-:func:`repro.obs.exporters.export_run`:
+:func:`repro.obs.exporters.export_run`.  The three formats that have no
+reader are checked here:
 
 * ``manifest.json`` — schema tag, simulator version, config shape;
 * ``trace.json`` — Chrome trace-event JSON with non-negative, monotonic
@@ -10,6 +11,12 @@
 * ``metrics/`` — parseable CSVs with non-decreasing timestamps, and
   every storage occupancy series peaking at or below the service's
   recorded capacity.
+
+The formats that have a reader are checked by asking it, so a file
+that validates always loads: ``profile.json`` by
+:meth:`repro.profile.Profile.from_doc`, ``events.ndjson``'s header by
+:func:`repro.obs.log.read_events`, and ``live/`` by
+:func:`repro.obs.live.read_live_dir`.
 
 Each check returns a list of human-readable error strings (empty =
 valid) so tests can assert on specific failures.
@@ -219,29 +226,19 @@ def validate_metrics_dir(directory: "str | Path") -> list[str]:
 # Structured event log (repro.obs.log/1)
 # ----------------------------------------------------------------------
 def validate_events_ndjson(path: "str | Path") -> list[str]:
-    """Validate an ``events.ndjson`` stream (header + event envelopes)."""
-    from repro.obs.log import COMPONENTS, LOG_SCHEMA, iter_ndjson
+    """Validate an ``events.ndjson`` stream: its header, as
+    :func:`repro.obs.log.read_events` checks it, then each record's
+    envelope."""
+    from repro.obs.log import COMPONENTS, read_events
 
-    path = Path(path)
-    errors: list[str] = []
     try:
-        records = list(iter_ndjson(path))
+        records = read_events(path)
     except (OSError, json.JSONDecodeError) as error:
         return [f"events: unreadable NDJSON ({error})"]
-    if not records:
-        return ["events: empty stream (missing schema header)"]
-    header = records[0]
-    if not isinstance(header, dict) or header.get("schema") != LOG_SCHEMA:
-        errors.append(
-            f"events: header schema is "
-            f"{header.get('schema') if isinstance(header, dict) else header!r}, "
-            f"expected {LOG_SCHEMA!r}"
-        )
-        return errors
-    for i, record in enumerate(records[1:], start=1):
-        if not isinstance(record, dict):
-            errors.append(f"events: record #{i} is not an object")
-            continue
+    except ValueError as error:  # the header, or a record that is not an object
+        return [f"events: {error}"]
+    errors: list[str] = []
+    for i, record in enumerate(records, start=1):
         missing = {"sim_time", "component", "event", "fields"} - record.keys()
         if missing:
             errors.append(
@@ -273,96 +270,11 @@ def validate_events_ndjson(path: "str | Path") -> list[str]:
 # Live telemetry directory (repro.obs.live/1)
 # ----------------------------------------------------------------------
 def validate_live_dir(directory: "str | Path") -> list[str]:
-    """Validate a live-bus directory (snapshots, events, heartbeat).
+    """The problems :func:`repro.obs.live.read_live_dir` finds in a live
+    directory (snapshots, events, heartbeat); mid-flight ones are valid."""
+    from repro.obs.live import read_live_dir
 
-    Mid-flight directories are valid: a truncated final line is the
-    producer mid-write, and ``closed: false`` in the heartbeat just
-    means the run is still going.
-    """
-    from repro.obs.live import LIVE_SCHEMA
-    from repro.obs.log import iter_ndjson
-
-    directory = Path(directory)
-    errors: list[str] = []
-
-    snapshots_path = directory / "snapshots.ndjson"
-    if not snapshots_path.is_file():
-        errors.append("live: missing snapshots.ndjson")
-    else:
-        try:
-            records = list(iter_ndjson(snapshots_path))
-        except (OSError, json.JSONDecodeError) as error:
-            records = []
-            errors.append(f"live: snapshots.ndjson unreadable ({error})")
-        if records:
-            if records[0].get("schema") != LIVE_SCHEMA:
-                errors.append(
-                    f"live: snapshots header schema is "
-                    f"{records[0].get('schema')!r}, expected {LIVE_SCHEMA!r}"
-                )
-            last_seq: Optional[int] = None
-            for i, snap in enumerate(records[1:], start=1):
-                seq = snap.get("seq")
-                if not isinstance(seq, int):
-                    errors.append(f"live: snapshot #{i} has no integer seq")
-                    continue
-                if last_seq is not None and seq <= last_seq:
-                    errors.append(
-                        f"live: snapshot #{i} seq {seq} does not increase "
-                        f"past {last_seq}"
-                    )
-                last_seq = seq
-                for key in ("counters", "gauges", "series"):
-                    if not isinstance(snap.get(key), dict):
-                        errors.append(f"live: snapshot #{i} missing {key!r}")
-                dropped = snap.get("dropped")
-                if not isinstance(dropped, int) or dropped < 0:
-                    errors.append(
-                        f"live: snapshot #{i} has bad dropped count {dropped!r}"
-                    )
-        elif not errors:
-            errors.append("live: snapshots.ndjson has no schema header")
-
-    events_path = directory / "events.ndjson"
-    if events_path.is_file():
-        from repro.obs.live import LIVE_SCHEMA as _live_schema
-
-        try:
-            records = list(iter_ndjson(events_path))
-        except (OSError, json.JSONDecodeError) as error:
-            records = []
-            errors.append(f"live: events.ndjson unreadable ({error})")
-        if records and records[0].get("schema") != _live_schema:
-            errors.append(
-                f"live: events header schema is {records[0].get('schema')!r}, "
-                f"expected {_live_schema!r}"
-            )
-        for i, record in enumerate(records[1:], start=1):
-            if not isinstance(record.get("kind"), str):
-                errors.append(f"live: event #{i} has no kind")
-            if not isinstance(record.get("ts"), (int, float)):
-                errors.append(f"live: event #{i} has no wall-clock ts")
-
-    heartbeat_path = directory / "heartbeat.json"
-    if heartbeat_path.is_file():
-        try:
-            heartbeat = json.loads(heartbeat_path.read_text())
-        except json.JSONDecodeError as error:
-            heartbeat = None
-            errors.append(f"live: heartbeat.json invalid JSON ({error})")
-        if heartbeat is not None:
-            if not isinstance(heartbeat, dict):
-                errors.append("live: heartbeat.json is not an object")
-            else:
-                if not isinstance(heartbeat.get("ts"), (int, float)):
-                    errors.append("live: heartbeat has no numeric ts")
-                if not isinstance(heartbeat.get("seq"), int):
-                    errors.append("live: heartbeat has no integer seq")
-                if not isinstance(heartbeat.get("closed"), bool):
-                    errors.append("live: heartbeat has no closed flag")
-    else:
-        errors.append("live: missing heartbeat.json")
-    return errors
+    return read_live_dir(directory).problems
 
 
 # ----------------------------------------------------------------------
@@ -371,177 +283,82 @@ def validate_live_dir(directory: "str | Path") -> list[str]:
 def validate_profile_doc(doc: Any) -> list[str]:
     """Validate a ``profile.json`` document (schema ``repro.profile/1``).
 
-    Checks the schema tag, that the critical path is a contiguous
-    partition of ``[0, makespan]``, that the attribution sums to the
-    makespan within relative 1e-9, and that every recorded wait uses a
-    cause from the closed :class:`~repro.obs.waits.WaitCause` enum.
+    :meth:`repro.profile.Profile.from_doc` is the check: a document
+    passes exactly when it loads.
     """
-    from repro.obs.waits import WaitCause
+    from repro.profile.model import Profile, ProfileError
 
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["profile: document is not a JSON object"]
-    schema = doc.get("schema")
-    if schema != "repro.profile/1":
-        errors.append(
-            f"profile: schema is {schema!r}, expected 'repro.profile/1'"
-        )
-        return errors
-    makespan = doc.get("makespan")
-    if not isinstance(makespan, (int, float)) or makespan < 0:
-        errors.append(f"profile: bad makespan {makespan!r}")
-        return errors
-    tol = 1e-9 * max(1.0, abs(makespan))
-
-    path = doc.get("critical_path")
-    if not isinstance(path, list):
-        errors.append("profile: missing critical_path array")
-        return errors
-    previous_end = 0.0
-    total = 0.0
-    for i, segment in enumerate(path):
-        if not isinstance(segment, dict):
-            errors.append(f"profile: segment #{i} is not an object")
-            continue
-        start, end = segment.get("start"), segment.get("end")
-        if not isinstance(start, (int, float)) or not isinstance(end, (int, float)):
-            errors.append(f"profile: segment #{i} has non-numeric bounds")
-            continue
-        if end < start - tol:
-            errors.append(f"profile: segment #{i} ends before it starts")
-        if abs(start - previous_end) > tol:
-            errors.append(
-                f"profile: segment #{i} starts at {start}, previous ended "
-                f"at {previous_end} (critical path must be contiguous)"
-            )
-        if not segment.get("resource"):
-            errors.append(f"profile: segment #{i} has no resource")
-        previous_end = end
-        total += end - start
-    if path and abs(previous_end - makespan) > tol:
-        errors.append(
-            f"profile: critical path ends at {previous_end}, makespan is "
-            f"{makespan}"
-        )
-
-    attribution = doc.get("attribution")
-    if not isinstance(attribution, dict):
-        errors.append("profile: missing attribution object")
-    else:
-        recorded = sum(attribution.values())
-        if abs(recorded - makespan) > tol:
-            errors.append(
-                f"profile: attribution sums to {recorded}, makespan is "
-                f"{makespan} (must agree within rel 1e-9)"
-            )
-        if abs(recorded - total) > tol:
-            errors.append(
-                f"profile: attribution ({recorded}) disagrees with the "
-                f"critical path ({total})"
-            )
-
-    known_causes = {cause.value for cause in WaitCause}
-    for i, wait in enumerate(doc.get("waits", ())):
-        if not isinstance(wait, dict):
-            errors.append(f"profile: wait #{i} is not an object")
-            continue
-        cause = wait.get("cause")
-        if cause not in known_causes:
-            errors.append(
-                f"profile: wait #{i} has unknown cause {cause!r} "
-                f"(expected one of {sorted(known_causes)})"
-            )
-    return errors
+    try:
+        Profile.from_doc(doc)
+    except ProfileError as error:
+        return [f"profile: {error}"]
+    return []
 
 
 # ----------------------------------------------------------------------
 # Whole-directory validation
 # ----------------------------------------------------------------------
 def validate_obs_dir(directory: "str | Path") -> list[str]:
-    """Validate a full telemetry directory; returns all errors found."""
+    """Validate a full telemetry directory; returns all errors found.
+
+    ``profile.json``, ``events.ndjson`` and ``live/`` are optional; when
+    present they must be valid too.
+    """
     directory = Path(directory)
     errors: list[str] = []
-
-    manifest_path = directory / "manifest.json"
-    if manifest_path.is_file():
+    for name, check, required in (
+        ("manifest.json", validate_manifest, True),
+        ("trace.json", validate_chrome_trace, True),
+        ("profile.json", validate_profile_doc, False),
+    ):
+        path = directory / name
+        if not path.is_file():
+            if required:
+                errors.append(f"missing {name}")
+            continue
         try:
-            errors.extend(validate_manifest(json.loads(manifest_path.read_text())))
+            errors.extend(check(json.loads(path.read_text())))
         except json.JSONDecodeError as error:
-            errors.append(f"manifest: invalid JSON ({error})")
-    else:
-        errors.append("missing manifest.json")
-
-    trace_path = directory / "trace.json"
-    if trace_path.is_file():
-        try:
-            errors.extend(validate_chrome_trace(json.loads(trace_path.read_text())))
-        except json.JSONDecodeError as error:
-            errors.append(f"trace: invalid JSON ({error})")
-    else:
-        errors.append("missing trace.json")
+            errors.append(f"{path.stem}: invalid JSON ({error})")
 
     metrics_dir = directory / "metrics"
     if metrics_dir.is_dir():
         errors.extend(validate_metrics_dir(metrics_dir))
     else:
         errors.append("missing metrics/ directory")
-
-    # profile.json is optional; when present it must be a valid
-    # repro.profile/1 document.
-    profile_path = directory / "profile.json"
-    if profile_path.is_file():
-        try:
-            errors.extend(validate_profile_doc(json.loads(profile_path.read_text())))
-        except json.JSONDecodeError as error:
-            errors.append(f"profile: invalid JSON ({error})")
-
-    # events.ndjson and live/ are optional; when present they must be
-    # valid repro.obs.log/1 and repro.obs.live/1 streams.
-    events_path = directory / "events.ndjson"
-    if events_path.is_file():
-        errors.extend(validate_events_ndjson(events_path))
-    live_dir = directory / "live"
-    if live_dir.is_dir():
-        errors.extend(validate_live_dir(live_dir))
+    if (directory / "events.ndjson").is_file():
+        errors.extend(validate_events_ndjson(directory / "events.ndjson"))
+    if (directory / "live").is_dir():
+        errors.extend(validate_live_dir(directory / "live"))
     return errors
 
 
-#: Which file each validator's error prefix points at, so the CLI can
-#: name the failing file rather than just the directory.
-_COMPONENT_FILES = {
-    "manifest": "manifest.json",
-    "trace": "trace.json",
-    "metrics": "metrics",
-    "profile": "profile.json",
-    "events": "events.ndjson",
-    "live": "live",
-}
+#: The files and directories :func:`validate_obs_dir` checks; each
+#: error names one by its stem, so the CLI can print the failing file.
+_CHECKED = ("manifest.json", "trace.json", "metrics", "profile.json", "events.ndjson", "live")
 
 
 def error_path(directory: "str | Path", error: str) -> Path:
     """The file an error string from :func:`validate_obs_dir` refers to."""
-    directory = Path(directory)
-    component = error.split(":", 1)[0]
-    if error.startswith("missing "):
-        component = error[len("missing "):].rstrip("/ ").partition(".")[0]
-        if component == "metrics":
-            return directory / "metrics"
-    name = _COMPONENT_FILES.get(component)
-    return directory / name if name else directory
+    # "missing trace.json" and "missing metrics/ directory" name it too.
+    stem = error.removeprefix("missing ").split(":")[0].split(".")[0].split("/")[0]
+    name = next((name for name in _CHECKED if name.split(".")[0] == stem), "")
+    return Path(directory) / name
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI: validate one or more telemetry directories.
 
-    Exits non-zero when *any* directory has *any* schema violation, and
-    names the failing file in each diagnostic.
+    ``python -m repro.obs DIR...`` and ``repro-obs validate DIR...`` both
+    run this.  Exits non-zero when *any* directory has *any* schema
+    violation, and names the failing file in each diagnostic.
     """
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Validate exported simulation telemetry "
-        "(manifest, Chrome trace, metric CSVs, event log, live stream).",
+        "(manifest, Chrome trace, metric CSVs, profile, event log, live stream).",
     )
     parser.add_argument("directories", nargs="+", help="telemetry directories")
     args = parser.parse_args(argv)

@@ -39,9 +39,9 @@ def load_profile(path: "str | Path") -> Profile:
     if not path.is_file():
         raise ProfileError(f"{path}: no such file or directory")
     doc = json.loads(path.read_text())
-    if doc.get("schema", "").startswith("repro.profile/"):
+    if isinstance(doc, dict) and "schema" in doc:
         return Profile.from_doc(doc)
-    if "events" in doc or "tasks" in doc:
+    if isinstance(doc, dict) and ("events" in doc or "tasks" in doc):
         from repro.traces.events import ExecutionTrace
 
         return build_profile(ExecutionTrace.from_json(doc))

@@ -17,6 +17,7 @@ makespan`` unconditionally.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -30,6 +31,11 @@ ATTRIBUTION_RTOL = 1e-9
 
 class ProfileError(Exception):
     """A profile violated its structural invariants."""
+
+
+def _finite(value: Any) -> bool:
+    """A JSON number that is neither NaN nor infinite."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -252,29 +258,75 @@ class Profile:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "Profile":
+    def from_doc(cls, doc: Any) -> "Profile":
+        """Load a ``repro.profile/1`` document: the one check of the format.
+
+        Raises :class:`ProfileError` on any malformed shape, on a
+        critical path that is not a contiguous partition of ``[0,
+        makespan]`` in start order, on a recorded attribution without
+        exactly the path's keys and seconds, and on a wait whose cause is
+        not a :class:`~repro.obs.waits.WaitCause`.
+        """
+        from repro.obs.waits import WaitCause
+
+        if not isinstance(doc, dict):
+            raise ProfileError("document is not a JSON object")
         if doc.get("schema") != PROFILE_SCHEMA:
             raise ProfileError(
-                f"unsupported profile schema {doc.get('schema')!r} "
-                f"(expected {PROFILE_SCHEMA!r})"
+                f"schema is {doc.get('schema')!r}, expected {PROFILE_SCHEMA!r}"
             )
-        profile = cls(
-            workflow=doc.get("workflow", ""),
-            makespan=doc["makespan"],
-            critical_path=[Segment.from_dict(s) for s in doc.get("critical_path", ())],
-            tasks=[TaskBreakdown.from_dict(t) for t in doc.get("tasks", ())],
-            waits=list(doc.get("waits", ())),
-        )
+        makespan = doc.get("makespan")
+        if not _finite(makespan) or makespan < 0:
+            raise ProfileError(f"bad makespan {makespan!r}")
+        path, tasks, waits = (doc.get(k, []) for k in ("critical_path", "tasks", "waits"))
+        if "critical_path" not in doc or not all(
+            isinstance(items, list) and all(isinstance(item, dict) for item in items)
+            for items in (path, tasks, waits)
+        ):
+            raise ProfileError("critical_path, tasks and waits must be arrays of objects")
+        for i, segment in enumerate(path):
+            if not (_finite(segment.get("start")) and _finite(segment.get("end"))):
+                raise ProfileError(f"segment #{i} has non-numeric bounds")
+            if not isinstance(segment.get("resource"), str) or not segment["resource"]:
+                raise ProfileError(f"segment #{i} has no resource")
+        for task in tasks:
+            if not isinstance(task.get("task"), str) or not all(
+                isinstance(task.get(k, {}), dict) for k in ("phases", "waits")
+            ):
+                raise ProfileError(f"task breakdown {task.get('task')!r} is malformed")
+        causes = [cause.value for cause in WaitCause]
+        for i, wait in enumerate(waits):
+            if wait.get("cause") not in causes:
+                raise ProfileError(
+                    f"wait #{i} has unknown cause {wait.get('cause')!r} "
+                    f"(expected one of {sorted(causes)})"
+                )
+
+        segments = [Segment.from_dict(s) for s in path]
+        breakdowns = [TaskBreakdown.from_dict(t) for t in tasks]
+        profile = cls(doc.get("workflow", ""), makespan, segments, breakdowns, list(waits))
+        if profile.critical_path != segments:
+            raise ProfileError("critical_path is not in start order")
         recorded = doc.get("attribution")
-        if recorded is not None:
-            tol = ATTRIBUTION_RTOL * max(1.0, abs(profile.makespan))
-            for resource, seconds in recorded.items():
-                if abs(profile.attribution.get(resource, 0.0) - seconds) > tol:
-                    raise ProfileError(
-                        f"recorded attribution for {resource!r} ({seconds}) "
-                        f"disagrees with the critical path "
-                        f"({profile.attribution.get(resource, 0.0)})"
-                    )
+        if not isinstance(recorded, dict) or recorded.keys() != profile.attribution.keys():
+            raise ProfileError(
+                f"attribution must have the critical path's keys "
+                f"{sorted(profile.attribution)}"
+            )
+        tol = ATTRIBUTION_RTOL * max(1.0, makespan)
+        for resource, seconds in recorded.items():
+            derived = profile.attribution[resource]
+            if not _finite(seconds) or abs(derived - seconds) > tol:
+                raise ProfileError(
+                    f"recorded attribution for {resource!r} ({seconds}) "
+                    f"disagrees with the critical path ({derived})"
+                )
+        total = sum(recorded.values())
+        if max(abs(total - makespan), abs(total - sum(profile.attribution.values()))) > tol:
+            raise ProfileError(
+                f"recorded attribution sums to {total}, makespan is {makespan} "
+                f"(it must agree with both within rel {ATTRIBUTION_RTOL})"
+            )
         return profile
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
